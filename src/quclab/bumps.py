@@ -13,10 +13,27 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
+from .matrixcore import radial_hessian
 
 # s values this close to 1 are treated as outside; exp(1 - 1/(1-s)) is below
 # the double-precision minimum long before that.
 _S_CUT = 1.0 - 1e-9
+
+
+def smoothstep(t, order: int = 2):
+    """Quintic C^2 transition 0 -> 1 on [0, 1] with s', s'' vanishing at
+    both ends; t is clipped to [0, 1].
+
+    Returns (s,), (s, s') or (s, s', s'') for order 0, 1 or 2, the same
+    contract as an integrand jet.
+    """
+    t = np.clip(t, 0.0, 1.0)
+    out = (t * t * t * (10.0 - 15.0 * t + 6.0 * t * t),)
+    if order >= 1:
+        out += (30.0 * t * t * (1.0 - t) ** 2,)
+    if order == 2:
+        out += (60.0 * t * (1.0 - 3.0 * t + 2.0 * t * t),)
+    return out
 
 
 @dataclass(frozen=True)
@@ -105,11 +122,9 @@ class PlateauBump:
         return np.linalg.norm(d, axis=-1), d
 
     def _profile(self, r):
-        t = np.clip((r - self.r_in) / (self.r_out - self.r_in), 0.0, 1.0)
-        s = t ** 3 * (10.0 - 15.0 * t + 6.0 * t * t)
-        ds = 30.0 * t * t * (1.0 - t) ** 2 / (self.r_out - self.r_in)
-        d2s = 60.0 * t * (1.0 - 3.0 * t + 2.0 * t * t) / (self.r_out - self.r_in) ** 2
-        return 1.0 - s, -ds, -d2s
+        width = self.r_out - self.r_in
+        s, ds, d2s = smoothstep((r - self.r_in) / width)
+        return 1.0 - s, -(ds / width), -(d2s / width ** 2)
 
     def value(self, x):
         r, _ = self._radial(x)
@@ -125,10 +140,7 @@ class PlateauBump:
         r, d = self._radial(x)
         _, dv, d2v = self._profile(r)
         rs = np.maximum(r, 1e-300)
-        unit = d / rs[..., None]
-        proj = unit[..., :, None] * unit[..., None, :]
-        eye = np.eye(self.dim)
-        return d2v[..., None, None] * proj + (dv / rs)[..., None, None] * (eye - proj)
+        return radial_hessian(d / rs[..., None], d2v, dv / rs)
 
     def grad_sq(self, x):
         return 2.0 * self.value(x)[..., None] * self.gradient(x)
@@ -162,22 +174,20 @@ class QuinticBump:
 
     def _t(self, x):
         d = np.asarray(x, float) - self.center
-        t = 1.0 - np.sum(d * d, axis=-1) / self.radius ** 2
-        return np.clip(t, 0.0, 1.0), d
+        return 1.0 - np.sum(d * d, axis=-1) / self.radius ** 2, d
 
     def value(self, x):
         t, _ = self._t(x)
-        return t ** 3 * (10.0 - 15.0 * t + 6.0 * t * t)
+        return smoothstep(t, 0)[0]
 
     def gradient(self, x):
         t, d = self._t(x)
-        ds = 30.0 * t * t * (1.0 - t) ** 2
+        ds = smoothstep(t, 1)[1]
         return ds[..., None] * (-2.0 / self.radius ** 2) * d
 
     def hessian(self, x):
         t, d = self._t(x)
-        ds = 30.0 * t * t * (1.0 - t) ** 2
-        d2s = 60.0 * t * (1.0 - 3.0 * t + 2.0 * t * t)
+        _, ds, d2s = smoothstep(t)
         eye = np.eye(self.dim)
         outer = d[..., :, None] * d[..., None, :]
         return (4.0 / self.radius ** 4) * d2s[..., None, None] * outer \

@@ -36,10 +36,13 @@ from .utils import Manifest, worker_count, write_csv, write_json
 
 
 def _parse_levels(text: str) -> list[int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(tok) for tok in text.split(",") if tok]
+    try:
+        if ".." in text:
+            lo, hi = text.split("..", 1)
+            return list(range(int(lo), int(hi) + 1))
+        return [int(tok) for tok in text.split(",") if tok]
+    except ValueError:
+        raise InputError(f"--levels expects LO..HI or a comma list, got {text!r}") from None
 
 
 def _parse_params(tokens) -> dict:
@@ -295,6 +298,7 @@ def cmd_cpprime_sweep(args, out_dir: Path, manifest: Manifest):
 
 def cmd_cantor(args, out_dir: Path, manifest: Manifest):
     levels = _parse_levels(args.levels)
+    workers = worker_count(len(levels))
     table = counterexamples.sobolev_blowup_diagnostic(levels, n_grid=args.n_grid)
     write_csv(manifest.add(out_dir / "blowup.csv"),
               ["level", "w11_quotient", "sup_quotient", "l15_quotient",
@@ -307,7 +311,7 @@ def cmd_cantor(args, out_dir: Path, manifest: Manifest):
             counterexamples.cantor_stress_field(level),
             n_bumps=args.bumps, seed=args.seed)
 
-    with ThreadPoolExecutor(max_workers=worker_count(len(levels))) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         residuals = list(pool.map(one, levels))
     write_csv(manifest.add(out_dir / "residuals.csv"),
               ["level", "weak_divergence_residual"],

@@ -31,6 +31,7 @@ import numpy as np
 from .cantorfn import CantorProfile
 from .errors import InputError
 from .bumps import QuinticBump
+from .matrixcore import radial_hessian
 from .quadrature import adaptive_quad_2d
 
 
@@ -88,17 +89,6 @@ def _check_half_plane(z):
     return z
 
 
-def radial_hessian_2d(fprime, fsecond, w):
-    """D2F(w) for radial F: F'' on the radial line, F'(|w|)/|w| transversally."""
-    w = np.asarray(w, float)
-    mag = np.linalg.norm(w, axis=-1)
-    unit = w / np.maximum(mag, 1e-300)[..., None]
-    proj = unit[..., :, None] * unit[..., None, :]
-    eye = np.eye(2)
-    return (fsecond(mag)[..., None, None] * proj
-            + (fprime(mag) / mag)[..., None, None] * (eye - proj))
-
-
 def trace_check_radial(fprime: Callable, fsecond: Callable, z) -> float:
     """|trace(D2F(Du(z)) D2u(z))| for the arctan solution (should be ~ 0).
 
@@ -109,7 +99,8 @@ def trace_check_radial(fprime: Callable, fsecond: Callable, z) -> float:
     z = _check_half_plane(z)
     du = arctan_gradient(z)
     d2u = arctan_hessian(z)
-    d2f = radial_hessian_2d(fprime, fsecond, du)
+    mag = np.linalg.norm(du, axis=-1)
+    d2f = radial_hessian(du / mag[..., None], fsecond(mag), fprime(mag) / mag)
     prod = d2f @ d2u
     tr = np.trace(prod, axis1=-2, axis2=-1)
     return float(np.max(np.abs(tr)))

@@ -1,14 +1,16 @@
 """Integrand container and pointwise convexity diagnostics.
 
-An :class:`Integrand` bundles batched evaluators for F, DF and D2F together
-with declared metadata: the eigenvalue-ratio bound K (when known), the
-growth exponents p = 1 + 1/K and q = 1 + K derived from it, the minimizer
-location, and the points where the Hessian is singular and should be
-skipped by almost-everywhere samplers.
+An :class:`Integrand` bundles one batched evaluator, the jet, with declared
+metadata: the eigenvalue-ratio bound K (when known), the growth exponents
+p = 1 + 1/K and q = 1 + K derived from it, the minimizer location, and the
+points where the Hessian is singular and should be skipped by
+almost-everywhere samplers.
 
-All evaluators are vectorized over a leading batch shape: ``value`` maps
-(..., N) -> (...), ``gradient`` maps (..., N) -> (..., N) and ``hessian``
-maps (..., N) -> (..., N, N).
+The jet contract: ``jet_fn(z, order)`` maps points of shape (..., N) to
+``(F,)``, ``(F, DF)`` or ``(F, DF, D2F)`` for ``order`` 0, 1 or 2, with
+shapes (...), (..., N) and (..., N, N).  Every order is computed in one
+call, so |z|, powers and projections are shared and combinators wrap one
+function.  ``value``, ``gradient`` and ``hessian`` are accessors over it.
 """
 
 from __future__ import annotations
@@ -21,8 +23,6 @@ import numpy as np
 from .. import matrixcore
 from ..errors import InputError, NumericError
 
-_FD_STEP = float(np.finfo(float).eps) ** (1.0 / 3.0)
-
 
 def _as_points(z, dim: int) -> np.ndarray:
     z = np.asarray(z, dtype=float)
@@ -33,13 +33,11 @@ def _as_points(z, dim: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Integrand:
-    """Convex integrand with batched evaluators and declared metadata."""
+    """Convex integrand with a batched jet evaluator and declared metadata."""
 
     name: str
     dim: int
-    value_fn: Callable[[np.ndarray], np.ndarray]
-    gradient_fn: Callable[[np.ndarray], np.ndarray]
-    hessian_fn: Callable[[np.ndarray], np.ndarray] | None = None
+    jet_fn: Callable[[np.ndarray, int], tuple]
     declared_K: float | None = None
     minimizer: np.ndarray = None
     singular_points: tuple = ()
@@ -55,36 +53,22 @@ class Integrand:
 
     # -- evaluators --------------------------------------------------------
 
+    def jet(self, z, order: int) -> tuple:
+        """(F,), (F, DF) or (F, DF, D2F) at z for order 0, 1 or 2."""
+        if order not in (0, 1, 2):
+            raise InputError(f"jet order must be 0, 1 or 2, got {order}")
+        return self.jet_fn(_as_points(z, self.dim), order)
+
     def value(self, z):
-        return self.value_fn(_as_points(z, self.dim))
+        return self.jet(z, 0)[0]
 
     def gradient(self, z):
-        return self.gradient_fn(_as_points(z, self.dim))
+        return self.jet(z, 1)[1]
 
     def hessian(self, z):
-        z = _as_points(z, self.dim)
-        if self.hessian_fn is not None:
-            return self.hessian_fn(z)
-        return self._fd_hessian(z)
-
-    def _fd_hessian(self, z: np.ndarray) -> np.ndarray:
-        """Central differences of the gradient, step ~ eps^(1/3) (1 + |z|)."""
-        h = _FD_STEP * (1.0 + np.linalg.norm(z, axis=-1))
-        rows = []
-        for j in range(self.dim):
-            e = np.zeros(self.dim)
-            e[j] = 1.0
-            dz = h[..., None] * e
-            rows.append((self.gradient_fn(z + dz) - self.gradient_fn(z - dz))
-                        / (2.0 * h[..., None]))
-        hess = np.stack(rows, axis=-2)
-        return 0.5 * (hess + np.swapaxes(hess, -1, -2))
+        return self.jet(z, 2)[2]
 
     # -- declared growth ----------------------------------------------------
-
-    @property
-    def hess_kind(self) -> str:
-        return "analytic" if self.hessian_fn is not None else "finite-difference"
 
     @property
     def growth_p(self) -> float | None:
@@ -105,15 +89,15 @@ class Integrand:
         k = None
         if self.declared_K is not None and other.declared_K is not None:
             k = max(self.declared_K, other.declared_K)
-        hess = None
-        if self.hessian_fn is not None and other.hessian_fn is not None:
-            hess = lambda z: self.hessian_fn(z) + other.hessian_fn(z)
+
+        def jet(z, order):
+            return tuple(a + b for a, b in zip(self.jet_fn(z, order),
+                                               other.jet_fn(z, order)))
+
         return Integrand(
             name=f"({self.name}+{other.name})",
             dim=self.dim,
-            value_fn=lambda z: self.value_fn(z) + other.value_fn(z),
-            gradient_fn=lambda z: self.gradient_fn(z) + other.gradient_fn(z),
-            hessian_fn=hess,
+            jet_fn=jet,
             declared_K=k,
             minimizer=None,
             singular_points=self.singular_points + other.singular_points,
@@ -127,17 +111,16 @@ class Integrand:
             raise InputError("mu must be >= 0")
         if mu == 0.0:
             return self
-        dim = self.dim
-        eye = np.eye(dim)
-        hess = None
-        if self.hessian_fn is not None:
-            hess = lambda z: self.hessian_fn(z) + mu * eye
+        eye = np.eye(self.dim)
+
+        def jet(z, order):
+            tilt = (0.5 * mu * np.sum(z * z, axis=-1), mu * z, mu * eye)
+            return tuple(a + b for a, b in zip(self.jet_fn(z, order), tilt))
+
         return replace(
             self,
             name=f"{self.name}+{mu:g}/2|z|^2",
-            value_fn=lambda z: self.value_fn(z) + 0.5 * mu * np.sum(z * z, axis=-1),
-            gradient_fn=lambda z: self.gradient_fn(z) + mu * z,
-            hessian_fn=hess,
+            jet_fn=jet,
             params={**self.params, "tilt_mu": mu},
         )
 

@@ -18,6 +18,7 @@ import numpy as np
 
 from ..cantorfn import CantorProfile
 from ..errors import InputError
+from ..matrixcore import radial_hessian
 from .base import Integrand
 from .profiles import (
     UhlenbeckProfile,
@@ -43,57 +44,39 @@ def _check_p(p: float):
         raise InputError(f"growth exponent must satisfy p > 1, got {p}")
 
 
-def _radial_hessian(r, radial_second, radial_slope, unit):
-    """Hessian of a radial F: F''(r) on the radial line, F'(r)/r transversally.
+def _radial_jet(w, order, value, slope, second):
+    """Jet in w of the radial phi(|w|), from its profile.
 
-    ``unit`` is the batch of unit vectors z/|z|; callers handle r = 0.
+    ``value(r)`` is phi(r) at the exact radius.  ``slope(rs)`` = phi'(r)/r
+    and ``second(rs, slope)`` = phi''(r) take the radius clamped away from
+    zero, so the gradient slope * w is finite at w = 0.
     """
-    eye = np.eye(unit.shape[-1])
-    proj = unit[..., :, None] * unit[..., None, :]
-    return (radial_second[..., None, None] * proj
-            + radial_slope[..., None, None] * (eye - proj))
-
-
-def _shifted_power_terms(z, center, p):
-    """Value, gradient and Hessian of |z - center|^p (no 1/p factor)."""
-    w = z - center
     r = _norm(w)
+    out = (value(r),)
+    if order == 0:
+        return out
     rs = np.maximum(r, _SAFE_MIN)
-    unit = w / rs[..., None]
-    val = r ** p
-    grad = p * rs[..., None] ** (p - 2.0) * w
-    with np.errstate(divide="ignore", over="ignore"):
-        second = p * (p - 1.0) * rs ** (p - 2.0)
-        slope = p * rs ** (p - 2.0)
-    hess = _radial_hessian(r, second, slope, unit)
-    return val, grad, hess
+    a = slope(rs)
+    out += (a[..., None] * w,)
+    if order == 2:
+        with np.errstate(divide="ignore", over="ignore"):
+            b = second(rs, a)
+        out += (radial_hessian(w / rs[..., None], b, a),)
+    return out
+
+
+def _power_jet(w, order, p):
+    """Jet of |w|^p / p."""
+    return _radial_jet(w, order, lambda r: r ** p / p,
+                       lambda rs: rs ** (p - 2.0), lambda rs, a: (p - 1.0) * a)
 
 
 def power(p: float, dim: int = 2, center=None) -> Integrand:
     _check_p(p)
     c = np.zeros(dim) if center is None else np.asarray(center, float)
-
-    def value(z):
-        return _norm(z - c) ** p / p
-
-    def gradient(z):
-        w = z - c
-        r = np.maximum(_norm(w), _SAFE_MIN)
-        return r[..., None] ** (p - 2.0) * w
-
-    def hessian(z):
-        w = z - c
-        r = _norm(w)
-        rs = np.maximum(r, _SAFE_MIN)
-        unit = w / rs[..., None]
-        with np.errstate(divide="ignore", over="ignore"):
-            second = (p - 1.0) * rs ** (p - 2.0)
-            slope = rs ** (p - 2.0)
-        return _radial_hessian(r, second, slope, unit)
-
     return Integrand(
         name=f"power[p={p:g}]", dim=dim,
-        value_fn=value, gradient_fn=gradient, hessian_fn=hessian,
+        jet_fn=lambda z, order: _power_jet(z - c, order, p),
         declared_K=_power_K(p), minimizer=c,
         singular_points=(tuple(c),) if p != 2.0 else (),
         params={"p": p, "center": list(np.asarray(c, float))},
@@ -106,26 +89,17 @@ def two_center(p: float, z0, dim: int = 2) -> Integrand:
     if z0.shape != (dim,):
         raise InputError(f"z0 must have shape ({dim},)")
 
-    def value(z):
-        return _norm(z - z0) ** p + _norm(z + z0) ** p
+    def term(w, order):
+        # |w|^p without the 1/p factor
+        return _radial_jet(w, order, lambda r: r ** p, lambda rs: p * rs ** (p - 2.0),
+                           lambda rs, a: p * (p - 1.0) * rs ** (p - 2.0))
 
-    def gradient(z):
-        out = 0.0
-        for c in (z0, -z0):
-            w = z - c
-            r = np.maximum(_norm(w), _SAFE_MIN)
-            out = out + p * r[..., None] ** (p - 2.0) * w
-        return out
-
-    def hessian(z):
-        _, _, h1 = _shifted_power_terms(z, z0, p)
-        _, _, h2 = _shifted_power_terms(z, -z0, p)
-        return h1 + h2
+    def jet(z, order):
+        return tuple(a + b for a, b in zip(term(z - z0, order), term(z + z0, order)))
 
     singular = (tuple(z0), tuple(-z0)) if p != 2.0 else ()
     return Integrand(
-        name=f"two_center[p={p:g}]", dim=dim,
-        value_fn=value, gradient_fn=gradient, hessian_fn=hessian,
+        name=f"two_center[p={p:g}]", dim=dim, jet_fn=jet,
         declared_K=_power_K(p), minimizer=np.zeros(dim),
         singular_points=singular,
         params={"p": p, "z0": list(z0)},
@@ -137,31 +111,20 @@ def mixed(p: float, q: float, dim: int = 2) -> Integrand:
     _check_p(p)
     _check_p(q)
 
-    def value(z):
-        return _norm(z) ** p / p + np.abs(z[..., 0]) ** q / q
-
-    def gradient(z):
-        r = np.maximum(_norm(z), _SAFE_MIN)
-        out = r[..., None] ** (p - 2.0) * z
-        extra = np.zeros_like(out)
-        extra[..., 0] = np.abs(z[..., 0]) ** (q - 2.0) * z[..., 0]
-        return out + extra
-
-    def hessian(z):
-        r = _norm(z)
-        rs = np.maximum(r, _SAFE_MIN)
-        unit = z / rs[..., None]
-        with np.errstate(divide="ignore", over="ignore"):
-            second = (p - 1.0) * rs ** (p - 2.0)
-            slope = rs ** (p - 2.0)
-        h = _radial_hessian(r, second, slope, unit)
-        h = h.copy()
-        h[..., 0, 0] += (q - 1.0) * np.abs(z[..., 0]) ** (q - 2.0)
-        return h
+    def jet(z, order):
+        out = list(_power_jet(z, order, p))
+        x = z[..., 0]
+        out[0] = out[0] + np.abs(x) ** q / q
+        if order >= 1:
+            extra = np.zeros_like(out[1])
+            extra[..., 0] = np.abs(x) ** (q - 2.0) * x
+            out[1] = out[1] + extra
+        if order == 2:
+            out[2][..., 0, 0] += (q - 1.0) * np.abs(x) ** (q - 2.0)
+        return tuple(out)
 
     return Integrand(
-        name=f"mixed[p={p:g},q={q:g}]", dim=dim,
-        value_fn=value, gradient_fn=gradient, hessian_fn=hessian,
+        name=f"mixed[p={p:g},q={q:g}]", dim=dim, jet_fn=jet,
         declared_K=None, minimizer=np.zeros(dim),
         singular_points=((0.0,) * dim,),
         params={"p": p, "q": q},
@@ -176,26 +139,13 @@ def uhlenbeck(profile: UhlenbeckProfile, dim: int = 2) -> Integrand:
     if profile.primitive is None:
         raise InputError("profile must carry a primitive of t a(t) for F evaluation")
 
-    def value(z):
-        return profile.primitive(_norm(z))
-
-    def gradient(z):
-        r = np.maximum(_norm(z), _SAFE_MIN)
-        return profile.a(r)[..., None] * z
-
-    def hessian(z):
-        r = _norm(z)
-        rs = np.maximum(r, _SAFE_MIN)
-        unit = z / rs[..., None]
-        with np.errstate(divide="ignore", over="ignore"):
-            a = profile.a(rs)
-            second = a + rs * profile.da(rs)
-        return _radial_hessian(r, second, a, unit)
+    def jet(z, order):
+        return _radial_jet(z, order, profile.primitive, profile.a,
+                           lambda rs, a: a + rs * profile.da(rs))
 
     singular = ((0.0,) * dim,) if (i_a, s_a) != (0.0, 0.0) else ()
     return Integrand(
-        name=f"uhlenbeck[{profile.name}]", dim=dim,
-        value_fn=value, gradient_fn=gradient, hessian_fn=hessian,
+        name=f"uhlenbeck[{profile.name}]", dim=dim, jet_fn=jet,
         declared_K=indices_to_K(i_a, s_a), minimizer=np.zeros(dim),
         singular_points=singular,
         params={"profile": profile.name.split("[", 1)[0], **(profile.params or {})},
@@ -217,28 +167,17 @@ def gh(p: float, matrix, dim: int = 2) -> Integrand:
         raise InputError("matrix must be invertible")
     cond2 = (sv[0] / sv[-1]) ** 2
 
-    def value(z):
-        return _norm(z @ b.T) ** p / p
-
-    def gradient(z):
-        w = z @ b.T
-        r = np.maximum(_norm(w), _SAFE_MIN)
-        return (r[..., None] ** (p - 2.0) * w) @ b
-
-    def hessian(z):
-        w = z @ b.T
-        r = _norm(w)
-        rs = np.maximum(r, _SAFE_MIN)
-        unit = w / rs[..., None]
-        with np.errstate(divide="ignore", over="ignore"):
-            second = (p - 1.0) * rs ** (p - 2.0)
-            slope = rs ** (p - 2.0)
-        hw = _radial_hessian(r, second, slope, unit)
-        return np.einsum("ji,...jk,kl->...il", b, hw, b)
+    def jet(z, order):
+        # chain rule through w = B z: DF = B^t DG(w), D2F = B^t D2G(w) B
+        out = list(_power_jet(z @ b.T, order, p))
+        if order >= 1:
+            out[1] = out[1] @ b
+        if order == 2:
+            out[2] = np.einsum("ji,...jk,kl->...il", b, out[2], b)
+        return tuple(out)
 
     return Integrand(
-        name=f"gh[p={p:g}]", dim=dim,
-        value_fn=value, gradient_fn=gradient, hessian_fn=hessian,
+        name=f"gh[p={p:g}]", dim=dim, jet_fn=jet,
         declared_K=cond2 * _power_K(p), minimizer=np.zeros(dim),
         singular_points=((0.0,) * dim,) if p != 2.0 else (),
         params={"p": p, "matrix": [list(row) for row in b]},
@@ -255,26 +194,13 @@ def cantor(level: int = 12, dim: int = 2) -> Integrand:
     """
     profile = CantorProfile(level)
 
-    def value(z):
-        r = _norm(z)
-        return 0.5 * r * r + profile.H(r)
-
-    def gradient(z):
-        r = np.maximum(_norm(z), _SAFE_MIN)
-        scalar = r + profile.h(r)
-        return (scalar / r)[..., None] * z
-
-    def hessian(z):
-        r = _norm(z)
-        rs = np.maximum(r, _SAFE_MIN)
-        unit = z / rs[..., None]
-        second = 1.0 + profile.h_prime(rs)
-        slope = (rs + profile.h(rs)) / rs
-        return _radial_hessian(r, second, slope, unit)
+    def jet(z, order):
+        return _radial_jet(z, order, lambda r: 0.5 * r * r + profile.H(r),
+                           lambda rs: (rs + profile.h(rs)) / rs,
+                           lambda rs, a: 1.0 + profile.h_prime(rs))
 
     return Integrand(
-        name=f"cantor[L={level}]", dim=dim,
-        value_fn=value, gradient_fn=gradient, hessian_fn=hessian,
+        name=f"cantor[L={level}]", dim=dim, jet_fn=jet,
         declared_K=1.0 + 1.5 ** level, minimizer=np.zeros(dim),
         singular_points=((0.0,) * dim,),
         params={"level": level},
@@ -285,23 +211,22 @@ def orthotropic(p: float, dim: int = 2) -> Integrand:
     """sum_i |z_i|^p: the control case whose eigenvalue ratio diverges."""
     _check_p(p)
 
-    def value(z):
-        return np.sum(np.abs(z) ** p, axis=-1)
-
-    def gradient(z):
-        return p * np.abs(z) ** (p - 2.0) * z
-
-    def hessian(z):
-        with np.errstate(divide="ignore", over="ignore"):
-            diag = p * (p - 1.0) * np.abs(z) ** (p - 2.0)
-        out = np.zeros(z.shape + (z.shape[-1],))
-        idx = np.arange(z.shape[-1])
-        out[..., idx, idx] = diag
+    def jet(z, order):
+        az = np.abs(z)
+        out = (np.sum(az ** p, axis=-1),)
+        if order >= 1:
+            out += (p * az ** (p - 2.0) * z,)
+        if order == 2:
+            with np.errstate(divide="ignore", over="ignore"):
+                diag = p * (p - 1.0) * az ** (p - 2.0)
+            hess = np.zeros(z.shape + (z.shape[-1],))
+            idx = np.arange(z.shape[-1])
+            hess[..., idx, idx] = diag
+            out += (hess,)
         return out
 
     return Integrand(
-        name=f"orthotropic[p={p:g}]", dim=dim,
-        value_fn=value, gradient_fn=gradient, hessian_fn=hessian,
+        name=f"orthotropic[p={p:g}]", dim=dim, jet_fn=jet,
         declared_K=None if p != 2.0 else 1.0, minimizer=np.zeros(dim),
         singular_points=(),
         params={"p": p},

@@ -18,7 +18,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import beta as beta_fn
 
+from ..bumps import smoothstep
 from ..errors import InputError, NumericError, PreconditionError
+from ..matrixcore import radial_hessian
 from .base import Integrand
 
 _KERNEL_POWER = 4  # exponent in (1 - |y|^2)^4
@@ -123,24 +125,20 @@ def mollify(f: Integrand, eps: float, rule: MollifierRule | None = None) -> Inte
     offsets = eps * rule.nodes
     weights = rule.weights
 
-    def _avg(evaluator, z):
+    def jet(z, order):
+        # one pass over the offsets; each order sums its terms in rule order
         out = None
         for y, w in zip(offsets, weights):
-            term = w * np.asarray(evaluator(z - y), dtype=float)
-            out = term if out is None else out + term
-        if not np.all(np.isfinite(out)):
+            terms = [w * np.asarray(t, dtype=float) for t in f.jet_fn(z - y, order)]
+            out = terms if out is None else [a + b for a, b in zip(out, terms)]
+        if not all(np.all(np.isfinite(acc)) for acc in out):
             raise NumericError("mollification produced non-finite values")
-        return out
+        return tuple(out)
 
-    hess = None
-    if f.hessian_fn is not None:
-        hess = lambda z: _avg(f.hessian_fn, z)
     return Integrand(
         name=f"mollified[{f.name},eps={eps:g}]",
         dim=f.dim,
-        value_fn=lambda z: _avg(f.value_fn, z),
-        gradient_fn=lambda z: _avg(f.gradient_fn, z),
-        hessian_fn=hess,
+        jet_fn=jet,
         declared_K=f.declared_K,
         minimizer=f.minimizer,
         singular_points=(),
@@ -211,32 +209,25 @@ def moreau_yosida(f: Integrand, delta: float) -> Integrand:
     """
     if delta <= 0.0:
         raise InputError("delta must be > 0")
+    eye = np.eye(f.dim)
 
-    def value(z):
-        z = np.asarray(z, float)
+    def jet(z, order):
         p = prox_point(f, delta, z)
         gap = z - p
-        return np.asarray(f.value(p), float) + np.sum(gap * gap, axis=-1) / (2.0 * delta)
-
-    def gradient(z):
-        z = np.asarray(z, float)
-        p = prox_point(f, delta, z)
-        return (z - p) / delta
-
-    def hessian(z):
-        z = np.asarray(z, float)
-        p = prox_point(f, delta, z)
-        b = np.asarray(f.hessian(p), float)
-        eye = np.eye(f.dim)
-        out = np.linalg.solve(eye + delta * b, b)
-        return 0.5 * (out + np.swapaxes(out, -1, -2))
+        base = f.jet(p, 2 if order == 2 else 0)
+        out = (np.asarray(base[0], float) + np.sum(gap * gap, axis=-1) / (2.0 * delta),)
+        if order >= 1:
+            out += (gap / delta,)
+        if order == 2:
+            b = np.asarray(base[2], float)
+            hess = np.linalg.solve(eye + delta * b, b)
+            out += (0.5 * (hess + np.swapaxes(hess, -1, -2)),)
+        return out
 
     return Integrand(
         name=f"moreau_yosida[{f.name},delta={delta:g}]",
         dim=f.dim,
-        value_fn=value,
-        gradient_fn=gradient,
-        hessian_fn=hessian,
+        jet_fn=jet,
         declared_K=f.declared_K,
         minimizer=f.minimizer,
         singular_points=(),
@@ -244,19 +235,10 @@ def moreau_yosida(f: Integrand, delta: float) -> Integrand:
     )
 
 
-def _smoothstep(t):
-    """Quintic C^2 transition: 0 -> 1 on [0, 1] with vanishing s', s'' at ends."""
-    t = np.clip(t, 0.0, 1.0)
-    s = t ** 3 * (10.0 - 15.0 * t + 6.0 * t * t)
-    ds = 30.0 * t ** 2 * (1.0 - 2.0 * t + t * t)
-    d2s = 60.0 * t * (1.0 - 3.0 * t + 2.0 * t * t)
-    return s, ds, d2s
-
-
 def _radial_cut(r, lo, hi):
     """eta = 1 below lo, 0 above hi, quintic in between; returns eta, eta', eta''."""
     t = (r - lo) / (hi - lo)
-    s, ds, d2s = _smoothstep(t)
+    s, ds, d2s = smoothstep(t)
     inside = r <= lo
     outside = r >= hi
     eta = np.where(inside, 1.0, np.where(outside, 0.0, 1.0 - s))
@@ -302,8 +284,8 @@ def extend_local(f: Integrand, R: float, sigma: float, eps_floor: float,
     dirs = np.concatenate([dirs, axes])
     pts = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, dim)
 
-    hess_samples = np.asarray(f.hessian(pts), float)
-    lam_min = np.linalg.eigvalsh(hess_samples)[:, 0]
+    fv_pts, df_pts, hess_pts = (np.asarray(t, float) for t in f.jet(pts, 2))
+    lam_min = np.linalg.eigvalsh(hess_pts)[:, 0]
     if np.any(~np.isfinite(lam_min)) or np.any(lam_min < eps_floor):
         raise PreconditionError(
             f"strict convexity floor {eps_floor:g} fails on the annulus "
@@ -315,15 +297,11 @@ def extend_local(f: Integrand, R: float, sigma: float, eps_floor: float,
         rs = np.maximum(r, 1e-300)
         unit = z / rs[..., None]
         deta = deta_r[..., None] * unit
-        proj = unit[..., :, None] * unit[..., None, :]
-        d2eta = (d2eta_r[..., None, None] * proj
-                 + (deta_r / rs)[..., None, None] * (eye - proj))
-        return r, eta, deta, d2eta
+        d2eta = radial_hessian(unit, d2eta_r, deta_r / rs)
+        return r, rs, unit, eta, deta, d2eta
 
-    def _m_matrix(z):
-        r, eta, deta, d2eta = _cut_parts(z)
-        df = np.asarray(f.gradient(z), float)
-        fv = np.asarray(f.value(z), float)
+    def _m_matrix(z, cut, fv, df):
+        r, _, _, eta, deta, d2eta = cut
         quad = 0.5 * r * r
         m = ((1.0 - eta)[..., None, None] * eye
              + deta[..., :, None] * df[..., None, :]
@@ -332,58 +310,39 @@ def extend_local(f: Integrand, R: float, sigma: float, eps_floor: float,
              + (fv - quad)[..., None, None] * d2eta)
         return m
 
-    m_norms = np.sqrt(np.sum(_m_matrix(pts) ** 2, axis=(-2, -1)))
+    m_norms = np.sqrt(np.sum(_m_matrix(pts, _cut_parts(pts), fv_pts, df_pts) ** 2,
+                             axis=(-2, -1)))
     c_const = float(m_norms.max()) / (1.0 - sigma / tau)
-
-    def _hinge(z):
-        r = np.linalg.norm(z, axis=-1)
-        plus = np.maximum(r - sigma * R, 0.0)
-        rs = np.maximum(r, 1e-300)
-        unit = z / rs[..., None]
-        proj = unit[..., :, None] * unit[..., None, :]
-        val = plus ** 2
-        grad = (2.0 * plus)[..., None] * unit
-        active = (r > sigma * R).astype(float)
-        hess = (2.0 * active)[..., None, None] * proj \
-            + (2.0 * plus / rs)[..., None, None] * (eye - proj)
-        return val, grad, hess
 
     def _finite(term):
         # eta vanishes outside B_R where a genuinely local F may be undefined;
         # sanitize so that 0 * undefined contributes 0
         return np.where(np.isfinite(term), term, 0.0)
 
-    def value(z):
-        z = np.asarray(z, float)
-        r, eta, _, _ = _cut_parts(z)
-        hinge, _, _ = _hinge(z)
-        fv = _finite(np.asarray(f.value(z), float))
-        return eta * fv + (1.0 - eta) * 0.5 * r * r + c_const * hinge
-
-    def gradient(z):
-        z = np.asarray(z, float)
-        r, eta, deta, _ = _cut_parts(z)
-        fv = _finite(np.asarray(f.value(z), float))
-        df = _finite(np.asarray(f.gradient(z), float))
-        _, hinge_grad, _ = _hinge(z)
-        return (eta[..., None] * df + (1.0 - eta)[..., None] * z
-                + (fv - 0.5 * r * r)[..., None] * deta
-                + c_const * hinge_grad)
-
-    def hessian(z):
-        z = np.asarray(z, float)
-        eta = _cut_parts(z)[1]
-        d2f = _finite(np.asarray(f.hessian(z), float))
-        m = _m_matrix(z)
-        _, _, hinge_hess = _hinge(z)
-        return eta[..., None, None] * d2f + m + c_const * hinge_hess
+    def jet(z, order):
+        cut = _cut_parts(z)
+        r, rs, unit, eta, deta, _ = cut
+        inner = [_finite(np.asarray(t, float)) for t in f.jet_fn(z, order)]
+        fv = inner[0]
+        # hinge (|z| - sigma R)_+^2, radial with slope 2 plus / r
+        plus = np.maximum(r - sigma * R, 0.0)
+        out = (eta * fv + (1.0 - eta) * 0.5 * r * r + c_const * plus ** 2,)
+        if order >= 1:
+            df = inner[1]
+            out += (eta[..., None] * df + (1.0 - eta)[..., None] * z
+                    + (fv - 0.5 * r * r)[..., None] * deta
+                    + c_const * ((2.0 * plus)[..., None] * unit),)
+        if order == 2:
+            active = (r > sigma * R).astype(float)
+            hinge_hess = radial_hessian(unit, 2.0 * active, 2.0 * plus / rs)
+            out += (eta[..., None, None] * inner[2] + _m_matrix(z, cut, fv, df)
+                    + c_const * hinge_hess,)
+        return out
 
     return Integrand(
         name=f"extended[{f.name},R={R:g},sigma={sigma:g}]",
         dim=dim,
-        value_fn=value,
-        gradient_fn=gradient,
-        hessian_fn=hessian,
+        jet_fn=jet,
         declared_K=None,
         minimizer=f.minimizer,
         singular_points=f.singular_points,

@@ -117,6 +117,25 @@ def eigen_summary(p: np.ndarray) -> EigenSummary:
     return EigenSummary(lambda_min=lmin, lambda_max=lmax, ratio=ratio, definite=definite)
 
 
+def radial_hessian(unit, second, slope):
+    """Hessian F'' P + (F'/r)(I - P), P = unit unit^t, of a radial F(|z|).
+
+    ``unit`` is the batch of unit vectors z/|z|; ``second`` = F''(r) and
+    ``slope`` = F'(r)/r on the batch shape.  Callers handle r = 0.
+    """
+    # entry by entry: broadcasting a batch over the two small trailing axes
+    # is several times slower than the same arithmetic on (batch,) arrays.
+    # Each entry is stored contiguously over the batch, the layout the
+    # solver's assembly einsum is fast on.
+    dim = unit.shape[-1]
+    out = np.moveaxis(np.empty((dim, dim) + unit.shape[:-1]), (0, 1), (-2, -1))
+    for i in range(dim):
+        for j in range(i + 1):
+            proj = unit[..., i] * unit[..., j]
+            out[..., i, j] = out[..., j, i] = second * proj + slope * (float(i == j) - proj)
+    return out
+
+
 def phi(t):
     """phi(t) = (1-t)^2/(1+t^2) on [0, 1]; nonincreasing, phi(0)=1, phi(1)=0."""
     t = np.asarray(t, dtype=float)

@@ -25,6 +25,7 @@ from scipy import integrate, optimize, stats
 
 from .errors import InputError, ModelError, NumericError, PreconditionError
 from .integrands.profiles import UhlenbeckProfile, power_profile
+from .matrixcore import radial_hessian
 
 _SPHERE_AREA = {1: 2.0, 2: 2.0 * np.pi, 3: 4.0 * np.pi}
 
@@ -190,10 +191,10 @@ class StressGrid:
 
 
 def stress_of(sol: RadialSolution, points: np.ndarray) -> StressGrid:
-    """V and its analytic gradient DV = h I + r h' unit unit^t on points.
+    """V = T(r) unit and its analytic gradient DV = T' P + (T/r)(I - P).
 
-    h = T(r)/r and h' = (T' r - T)/r^2 with T' = f - (N-1) T / r from the
-    flux differential identity.
+    P = unit unit^t and T' = f - (N-1) T / r from the flux differential
+    identity; this equals h I + r h' P with h = T/r.
     """
     pts = np.asarray(points, dtype=float)
     dim = sol.problem.dim
@@ -205,12 +206,8 @@ def stress_of(sol: RadialSolution, points: np.ndarray) -> StressGrid:
     t_flux = sol.flux_at(r)
     t_prime = np.interp(r, sol.r, sol.flux_prime)
     h = t_flux / r
-    h_prime = (t_prime * r - t_flux) / r ** 2
-    unit = pts / r[..., None]
     values = h[..., None] * pts
-    eye = np.eye(dim)
-    proj = unit[..., :, None] * unit[..., None, :]
-    gradients = h[..., None, None] * eye + (r * h_prime)[..., None, None] * proj
+    gradients = radial_hessian(pts / r[..., None], t_prime, h)
     return StressGrid(points=pts, values=values, gradients=gradients)
 
 

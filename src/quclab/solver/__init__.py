@@ -15,7 +15,6 @@ from .minimize import (
     StageRecord,
     assemble_energy,
     minimize,
-    stress_field,
 )
 from .reports import (
     RegularityReport,
@@ -44,6 +43,5 @@ __all__ = [
     "problem_config_to_dict",
     "radial_power_solution",
     "sobolev_report",
-    "stress_field",
     "w1p_error",
 ]

@@ -51,16 +51,15 @@ def _stage_newton(mesh: BoxMesh, f_obj: Integrand, f_nodes: np.ndarray,
     load = mesh.node_weights * f_nodes
 
     for iteration in range(max_iter):
-        g_simplex = mesh.simplex_gradients(u)
-        df = np.asarray(f_obj.gradient(g_simplex), float)
-        grad_full = mesh.scatter_gradient(df) + load
+        # DF and D2F from one sweep; the line search below needs F only
+        _, df, d2f = f_obj.jet(mesh.simplex_gradients(u), 2)
+        grad_full = mesh.scatter_gradient(np.asarray(df, float)) + load
         grad = grad_full[interior]
         grad_norm = float(np.linalg.norm(grad))
         if grad_norm <= tol:
             return u, iteration, grad_norm, energies
 
-        d2f = np.asarray(f_obj.hessian(g_simplex), float)
-        hess = mesh.assemble_hessian(d2f)
+        hess = mesh.assemble_hessian(np.asarray(d2f, float))
         hess_ii = hess[interior][:, interior].tocsc()
         if reg_floor > 0.0:
             hess_ii = hess_ii + reg_floor * sparse.identity(n_int, format="csc")
@@ -132,12 +131,6 @@ class DiscreteSolution:
         """Stress reshaped to (n, ..., n, dim)."""
         n = self.mesh.cells
         return self.stress_cells.reshape((n,) * self.mesh.dim + (self.mesh.dim,))
-
-
-def stress_field(sol: DiscreteSolution) -> np.ndarray:
-    """DF applied to cell-centered gradients (recomputed from the potential)."""
-    du = sol.mesh.cell_mean_gradients(sol.u)
-    return np.asarray(sol.spec.integrand.gradient(du), float)
 
 
 def _harmonic_warm_start(mesh: BoxMesh, u0: np.ndarray, f_nodes: np.ndarray) -> np.ndarray:

@@ -97,7 +97,6 @@ class ProblemSpec:
     half_width: float = 1.0
     boundary: Callable[[np.ndarray], np.ndarray] = None
     source: Callable[[np.ndarray], np.ndarray] = None
-    source_exponent: float = 2.0
     boundary_desc: dict | None = None
     source_desc: dict | None = None
 
@@ -108,16 +107,10 @@ class ProblemSpec:
         if self.source is None:
             object.__setattr__(self, "source", make_source("zero"))
             object.__setattr__(self, "source_desc", {"kind": "zero", "params": {}})
-        if self.source_exponent <= 1.0:
-            raise InputError("source exponent must be > 1")
 
     @property
     def dim(self) -> int:
         return self.integrand.dim
-
-    def with_cells(self, cells: int) -> "ProblemSpec":
-        from dataclasses import replace
-        return replace(self, cells=cells)
 
 
 @dataclass(frozen=True)
@@ -143,18 +136,6 @@ class RegularizationSchedule:
             raise InputError("eps and mu must be nonincreasing along the schedule")
         object.__setattr__(self, "stages", stages)
 
-    @classmethod
-    def geometric(cls, n_stages: int = 4, eps0: float = 0.08, mu0: float = 1e-2,
-                  decay: float = 0.05, final_exact: bool = True) -> "RegularizationSchedule":
-        stages = [(eps0 * decay ** k, mu0 * decay ** k) for k in range(n_stages)]
-        if final_exact:
-            stages.append((0.0, 0.0))
-        return cls(tuple(stages))
-
-    @classmethod
-    def single_exact(cls) -> "RegularizationSchedule":
-        return cls(((0.0, 0.0),))
-
 
 # -- JSON config ----------------------------------------------------------------
 
@@ -176,7 +157,10 @@ def load_problem_config(cfg: dict | str | Path):
     Returns (ProblemSpec, RegularizationSchedule, solver_options, report_options).
     """
     if not isinstance(cfg, dict):
-        cfg = json.loads(Path(cfg).read_text())
+        try:
+            cfg = json.loads(Path(cfg).read_text())
+        except (OSError, ValueError) as exc:
+            raise InputError(f"cannot read config {cfg}: {exc}") from None
     _check_keys(cfg, _TOP_KEYS, "config")
     if cfg.get("version") != CONFIG_VERSION:
         raise InputError(f"config version must be {CONFIG_VERSION}")
@@ -184,6 +168,10 @@ def load_problem_config(cfg: dict | str | Path):
         raise InputError("config requires a 'problem' section")
     prob = dict(cfg["problem"])
     _check_keys(prob, _PROBLEM_KEYS, "problem")
+    # version 1 still accepts the unused source exponent and validates it
+    exponent = prob.get("source_exponent", 2.0)
+    if not isinstance(exponent, (int, float)) or exponent <= 1.0:
+        raise InputError(f"source exponent must be a number > 1, got {exponent!r}")
     integrand = integrand_from_config(prob["integrand"])
     bdesc = dict(prob.get("boundary", {"kind": "zero", "params": {}}))
     _check_keys(bdesc, {"kind", "params"}, "boundary")
@@ -195,7 +183,6 @@ def load_problem_config(cfg: dict | str | Path):
         half_width=float(prob.get("half_width", 1.0)),
         boundary=make_boundary(bdesc["kind"], **bdesc.get("params", {})),
         source=make_source(sdesc["kind"], **sdesc.get("params", {})),
-        source_exponent=float(prob.get("source_exponent", 2.0)),
         boundary_desc=bdesc,
         source_desc=sdesc,
     )
@@ -221,7 +208,6 @@ def problem_config_to_dict(spec: ProblemSpec, schedule: RegularizationSchedule) 
             "half_width": spec.half_width,
             "boundary": spec.boundary_desc or {"kind": "zero", "params": {}},
             "source": spec.source_desc or {"kind": "zero", "params": {}},
-            "source_exponent": spec.source_exponent,
         },
         "schedule": {"stages": [list(s) for s in schedule.stages]},
     }

@@ -12,12 +12,16 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .errors import InputError
 
 
 def worker_count(tasks: int | None = None) -> int:
     """Worker cap from QUC_THREADS (default: cpu count), floored at 1."""
     env = os.environ.get("QUC_THREADS", "").strip()
-    cap = int(env) if env else (os.cpu_count() or 1)
+    try:
+        cap = int(env) if env else (os.cpu_count() or 1)
+    except ValueError:
+        raise InputError(f"QUC_THREADS must be an integer, got {env!r}") from None
     cap = max(1, cap)
     if tasks is not None:
         cap = min(cap, max(1, tasks))

@@ -160,3 +160,17 @@ class TestUsage:
 
     def test_missing_subcommand_exit_2(self):
         assert main([]) == 2
+
+    # malformed input at the boundary: exit 2 with a message, not a traceback
+    @pytest.mark.parametrize("env, argv", [
+        ({"QUC_THREADS": "abc"}, ["cantor", "--levels", "4..5", "--bumps", "2",
+                                  "--n-grid", "64"]),
+        ({}, ["cantor", "--levels", "3..x"]),
+        ({}, ["solve", "--config", "{tmp}/missing.json"]),
+    ], ids=["quc-threads", "levels", "missing-config"])
+    def test_malformed_input_exit_2(self, tmp_path, monkeypatch, capsys, env, argv):
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        code, _ = run(tmp_path, *(a.format(tmp=tmp_path) for a in argv))
+        assert code == 2
+        assert "input error:" in capsys.readouterr().err

@@ -6,13 +6,15 @@ import pytest
 from quclab.errors import InputError
 from quclab.integrands import (
     AnnulusSampler,
-    Integrand,
     eigen_ratio_at,
     eigen_ratio_batch,
     estimate_K,
+    extend_local,
     gallery,
     integrand_from_config,
     integrand_to_config,
+    mollify,
+    moreau_yosida,
     uhlenbeck_indices,
     validate_integrand,
     verify_growth,
@@ -24,6 +26,35 @@ from quclab.integrands.profiles import (
 )
 
 SAMPLER = AnnulusSampler(0.3, 3.0, shells=50, directions=25, seed=5)
+
+# the seven gallery integrands (power at two exponents) and the five combinators
+JET_CASES = {
+    "power-3": lambda: gallery("power", p=3),
+    "power-1.5": lambda: gallery("power", p=1.5),
+    "two_center": lambda: gallery("two_center", p=1.5, z0=[0.5, 0.0]),
+    "mixed": lambda: gallery("mixed", p=2.2, q=3.5),
+    "uhlenbeck": lambda: gallery("uhlenbeck", profile="bounded_power", p=4),
+    "cantor": lambda: gallery("cantor", level=6),
+    "gh": lambda: gallery("gh", p=3, matrix=[[2.0, 0.3], [0.0, 1.0]]),
+    "orthotropic": lambda: gallery("orthotropic", p=4),
+    "sum": lambda: gallery("power", p=3) + gallery("cantor", level=6),
+    "tilted": lambda: gallery("uhlenbeck", profile="bounded_power", p=4).tilted(0.3),
+    "mollify": lambda: mollify(gallery("power", p=3), 0.05),
+    "moreau_yosida": lambda: moreau_yosida(gallery("power", p=3), 0.4),
+    "extend_local": lambda: extend_local(gallery("mixed", p=3, q=4), R=2.0,
+                                         sigma=0.5, eps_floor=1e-6),
+}
+
+
+def fd_hessian(f, z):
+    """Central differences of DF, step eps^(1/3) (1 + |z|), symmetrized."""
+    h = np.finfo(float).eps ** (1.0 / 3.0) * (1.0 + np.linalg.norm(z, axis=-1))
+    rows = []
+    for e in np.eye(f.dim):
+        dz = h[..., None] * e
+        rows.append((f.gradient(z + dz) - f.gradient(z - dz)) / (2.0 * h[..., None]))
+    hess = np.stack(rows, axis=-2)
+    return 0.5 * (hess + np.swapaxes(hess, -1, -2))
 
 
 class TestGalleryConstruction:
@@ -68,23 +99,31 @@ class TestGalleryConstruction:
             pts = np.random.default_rng(0).standard_normal((16, 2)) * 1.3
             assert np.allclose(f.value(pts), g.value(pts), rtol=1e-13)
 
-    def test_gallery_consistency(self, rng):
-        for f in (gallery("power", p=3), gallery("power", p=1.5),
-                  gallery("two_center", p=1.5, z0=[0.5, 0.0]),
-                  gallery("mixed", p=2.2, q=3.5),
-                  gallery("uhlenbeck", profile="bounded_power", p=4),
-                  gallery("cantor", level=6),
-                  gallery("gh", p=3, matrix=[[2.0, 0.3], [0.0, 1.0]]),
-                  gallery("orthotropic", p=4)):
-            validate_integrand(f, rng)
+    @pytest.mark.parametrize("case", list(JET_CASES))
+    def test_gallery_consistency(self, case, rng):
+        f = JET_CASES[case]()
+        validate_integrand(f, rng)
+        z = 1.5 * rng.standard_normal((16, f.dim))
+        accessors = (f.value(z), f.gradient(z), f.hessian(z))
+        for order in range(3):
+            jet = f.jet(z, order)
+            assert len(jet) == order + 1
+            for got, want in zip(jet, accessors):
+                assert np.array_equal(got, want)
 
-    def test_analytic_vs_fd_hessian(self, rng):
-        f = gallery("power", p=3)
-        fd = Integrand(name="fd", dim=2, value_fn=f.value_fn,
-                       gradient_fn=f.gradient_fn, hessian_fn=None)
-        z = rng.standard_normal((12, 2)) + np.array([2.0, 0.0])
-        assert np.allclose(fd.hessian(z), f.hessian(z), rtol=1e-6, atol=1e-8)
-        assert fd.hess_kind == "finite-difference" and f.hess_kind == "analytic"
+    @pytest.mark.parametrize("case", list(JET_CASES))
+    def test_analytic_vs_fd_hessian(self, case, rng):
+        f = JET_CASES[case]()
+        # radii in (1.4, 1.6) avoid every singular point and keep |z| on the
+        # middle plateau of the Cantor function, where D2F is continuous
+        dirs = rng.standard_normal((12, f.dim))
+        z = dirs / np.linalg.norm(dirs, axis=1, keepdims=True) \
+            * rng.uniform(1.4, 1.6, size=(12, 1))
+        assert np.allclose(fd_hessian(f, z), f.hessian(z), rtol=1e-6, atol=1e-8)
+
+    def test_jet_order_validated(self):
+        with pytest.raises(InputError):
+            gallery("power", p=3).jet(np.zeros(2), 3)
 
 
 class TestEigenRatio:

@@ -24,7 +24,6 @@ from quclab.solver import (
     sobolev_report,
     w1p_error,
 )
-from quclab.solver.minimize import stress_field
 from quclab.solver.problem import radial_power_gradient
 
 
@@ -174,7 +173,7 @@ class TestMinimize:
         sol = minimize(spec)
         expected = sol.mesh.node_coords() @ slope
         assert np.max(np.abs(sol.u - expected)) < 1e-9
-        v = stress_field(sol)
+        v = sol.stress_cells
         df = gallery("power", p=3).gradient(slope)
         assert np.max(np.abs(v - df)) < 1e-8
 
@@ -364,6 +363,16 @@ class TestConfig:
         cfg["problem"]["mystery"] = 1
         with pytest.raises(InputError):
             load_problem_config(cfg)
+
+    def test_source_exponent_accepted_and_validated(self):
+        # version-1 configs may still carry the unused source exponent
+        cfg = problem_config_to_dict(radial_spec(3.0, 16), RegularizationSchedule())
+        cfg["problem"]["source_exponent"] = 3.0
+        assert load_problem_config(cfg)[0].cells == 16
+        for bad in (1.0, "x"):
+            cfg["problem"]["source_exponent"] = bad
+            with pytest.raises(InputError):
+                load_problem_config(cfg)
 
     def test_version_enforced(self):
         spec = radial_spec(3.0, 16)
