@@ -186,14 +186,14 @@ def cmd_riesz_check(args, out_dir: Path, manifest: Manifest):
 
 def cmd_solve(args, out_dir: Path, manifest: Manifest):
     spec, schedule, solver_opts, report_opts = load_problem_config(args.config)
-    sol = minimize(spec, schedule, tol=float(solver_opts.get("tol", 1e-10)),
-                   max_iter=int(solver_opts.get("max_iter", 60)))
+    sol = minimize(spec, schedule, tol=solver_opts.get("tol", 1e-10),
+                   max_iter=solver_opts.get("max_iter", 60))
     el_res = euler_lagrange_residual(sol, mode="hat")
     regularity = None
     if sol.mesh.dim == 2:
         center = report_opts.get("ball_center", [0.0, 0.0])
-        rad = float(report_opts.get("ball_radius", spec.half_width / 5.0))
-        rep = sobolev_report(sol, center, rad, m=float(report_opts.get("m", 2.0)),
+        rad = report_opts.get("ball_radius", spec.half_width / 5.0)
+        rep = sobolev_report(sol, center, rad, m=report_opts.get("m", 2.0),
                              theta=report_opts.get("theta"))
         regularity = {
             "m": rep.m, "theta": rep.theta, "ball_center": list(rep.ball_center),

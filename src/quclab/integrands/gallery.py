@@ -32,7 +32,15 @@ _SAFE_MIN = 1e-300
 
 
 def _norm(z):
-    return np.linalg.norm(z, axis=-1)
+    with np.errstate(over="ignore"):
+        r = np.linalg.norm(z, axis=-1)
+    if np.isinf(r).any():
+        # |z|^2 overflowed: rescale by the largest component before squaring
+        m = np.max(np.abs(z), axis=-1, keepdims=True)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            safe = m[..., 0] * np.linalg.norm(z / m, axis=-1)
+        r = np.where(np.isfinite(safe), safe, r)
+    return r
 
 
 def _power_K(p: float) -> float:
@@ -66,9 +74,22 @@ def _radial_jet(w, order, value, slope, second):
 
 
 def _power_jet(w, order, p):
-    """Jet of |w|^p / p."""
-    return _radial_jet(w, order, lambda r: r ** p / p,
-                       lambda rs: rs ** (p - 2.0), lambda rs, a: (p - 1.0) * a)
+    """Jet of |w|^p / p.
+
+    One power a = |w|^(p-2) serves every order: F = r (r a) / p at each
+    order, so ``jet(z, k)[0]`` is the same number for every k, r = 0 gives
+    F = 0 exactly, and multiplying r into a one factor at a time keeps F
+    finite wherever r^p is.
+    """
+    r = _norm(w)
+    rs = np.maximum(r, _SAFE_MIN)
+    a = rs ** (p - 2.0)
+    out = (r * (r * a) / p,)
+    if order >= 1:
+        out += (a[..., None] * w,)
+    if order == 2:
+        out += (radial_hessian(w / rs[..., None], (p - 1.0) * a, a),)
+    return out
 
 
 def power(p: float, dim: int = 2, center=None) -> Integrand:

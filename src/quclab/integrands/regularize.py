@@ -4,11 +4,13 @@ local-to-global extension.
 The mollifier kernel is the polynomial bump phi(y) = c_N (1 - |y|^2)^4 on
 the unit ball (unit mass), scaled to radius eps.  Convolutions are realized
 as a fixed positive quadrature rule (nodes y_k, weights w_k > 0 summing to
-one), built in polar/spherical form so that polynomial integrands up to
-degree 15 are integrated exactly against the kernel.  Because the discrete
-rule is a convex combination of translates, every pointwise eigenvalue-ratio
-bound of D2F transfers verbatim to the mollified Hessian: lambda_min is
-concave and lambda_max convex under positive-weight averaging.
+one), a product of a Gauss-Jacobi rule in s = |y|^2 and a symmetric
+angular rule: 8, 64 and 512 nodes in dimension 1, 2 and 3, integrating
+polynomial integrands up to degree 15 exactly against the kernel.  Because
+the discrete rule is a convex combination of translates, every pointwise
+eigenvalue-ratio bound of D2F transfers verbatim to the mollified Hessian:
+lambda_min is concave and lambda_max convex under positive-weight
+averaging.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import beta as beta_fn
+from scipy.special import beta as beta_fn, roots_jacobi
 
 from ..bumps import smoothstep
 from ..errors import InputError, NumericError, PreconditionError
@@ -32,11 +34,6 @@ def kernel_second_moment(dim: int, eps: float) -> float:
         / beta_fn(dim / 2.0, _KERNEL_POWER + 1.0)
 
 
-def _gauss01(n: int):
-    x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (x + 1.0), 0.5 * w
-
-
 @dataclass(frozen=True)
 class MollifierRule:
     """Positive quadrature rule for the unit-ball bump kernel.
@@ -50,29 +47,31 @@ class MollifierRule:
     weights: np.ndarray
 
     @classmethod
-    def build(cls, dim: int, radial: int = 13, angular: int = 16) -> "MollifierRule":
-        """Polar (dim=2) / spherical (dim=3) product rule.
+    def build(cls, dim: int, radial: int = 4, angular: int = 16) -> "MollifierRule":
+        """Symmetric (dim=1), polar (dim=2) or spherical (dim=3) product rule.
 
-        Radial Gauss-Legendre with ``radial`` nodes against the weight
-        r^(dim-1) (1-r^2)^4 is exact for radial polynomial factors up to
-        degree 2*radial - 1 - 9; with the default 13 nodes and 16 angular
-        points the full rule integrates polynomial integrands of degree
-        <= 15 against the kernel exactly.  dim >= 4 falls back to a tensor
-        rule on the cube with the same guarantee dropped.
+        In s = r^2 the kernel's radial measure r^(dim-1) (1-r^2)^4 dr is
+        (1-s)^4 s^(dim/2-1) ds / 2, so the radial factor is Gauss-Jacobi
+        in s with ``radial`` nodes, exact for even radial polynomials of
+        degree <= 4*radial - 2.  The angular factor (``angular`` equally
+        spaced angles; in 3-D also 8 Gauss-Legendre nodes in cos(theta)) is
+        exact for spherical harmonics of degree <= 15, and the rule is
+        symmetric under y -> -y, so odd moments vanish.  With the defaults
+        (4 radial nodes: 8 / 64 / 512 nodes in dim 1 / 2 / 3) every
+        polynomial of degree <= 15 is integrated exactly against the kernel.
+        Other dimensions raise :class:`InputError`.
         """
+        if dim not in (1, 2, 3):
+            raise InputError(f"mollifier rule is built for dim 1, 2 or 3, got {dim}")
+        x, wr = roots_jacobi(radial, float(_KERNEL_POWER), dim / 2.0 - 1.0)
+        r = np.sqrt(0.5 * (x + 1.0))
         if dim == 1:
-            r, wr = _gauss01(radial)
-            nodes = np.concatenate([-r, r])[:, None]
-            w = np.concatenate([wr, wr]) * (1.0 - nodes[:, 0] ** 2) ** _KERNEL_POWER
+            dirs, wdir = np.array([[-1.0], [1.0]]), np.ones(2)
         elif dim == 2:
-            r, wr = _gauss01(radial)
             theta = 2.0 * np.pi * np.arange(angular) / angular
             dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-            nodes = (r[:, None, None] * dirs[None, :, :]).reshape(-1, 2)
-            w = (wr * r * (1.0 - r * r) ** _KERNEL_POWER)[:, None]
-            w = np.broadcast_to(w, (radial, angular)).reshape(-1).copy()
-        elif dim == 3:
-            r, wr = _gauss01(radial)
+            wdir = np.ones(angular)
+        else:
             mu, wmu = np.polynomial.legendre.leggauss(8)
             phi_ang = 2.0 * np.pi * np.arange(angular) / angular
             sin_t = np.sqrt(1.0 - mu * mu)
@@ -80,24 +79,10 @@ class MollifierRule:
                 np.outer(sin_t, np.cos(phi_ang)),
                 np.outer(sin_t, np.sin(phi_ang)),
                 np.broadcast_to(mu[:, None], (8, angular)),
-            ], axis=-1).reshape(-1, 3)
+            ], axis=-1).reshape(-1, dim)
             wdir = np.broadcast_to(wmu[:, None], (8, angular)).reshape(-1)
-            nodes = (r[:, None, None] * dirs[None, :, :]).reshape(-1, 3)
-            w = ((wr * r * r * (1.0 - r * r) ** _KERNEL_POWER)[:, None]
-                 * wdir[None, :]).reshape(-1)
-        else:
-            x, wx = _gauss01(radial)
-            x = 2.0 * x - 1.0
-            wx = 2.0 * wx
-            grids = np.meshgrid(*([x] * dim), indexing="ij")
-            nodes = np.stack([g.ravel() for g in grids], axis=1)
-            w = np.ones(len(nodes))
-            for g in np.meshgrid(*([wx] * dim), indexing="ij"):
-                w *= g.ravel()
-            r2 = np.sum(nodes * nodes, axis=1)
-            w *= np.clip(1.0 - r2, 0.0, None) ** _KERNEL_POWER
-            keep = w > 0
-            nodes, w = nodes[keep], w[keep]
+        nodes = (r[:, None, None] * dirs[None, :, :]).reshape(-1, dim)
+        w = (wr[:, None] * wdir[None, :]).reshape(-1)
         w = w / w.sum()
         return cls(dim=dim, nodes=nodes, weights=w)
 
@@ -126,11 +111,15 @@ def mollify(f: Integrand, eps: float, rule: MollifierRule | None = None) -> Inte
     weights = rule.weights
 
     def jet(z, order):
-        # one pass over the offsets; each order sums its terms in rule order
+        # one pass over the offsets; each order accumulates in place, in rule order
         out = None
         for y, w in zip(offsets, weights):
-            terms = [w * np.asarray(t, dtype=float) for t in f.jet_fn(z - y, order)]
-            out = terms if out is None else [a + b for a, b in zip(out, terms)]
+            terms = f.jet_fn(z - y, order)
+            if out is None:
+                out = [w * np.asarray(t, dtype=float) for t in terms]
+            else:
+                for k, t in enumerate(terms):
+                    out[k] += w * t
         if not all(np.all(np.isfinite(acc)) for acc in out):
             raise NumericError("mollification produced non-finite values")
         return tuple(out)

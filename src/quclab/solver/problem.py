@@ -142,6 +142,9 @@ class RegularizationSchedule:
 _TOP_KEYS = {"version", "problem", "schedule", "solver", "report"}
 _PROBLEM_KEYS = {"integrand", "cells", "half_width", "boundary", "source",
                  "source_exponent"}
+_SOLVER_TYPES = {"tol": float, "max_iter": int}
+_REPORT_TYPES = {"ball_center": lambda v: [float(x) for x in v], "ball_radius": float,
+                 "m": float, "theta": lambda v: None if v is None else float(v)}
 
 
 def _check_keys(d: dict, allowed: set, where: str):
@@ -151,51 +154,75 @@ def _check_keys(d: dict, allowed: set, where: str):
                          f"(allowed: {sorted(allowed)})")
 
 
+def _section(d: dict, key: str, allowed: set | None, default: dict | None = None) -> dict:
+    """Copy of the JSON object ``d[key]``; keys are checked unless ``allowed`` is None."""
+    value = d.get(key, {} if default is None else default)
+    if not isinstance(value, dict):
+        raise InputError(f"{key} must be a JSON object, got {value!r}")
+    if allowed is not None:
+        _check_keys(value, allowed, key)
+    return dict(value)
+
+
+def _parse(what: str, fn, *args, **kwargs):
+    """fn(*args, **kwargs), reporting a malformed config value as InputError."""
+    try:
+        return fn(*args, **kwargs)
+    except InputError:
+        raise
+    except KeyError as exc:
+        raise InputError(f"malformed {what}: missing {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"malformed {what}: {exc}") from None
+
+
 def load_problem_config(cfg: dict | str | Path):
     """Parse and validate a solver config; unknown keys are rejected.
 
-    Returns (ProblemSpec, RegularizationSchedule, solver_options, report_options).
+    Every malformed value raises :class:`InputError`.  Returns
+    (ProblemSpec, RegularizationSchedule, solver_options, report_options).
     """
     if not isinstance(cfg, dict):
         try:
             cfg = json.loads(Path(cfg).read_text())
         except (OSError, ValueError) as exc:
             raise InputError(f"cannot read config {cfg}: {exc}") from None
+    if not isinstance(cfg, dict):
+        raise InputError("config must be a JSON object")
     _check_keys(cfg, _TOP_KEYS, "config")
     if cfg.get("version") != CONFIG_VERSION:
         raise InputError(f"config version must be {CONFIG_VERSION}")
     if "problem" not in cfg:
         raise InputError("config requires a 'problem' section")
-    prob = dict(cfg["problem"])
-    _check_keys(prob, _PROBLEM_KEYS, "problem")
+    prob = _section(cfg, "problem", _PROBLEM_KEYS)
     # version 1 still accepts the unused source exponent and validates it
     exponent = prob.get("source_exponent", 2.0)
     if not isinstance(exponent, (int, float)) or exponent <= 1.0:
         raise InputError(f"source exponent must be a number > 1, got {exponent!r}")
-    integrand = integrand_from_config(prob["integrand"])
-    bdesc = dict(prob.get("boundary", {"kind": "zero", "params": {}}))
-    _check_keys(bdesc, {"kind", "params"}, "boundary")
-    sdesc = dict(prob.get("source", {"kind": "zero", "params": {}}))
-    _check_keys(sdesc, {"kind", "params"}, "source")
+    zero = {"kind": "zero", "params": {}}
+    bdesc = _section(prob, "boundary", {"kind", "params"}, zero)
+    sdesc = _section(prob, "source", {"kind", "params"}, zero)
     spec = ProblemSpec(
-        integrand=integrand,
-        cells=int(prob.get("cells", 64)),
-        half_width=float(prob.get("half_width", 1.0)),
-        boundary=make_boundary(bdesc["kind"], **bdesc.get("params", {})),
-        source=make_source(sdesc["kind"], **sdesc.get("params", {})),
+        integrand=_parse("integrand", integrand_from_config,
+                         _section(prob, "integrand", None)),
+        cells=_parse("cells", int, prob.get("cells", 64)),
+        half_width=_parse("half_width", float, prob.get("half_width", 1.0)),
+        boundary=_parse("boundary", make_boundary, bdesc.get("kind"),
+                        **_section(bdesc, "params", None)),
+        source=_parse("source", make_source, sdesc.get("kind"),
+                      **_section(sdesc, "params", None)),
         boundary_desc=bdesc,
         source_desc=sdesc,
     )
-    sched_cfg = dict(cfg.get("schedule", {}))
-    _check_keys(sched_cfg, {"stages"}, "schedule")
+    sched_cfg = _section(cfg, "schedule", {"stages"})
     if "stages" in sched_cfg:
-        schedule = RegularizationSchedule(tuple(tuple(s) for s in sched_cfg["stages"]))
+        schedule = _parse("schedule", RegularizationSchedule, sched_cfg["stages"])
     else:
         schedule = RegularizationSchedule()
-    solver_opts = dict(cfg.get("solver", {}))
-    _check_keys(solver_opts, {"tol", "max_iter"}, "solver")
-    report_opts = dict(cfg.get("report", {}))
-    _check_keys(report_opts, {"ball_center", "ball_radius", "m", "theta"}, "report")
+    solver_opts = {key: _parse(key, _SOLVER_TYPES[key], value)
+                   for key, value in _section(cfg, "solver", set(_SOLVER_TYPES)).items()}
+    report_opts = {key: _parse(key, _REPORT_TYPES[key], value)
+                   for key, value in _section(cfg, "report", set(_REPORT_TYPES)).items()}
     return spec, schedule, solver_opts, report_opts
 
 

@@ -16,6 +16,11 @@ def validate(payload_path: Path, schema_name: str):
     jsonschema.validate(json.loads(payload_path.read_text()), schema)
 
 
+# a valid small solve config; malformed cases override one entry
+_CONFIG = {"version": 1, "problem": {
+    "integrand": {"name": "power", "dim": 2, "params": {"p": 3.0}}, "cells": 8}}
+
+
 def run(tmp_path, *argv):
     out = tmp_path / "out"
     code = main(list(argv) + ["--out", str(out)])
@@ -161,16 +166,33 @@ class TestUsage:
     def test_missing_subcommand_exit_2(self):
         assert main([]) == 2
 
-    # malformed input at the boundary: exit 2 with a message, not a traceback
-    @pytest.mark.parametrize("env, argv", [
-        ({"QUC_THREADS": "abc"}, ["cantor", "--levels", "4..5", "--bumps", "2",
-                                  "--n-grid", "64"]),
-        ({}, ["cantor", "--levels", "3..x"]),
-        ({}, ["solve", "--config", "{tmp}/missing.json"]),
-    ], ids=["quc-threads", "levels", "missing-config"])
-    def test_malformed_input_exit_2(self, tmp_path, monkeypatch, capsys, env, argv):
+    # malformed input at the boundary: exit 2 with a message, not a traceback;
+    # a config case writes its JSON to {tmp}/config.json
+    @pytest.mark.parametrize("env, config, argv, message", [
+        ({"QUC_THREADS": "abc"}, None, ["cantor", "--levels", "4..5", "--bumps", "2",
+                                        "--n-grid", "64"], ""),
+        ({}, None, ["cantor", "--levels", "3..x"], ""),
+        ({}, None, ["solve", "--config", "{tmp}/missing.json"], ""),
+        ({}, {**_CONFIG, "problem": {**_CONFIG["problem"], "cells": "x"}},
+         ["solve", "--config", "{tmp}/config.json"], "cells"),
+        ({}, {**_CONFIG, "schedule": {"stages": [[0.1]]}},
+         ["solve", "--config", "{tmp}/config.json"], "schedule"),
+        ({}, [1, 2], ["solve", "--config", "{tmp}/config.json"],
+         "config must be a JSON object"),
+        ({}, {**_CONFIG, "problem": {**_CONFIG["problem"],
+                                     "boundary": {"kind": "constant"}}},
+         ["solve", "--config", "{tmp}/config.json"], "boundary"),
+        ({}, {**_CONFIG, "solver": {"tol": "x"}},
+         ["solve", "--config", "{tmp}/config.json"], "tol"),
+    ], ids=["quc-threads", "levels", "missing-config", "config-cells",
+            "config-stage", "config-list", "config-boundary", "config-tol"])
+    def test_malformed_input_exit_2(self, tmp_path, monkeypatch, capsys, env, config,
+                                    argv, message):
         for key, value in env.items():
             monkeypatch.setenv(key, value)
+        if config is not None:
+            (tmp_path / "config.json").write_text(json.dumps(config))
         code, _ = run(tmp_path, *(a.format(tmp=tmp_path) for a in argv))
         assert code == 2
-        assert "input error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "input error:" in err and message in err

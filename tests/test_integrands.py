@@ -125,6 +125,19 @@ class TestGalleryConstruction:
         with pytest.raises(InputError):
             gallery("power", p=3).jet(np.zeros(2), 3)
 
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.5])
+    def test_power_value_guard(self, p, rng):
+        f = gallery("power", p=p)
+        z = rng.standard_normal((2000, 2)) * rng.uniform(1e-3, 1e3, size=(2000, 1))
+        r = np.linalg.norm(z, axis=1)
+        np.testing.assert_allclose(f.value(z), r ** p / p, rtol=1e-15, atol=0.0)
+        assert f.value(np.zeros(2)) == 0.0
+        if p == 1.5:
+            # r^2 overflows here; F must multiply r in one factor at a time
+            big = np.array([1e200, 0.0])
+            assert np.isfinite(f.value(big))
+            assert f.value(big) == pytest.approx(1e200 ** p / p, rel=1e-15)
+
 
 class TestEigenRatio:
     def test_isotropic_quadratic(self, rng):

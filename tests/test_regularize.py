@@ -1,8 +1,11 @@
 """Tests for mollification, proximal map, Moreau-Yosida and local extension."""
 
+import itertools
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
+from scipy.special import beta as beta_fn, gamma
 
 from quclab.errors import InputError, PreconditionError
 from quclab.integrands import (
@@ -45,6 +48,37 @@ class TestKernelRule:
         radial = quad(lambda r: r ** 7 * (1 - r * r) ** 4, 0.0, 1.0)[0]
         angular = quad(lambda t: np.cos(t) ** 2 * np.sin(t) ** 4, 0.0, 2 * np.pi)[0]
         assert quad_val == pytest.approx(c2 * radial * angular, rel=1e-13)
+
+
+def _kernel_moment(alpha) -> float:
+    """Closed-form E[y^alpha] under the normalized kernel (1 - |y|^2)^4 on the unit ball."""
+    if any(a % 2 for a in alpha):
+        return 0.0
+    n, deg = len(alpha), sum(alpha)
+    sphere = np.prod([gamma((a + 1) / 2.0) for a in alpha]) / gamma((deg + n) / 2.0)
+    mass = gamma(0.5) ** n / gamma(n / 2.0) * beta_fn(n / 2.0, 5.0)
+    return sphere * beta_fn((deg + n) / 2.0, 5.0) / mass
+
+
+class TestKernelRuleExactness:
+    @pytest.mark.parametrize("dim, nodes", [(1, 8), (2, 64), (3, 512)])
+    def test_moments_exact_to_degree_15(self, dim, nodes):
+        rule = MollifierRule.build(dim)
+        assert rule.nodes.shape == (nodes, dim)
+        for alpha in itertools.product(range(16), repeat=dim):
+            if sum(alpha) > 15:
+                continue
+            got = np.sum(rule.weights * np.prod(rule.nodes ** np.array(alpha), axis=1))
+            want = _kernel_moment(alpha)
+            if want == 0.0:
+                assert abs(got) <= 1e-15, alpha
+            else:
+                assert got == pytest.approx(want, rel=1e-13), alpha
+
+    @pytest.mark.parametrize("dim", [0, 4])
+    def test_unsupported_dimension_rejected(self, dim):
+        with pytest.raises(InputError):
+            MollifierRule.build(dim)
 
 
 class TestMollify:
