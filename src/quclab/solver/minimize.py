@@ -41,14 +41,29 @@ def assemble_energy(mesh: BoxMesh, f_obj: Integrand, u: np.ndarray,
                  + np.sum(mesh.node_weights * f_nodes * u))
 
 
+def _factor_solve(block: sparse.csc_matrix, rhs: np.ndarray) -> np.ndarray:
+    """Solve block x = rhs by sparse LU in the block's own (nested-dissection)
+    order; a singular factorization gets a Levenberg bump, the documented
+    fallback."""
+    options = dict(SymmetricMode=True)
+    try:
+        return splu(block, permc_spec="NATURAL", options=options).solve(rhs)
+    except RuntimeError:
+        diag_scale = max(float(np.abs(block.diagonal()).max()), 1.0)
+        bumped = block + 1e-12 * diag_scale * sparse.identity(block.shape[0],
+                                                              format="csc")
+        return splu(bumped, permc_spec="NATURAL", options=options).solve(rhs)
+
+
 def _stage_newton(mesh: BoxMesh, f_obj: Integrand, f_nodes: np.ndarray,
-                  u: np.ndarray, tol: float, max_iter: int,
-                  reg_floor: float) -> tuple[np.ndarray, int, float, list]:
+                  u: np.ndarray, tol: float,
+                  max_iter: int) -> tuple[np.ndarray, int, float, list]:
     interior = mesh.interior_mask
-    n_int = int(interior.sum())
+    pattern = mesh.hessian_pattern
     energies = [assemble_energy(mesh, f_obj, u, f_nodes)]
     grad_norm = np.inf
     load = mesh.node_weights * f_nodes
+    step = np.zeros(mesh.n_nodes)
 
     for iteration in range(max_iter):
         # DF and D2F from one sweep; the line search below needs F only
@@ -60,16 +75,9 @@ def _stage_newton(mesh: BoxMesh, f_obj: Integrand, f_nodes: np.ndarray,
             return u, iteration, grad_norm, energies
 
         hess = mesh.assemble_hessian(np.asarray(d2f, float))
-        hess_ii = hess[interior][:, interior].tocsc()
-        if reg_floor > 0.0:
-            hess_ii = hess_ii + reg_floor * sparse.identity(n_int, format="csc")
-        try:
-            direction = -splu(hess_ii).solve(grad)
-        except RuntimeError:
-            # singular factorization: Levenberg bump, documented fallback
-            diag_scale = max(float(np.abs(hess_ii.diagonal()).max()), 1.0)
-            hess_ii = hess_ii + 1e-12 * diag_scale * sparse.identity(n_int, format="csc")
-            direction = -splu(hess_ii).solve(grad)
+        block = pattern.interior_block(hess.data)
+        step[pattern.order] = _factor_solve(block, grad_full[pattern.order])
+        direction = -step[interior]
 
         slope = float(grad @ direction)
         if slope >= 0.0:  # not a descent direction; steepest descent fallback
@@ -137,8 +145,7 @@ def _harmonic_warm_start(mesh: BoxMesh, u0: np.ndarray, f_nodes: np.ndarray) -> 
     """One linear solve of the quadratic-energy problem as initialization."""
     from ..integrands.gallery import power
     quad = power(2.0, dim=mesh.dim)
-    u, _, _, _ = _stage_newton(mesh, quad, f_nodes, u0, tol=1e-9, max_iter=4,
-                               reg_floor=0.0)
+    u, _, _, _ = _stage_newton(mesh, quad, f_nodes, u0, tol=1e-9, max_iter=4)
     return u
 
 
@@ -182,12 +189,10 @@ def minimize(spec: ProblemSpec, schedule: RegularizationSchedule | None = None,
         # callables are used as-is; rough gridded data should be smoothed by
         # the caller before building the spec
         try:
-            # the quadratic tilt already sits inside the stage Hessian, so the
-            # linear solves need no extra floor; a Levenberg bump covers the
-            # rare singular factorization at mu = 0
+            # the quadratic tilt already sits inside the stage Hessian; a
+            # Levenberg bump covers the rare singular factorization at mu = 0
             u, iters, gnorm, energies = _stage_newton(
-                mesh, f_stage, f_nodes_raw, u, tol=tol, max_iter=max_iter,
-                reg_floor=0.0)
+                mesh, f_stage, f_nodes_raw, u, tol=tol, max_iter=max_iter)
         except NumericError as exc:
             raise NumericError(f"stage {idx} (eps={eps:g}, mu={mu:g}): {exc}") from exc
         lipschitz = float(np.max(np.linalg.norm(mesh.simplex_gradients(u), axis=1)))

@@ -49,6 +49,41 @@ class TestMatrixCheck:
         assert r1["pass"] and r2["pass"]
 
 
+# one small run of every subcommand; solve reads {tmp}/config.json
+_SOLVE_16 = {"version": 1, "problem": {
+    "integrand": {"name": "power", "dim": 2, "params": {"p": 3}}, "cells": 16,
+    "boundary": {"kind": "radial_power", "params": {"p": 3}},
+    "source": {"kind": "constant", "params": {"value": 1.0}}},
+    "schedule": {"stages": [[0.02, 1e-4], [0.0, 0.0]]}}
+_SUBCOMMANDS = {
+    "matrix-check": ["--trials", "500", "--seed", "7", "--dims", "2,3"],
+    "integrand": ["--name", "power", "--param", "p=3", "--samples", "1000"],
+    "cordes": ["--N", "2", "--m", "2", "--K", "1.1"],
+    "riesz-check": ["--n", "32", "--fields", "3", "--kmax", "4"],
+    "solve": ["--config", "{tmp}/config.json"],
+    "radial": ["--p", "3", "--N", "2"],
+    "cpprime-sweep": ["--p-grid", "2,3", "--m", "4"],
+    "cantor": ["--levels", "4..6", "--bumps", "4", "--n-grid", "256"],
+    "report": [],
+}
+
+
+class TestDeterminism:
+    @pytest.mark.parametrize("subcommand", list(_SUBCOMMANDS))
+    def test_reports_byte_identical_across_thread_caps(self, tmp_path, monkeypatch,
+                                                       subcommand):
+        (tmp_path / "config.json").write_text(json.dumps(_SOLVE_16))
+        argv = [subcommand] + [a.format(tmp=tmp_path) for a in _SUBCOMMANDS[subcommand]]
+        outputs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("QUC_THREADS", threads)
+            code, out = run(tmp_path / threads, *argv)
+            assert code == 0
+            outputs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())
+                            if f.name != "manifest.json"})
+        assert outputs[0] and outputs[0] == outputs[1]
+
+
 class TestCordes:
     def test_hand_value_and_schema(self, tmp_path):
         code, out = run(tmp_path, "cordes", "--N", "2", "--m", "2", "--K", "1.1")

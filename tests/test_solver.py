@@ -1,9 +1,11 @@
 """Tests for the simplicial mesh, the Newton cascade, and the norm reports."""
 
+import importlib
+
 import numpy as np
 import pytest
 from scipy import sparse
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import splu, spsolve
 
 from quclab.errors import InputError, PreconditionError
 from quclab.integrands import gallery
@@ -25,6 +27,9 @@ from quclab.solver import (
     w1p_error,
 )
 from quclab.solver.problem import radial_power_gradient
+
+# the package re-exports the function `minimize`, which shadows the module
+newton = importlib.import_module("quclab.solver.minimize")
 
 
 def five_point_solution(n, f_const, boundary_fn):
@@ -108,6 +113,83 @@ class TestMesh:
             for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
                 assert row[idx[i + di, j + dj]] == pytest.approx(-1.0, rel=1e-13)
             assert np.count_nonzero(np.abs(row) > 1e-13) == 5
+
+
+def random_spd_d2f(rng, mesh):
+    a = rng.standard_normal((mesh.n_simplices, mesh.dim, mesh.dim))
+    return np.einsum("sij,skj->sik", a, a) + 0.1 * np.eye(mesh.dim)
+
+
+def dense_hessian(mesh, d2f):
+    """Sum of vol G^T D2F G over simplices, with G from the vertex coordinates."""
+    coords = mesh.node_coords()
+    ids = np.concatenate(mesh._vertex_ids, axis=1).T    # simplex-major, as d2f
+    out = np.zeros((mesh.n_nodes, mesh.n_nodes))
+    for vertices, d in zip(ids, d2f):
+        bary = np.linalg.inv(np.hstack([np.ones((mesh.dim + 1, 1)), coords[vertices]]))
+        g = bary[1:]                                    # (dim, dim+1) P1 gradients
+        out[np.ix_(vertices, vertices)] += mesh.simplex_volume * g.T @ d @ g
+    return out
+
+
+@pytest.mark.parametrize("dim, cells", [(2, 6), (3, 4)])
+class TestHessianPattern:
+    def test_assembly_matches_dense_reference(self, rng, dim, cells):
+        mesh = BoxMesh(dim=dim, cells=cells, half_width=1.0)
+        a = rng.standard_normal((mesh.n_simplices, dim, dim))
+        d2f = a + a.transpose(0, 2, 1)
+        ref = dense_hessian(mesh, d2f)
+        hess = mesh.assemble_hessian(d2f)
+        np.testing.assert_allclose(hess.toarray(), ref, rtol=1e-13,
+                                   atol=1e-13 * np.abs(ref).max())
+
+    def test_order_is_permutation_of_interior(self, dim, cells):
+        mesh = BoxMesh(dim=dim, cells=cells, half_width=1.0)
+        order = mesh.hessian_pattern.order
+        assert np.array_equal(np.sort(order), np.flatnonzero(mesh.interior_mask))
+
+    def test_newton_step_matches_direct_solve(self, rng, dim, cells):
+        mesh = BoxMesh(dim=dim, cells=cells, half_width=1.0)
+        hess = mesh.assemble_hessian(random_spd_d2f(rng, mesh))
+        grad = rng.standard_normal(mesh.n_nodes)
+        pattern = mesh.hessian_pattern
+        step = np.zeros(mesh.n_nodes)
+        step[pattern.order] = newton._factor_solve(
+            pattern.interior_block(hess.data), grad[pattern.order])
+        interior = mesh.interior_mask
+        ref = spsolve(hess.tocsr()[interior][:, interior].tocsc(), grad[interior])
+        assert (np.linalg.norm(step[interior] - ref)
+                <= 1e-10 * np.linalg.norm(ref))
+
+
+def test_singular_factorization_takes_levenberg_bump(monkeypatch):
+    # the interior Laplacian block with one row and column zeroed is exactly
+    # singular; the solve must go through the bumped system
+    mesh = BoxMesh(dim=2, cells=6, half_width=1.0)
+    d2f = np.broadcast_to(np.eye(2), (mesh.n_simplices, 2, 2))
+    lap = mesh.hessian_pattern.interior_block(mesh.assemble_hessian(d2f).data)
+    keep = np.ones(lap.shape[0])
+    keep[7] = 0.0
+    block = (sparse.diags(keep) @ lap @ sparse.diags(keep)).tocsc()
+    outcomes = []
+
+    def counted_splu(matrix, **kwargs):
+        try:
+            lu = splu(matrix, **kwargs)
+        except RuntimeError:
+            outcomes.append("singular")
+            raise
+        outcomes.append("factored")
+        return lu
+
+    monkeypatch.setattr(newton, "splu", counted_splu)
+    rhs = np.linspace(1.0, 2.0, lap.shape[0])
+    x = newton._factor_solve(block, rhs)
+    assert outcomes == ["singular", "factored"]
+    assert np.all(np.isfinite(x))
+    # the bump is 1e-12 times the largest diagonal entry, 4 for this stencil
+    bumped = block + 1e-12 * 4.0 * sparse.identity(block.shape[0])
+    assert np.linalg.norm(bumped @ x - rhs) <= 1e-10 * np.linalg.norm(rhs)
 
 
 class TestEnergyAssembly:
