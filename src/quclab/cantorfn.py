@@ -121,14 +121,6 @@ class CantorProfile:
         out = 0.5 * k * (k - 1.0) + 0.5 * k + k * s + h_unit
         return float(out) if out.ndim == 0 else out
 
-    @property
-    def ramp_width(self) -> float:
-        return 3.0 ** -self.level
-
-    @property
-    def ramp_slope(self) -> float:
-        return 1.5 ** self.level
-
     def breakpoints_in(self, lo: float, hi: float) -> np.ndarray:
         """All kink abscissae of h_L inside [lo, hi] (for quadrature splitting)."""
         if hi <= lo:

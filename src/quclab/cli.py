@@ -32,7 +32,14 @@ from .solver import (
     minimize,
     sobolev_report,
 )
-from .utils import Manifest, worker_count, write_csv, write_json
+from .utils import Manifest, worker_count, write_csv, write_json, write_txt
+
+
+def _parse_list(text: str, convert, flag: str) -> list:
+    try:
+        return [convert(tok) for tok in text.split(",")]
+    except ValueError:
+        raise InputError(f"{flag} expects a comma list of numbers, got {text!r}") from None
 
 
 def _parse_levels(text: str) -> list[int]:
@@ -40,7 +47,7 @@ def _parse_levels(text: str) -> list[int]:
         if ".." in text:
             lo, hi = text.split("..", 1)
             return list(range(int(lo), int(hi) + 1))
-        return [int(tok) for tok in text.split(",") if tok]
+        return _parse_list(text, int, "--levels")
     except ValueError:
         raise InputError(f"--levels expects LO..HI or a comma list, got {text!r}") from None
 
@@ -62,7 +69,7 @@ def _parse_params(tokens) -> dict:
 
 def cmd_matrix_check(args, out_dir: Path, manifest: Manifest):
     rng = np.random.default_rng(args.seed)
-    dims = [int(d) for d in args.dims.split(",")]
+    dims = _parse_list(args.dims, int, "--dims")
     rows = []
     for dim in dims:
         rep = matrixcore.batch_skew_check(rng, args.trials, dim)
@@ -144,16 +151,18 @@ def cmd_cordes(args, out_dir: Path, manifest: Manifest):
 
 
 def cmd_riesz_check(args, out_dir: Path, manifest: Manifest):
+    if args.fields < 1:
+        raise InputError(f"--fields must be >= 1, got {args.fields}")
     grid = spectral.PeriodicGrid(dim=2, n=args.n)
     rng = np.random.default_rng(args.seed)
     rows = []
-    worst_ident = worst_round = worst_ratio = 0.0
     for i in range(args.fields):
         v = spectral.SpectralField.random_band_limited(grid, "vector", args.kmax, rng)
         ident = spectral.divcurl_identity_residual(v)
-        dv = spectral.matrix_physical(spectral.gradient_tensor(v))
-        rec = spectral.matrix_physical(
-            spectral.divcurl_reconstruct(spectral.divergence(v), spectral.curl(v)))
+        dv = v.derivatives[0]
+        # an independent spectral path: Riesz reconstruction from Div V, curl V
+        rec = spectral.divcurl_reconstruct(
+            spectral.divergence(v), spectral.curl(v)).values.reshape(dv.shape)
         scale = np.sqrt(np.sum(dv * dv)) or 1.0
         roundtrip = float(np.sqrt(np.sum((rec - dv) ** 2)) / scale)
         ratios = []
@@ -161,9 +170,8 @@ def cmd_riesz_check(args, out_dir: Path, manifest: Manifest):
             rep = spectral.verify_lm_bound(v, m)
             ratios.append(rep.lhs / rep.rhs)
         rows.append([i, ident, roundtrip] + ratios)
-        worst_ident = max(worst_ident, ident)
-        worst_round = max(worst_round, roundtrip)
-        worst_ratio = max(worst_ratio, max(ratios))
+    worst_ident, worst_round = max(r[1] for r in rows), max(r[2] for r in rows)
+    worst_ratio = max(max(r[3:]) for r in rows)
     t2 = cordes.estimate_T_norm(2.0, trials=max(10, args.fields), n=args.n,
                                 kmax=args.kmax, seed=args.seed)
     passed = worst_ident <= 1e-10 and worst_round <= 1e-10 \
@@ -201,11 +209,10 @@ def cmd_solve(args, out_dir: Path, manifest: Manifest):
             "v_lm_2b": rep.v_lm_2b, "f_lm_2b": rep.f_lm_2b,
             "v_w1m_b": rep.v_w1m_b, "c_meas": rep.c_meas,
         }
-    coords = sol.mesh.node_coords()
-    snapshot = np.column_stack([coords, sol.u])
-    np.savetxt(manifest.add(out_dir / "solution.txt"), snapshot, fmt="%.17g")
-    stress_snap = np.column_stack([sol.mesh.cell_centers(), sol.stress_cells])
-    np.savetxt(manifest.add(out_dir / "stress.txt"), stress_snap, fmt="%.17g")
+    write_txt(manifest.add(out_dir / "solution.txt"),
+              np.column_stack([sol.mesh.node_coords(), sol.u]))
+    write_txt(manifest.add(out_dir / "stress.txt"),
+              np.column_stack([sol.mesh.cell_centers(), sol.stress_cells]))
     write_csv(manifest.add(out_dir / "stages.csv"),
               ["stage", "eps", "mu", "iterations", "energy", "grad_norm",
                "lipschitz", "coupling_term", "boundary_term"],
@@ -270,7 +277,7 @@ def cmd_radial(args, out_dir: Path, manifest: Manifest):
 
 
 def cmd_cpprime_sweep(args, out_dir: Path, manifest: Manifest):
-    ps = [float(tok) for tok in args.p_grid.split(",")]
+    ps = _parse_list(args.p_grid, float, "--p-grid")
     source = _radial_source("const", 1.0)
 
     def one(p):
@@ -297,6 +304,8 @@ def cmd_cpprime_sweep(args, out_dir: Path, manifest: Manifest):
 
 
 def cmd_cantor(args, out_dir: Path, manifest: Manifest):
+    if args.bumps < 1:
+        raise InputError(f"--bumps must be >= 1, got {args.bumps}")
     levels = _parse_levels(args.levels)
     workers = worker_count(len(levels))
     table = counterexamples.sobolev_blowup_diagnostic(levels, n_grid=args.n_grid)

@@ -118,7 +118,8 @@ def cordes_report(dim: int, m: float, K: float | None = None,
 def apply_T(f: SpectralField, g: SpectralField) -> np.ndarray:
     """T(f, G) = DV for Div V = f, curl V = sqrt(2) G; physical matrix field."""
     dv = spectral.divcurl_reconstruct(f, g.scaled(np.sqrt(2.0)))
-    return spectral.matrix_physical(dv)
+    d = f.grid.dim
+    return dv.values.reshape((d, d) + f.grid.shape)
 
 
 def estimate_T_norm(m: float, trials: int, dim: int = 2, n: int = 64,
@@ -137,10 +138,8 @@ def estimate_T_norm(m: float, trials: int, dim: int = 2, n: int = 64,
     for _ in range(trials):
         f = SpectralField.random_band_limited(grid, "scalar", kmax, rng)
         g = SpectralField.random_band_limited(grid, "skew", kmax, rng)
-        fphys = f.physical()[0]
-        gphys = g.physical()
-        gmag = np.sqrt(2.0 * np.sum(gphys * gphys, axis=0))
-        denom_m = (np.sum(np.abs(fphys) ** m) + np.sum(gmag ** m)) * vol
+        gmag = np.sqrt(2.0 * np.sum(g.values * g.values, axis=0))
+        denom_m = (np.sum(np.abs(f.values) ** m) + np.sum(gmag ** m)) * vol
         if denom_m <= 1e-280:
             continue
         dv = apply_T(f, g)

@@ -73,12 +73,6 @@ class RadialSolution:
     def flux_at(self, r):
         return np.interp(np.asarray(r, float), self.r, self.flux)
 
-    def v_prime_at(self, r):
-        return np.interp(np.asarray(r, float), self.r, self.v_prime)
-
-    def v_at(self, r):
-        return np.interp(np.asarray(r, float), self.r, self.v)
-
 
 def _cumulative_source_integral(prob: RadialProblem, r: np.ndarray) -> np.ndarray:
     """int_{r0}^{r_i} s^(N-1) f(s) ds by adaptive Gauss-Kronrod per segment."""

@@ -135,11 +135,6 @@ class DiscreteSolution:
     def f_nodes(self) -> np.ndarray:
         return np.asarray(self.spec.source(self.mesh.node_coords()), float)
 
-    def stress_grid(self) -> np.ndarray:
-        """Stress reshaped to (n, ..., n, dim)."""
-        n = self.mesh.cells
-        return self.stress_cells.reshape((n,) * self.mesh.dim + (self.mesh.dim,))
-
 
 def _harmonic_warm_start(mesh: BoxMesh, u0: np.ndarray, f_nodes: np.ndarray) -> np.ndarray:
     """One linear solve of the quadratic-energy problem as initialization."""

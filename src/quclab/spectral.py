@@ -14,10 +14,12 @@ the N(N-1)/2 independent upper-triangle components.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import InputError
+from .utils import write_txt
 
 PERIOD = 2.0 * np.pi
 
@@ -51,29 +53,43 @@ class PeriodicGrid:
     def cell_volume(self) -> float:
         return self.h ** self.dim
 
-    def axes(self) -> list[np.ndarray]:
-        return [np.arange(self.n) * self.h] * self.dim
-
     def mesh(self) -> list[np.ndarray]:
-        return np.meshgrid(*self.axes(), indexing="ij")
+        return np.meshgrid(*[np.arange(self.n) * self.h] * self.dim, indexing="ij")
+
+    @property
+    def fft_axes(self) -> tuple[int, ...]:
+        """Grid axes of a (ncomp, n, ..., n) component stack."""
+        return tuple(range(1, self.dim + 1))
 
     def wavenumbers(self) -> np.ndarray:
-        """Integer frequencies, shape (dim, n, ..., n)."""
+        """Integer frequencies, shape (dim, n, ..., n); read-only, built once."""
+        return self._wavenumbers
+
+    @cached_property
+    def _wavenumbers(self) -> np.ndarray:
         k1 = np.fft.fftfreq(self.n, d=1.0 / self.n)
-        grids = np.meshgrid(*([k1] * self.dim), indexing="ij")
-        return np.stack(grids)
+        k = np.stack(np.meshgrid(*([k1] * self.dim), indexing="ij"))
+        k.setflags(write=False)
+        return k
+
+    def _at_minus_xi(self, c: np.ndarray, last: slice) -> np.ndarray:
+        """c(-xi mod n) of a (ncomp, n, ..., m) stack, for the wavenumbers xi
+        whose last-axis indices are ``last``; c must hold the entries read."""
+        neg = -np.arange(self.n) % self.n
+        return c[(slice(None),) + np.ix_(*([neg] * (self.dim - 1) + [neg[last]]))]
 
 
 _NCOMP = {"scalar": lambda d: 1, "vector": lambda d: d,
           "skew": lambda d: d * (d - 1) // 2, "matrix": lambda d: d * d}
 
 
-@dataclass
+@dataclass(frozen=True)
 class SpectralField:
     """Field stored as Fourier coefficients, one block per component.
 
     ``coeffs`` has shape (ncomp, n, ..., n) even for scalars (ncomp = 1).
     Real-valuedness is maintained by construction from real grid data.
+    Fields are immutable: ``values`` and ``derivatives`` are formed once.
     """
 
     grid: PeriodicGrid
@@ -89,39 +105,66 @@ class SpectralField:
                 f"coefficient block for {self.kind} must have shape "
                 f"{(want,) + self.grid.shape}, got {self.coeffs.shape}")
 
-    @property
-    def ncomp(self) -> int:
-        return self.coeffs.shape[0]
-
     @classmethod
     def from_physical(cls, grid: PeriodicGrid, values: np.ndarray, kind: str) -> "SpectralField":
         values = np.asarray(values, dtype=float)
         if kind == "scalar" and values.shape == grid.shape:
             values = values[None]
-        coeffs = np.fft.fftn(values, axes=tuple(range(1, grid.dim + 1)))
+        coeffs = np.fft.fftn(values, axes=grid.fft_axes)
         return cls(grid=grid, kind=kind, coeffs=coeffs)
 
     def physical(self) -> np.ndarray:
-        out = np.fft.ifftn(self.coeffs, axes=tuple(range(1, self.grid.dim + 1)))
+        """Real part of the full complex inverse transform (the reference path)."""
+        out = np.fft.ifftn(self.coeffs, axes=self.grid.fft_axes)
         return np.real(out)
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """physical(), formed once through one inverse real FFT.
+
+        The half spectrum is replaced by its Hermitian part, the part whose
+        transform physical() keeps, so the two agree for any coefficients.
+        random_band_limited stores the values it forms anyway.
+        """
+        grid = self.grid
+        h = grid.n // 2 + 1
+        herm = np.conj(grid._at_minus_xi(self.coeffs, slice(0, h)))
+        herm += self.coeffs[..., :h]
+        herm *= 0.5
+        return np.fft.irfftn(herm, s=grid.shape, axes=grid.fft_axes)
+
+    @cached_property
+    def derivatives(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(DV, Div V, curl V) of a real vector field on the grid, formed once.
+
+        DV (d, d, *shape) is one inverse real FFT of the d^2 half-spectrum
+        blocks i xi_h V^_k with each Nyquist plane zeroed: that first-order
+        term is the imaginary part that np.real(ifftn(...)) discards, so on a
+        real field DV equals matrix_physical(gradient_tensor(v)).  Div V =
+        trace DV and curl V = DV - DV^t (skew storage) are physical products.
+        """
+        if self.kind != "vector":
+            raise InputError("derivatives are formed for vector fields")
+        grid = self.grid
+        d = grid.dim
+        h = grid.n // 2 + 1
+        k = grid.wavenumbers()[..., :h]
+        k = np.where(k == -(grid.n // 2), 0.0, k)
+        blocks = 1j * k[None] * self.coeffs[:, None, ..., :h]
+        dv = np.fft.irfftn(blocks.reshape((d * d,) + blocks.shape[2:]), s=grid.shape,
+                           axes=grid.fft_axes).reshape((d, d) + grid.shape)
+        curl_v = np.stack([dv[a, b] - dv[b, a] for a, b in skew_pairs(d)])
+        return dv, np.trace(dv), curl_v
 
     def hermitian_error(self) -> float:
         """Departure from real-valuedness after inverse transform."""
-        out = np.fft.ifftn(self.coeffs, axes=tuple(range(1, self.grid.dim + 1)))
+        out = np.fft.ifftn(self.coeffs, axes=self.grid.fft_axes)
         scale = np.max(np.abs(out)) or 1.0
         return float(np.max(np.abs(np.imag(out))) / scale)
 
     def mean_values(self) -> np.ndarray:
-        return np.real(self.coeffs[(slice(None),) + (0,) * self.grid.dim]) / self.n_total
-
-    @property
-    def n_total(self) -> int:
-        return self.grid.n ** self.grid.dim
-
-    def mean_zero(self) -> "SpectralField":
-        coeffs = self.coeffs.copy()
-        coeffs[(slice(None),) + (0,) * self.grid.dim] = 0.0
-        return SpectralField(self.grid, self.kind, coeffs)
+        zero = (slice(None),) + (0,) * self.grid.dim
+        return np.real(self.coeffs[zero]) / self.grid.n ** self.grid.dim
 
     def scaled(self, factor: float) -> "SpectralField":
         return SpectralField(self.grid, self.kind, factor * self.coeffs)
@@ -133,18 +176,22 @@ class SpectralField:
         """White noise filtered to max_j |xi_j| <= kmax (well below Nyquist)."""
         if kmax < 1 or kmax > grid.n // 4:
             raise InputError("kmax must lie in [1, n/4] to keep products alias-free")
-        ncomp = _NCOMP[kind](grid.dim)
-        values = rng.standard_normal((ncomp,) + grid.shape)
-        field = cls.from_physical(grid, values, kind)
-        k = grid.wavenumbers()
-        keep = np.all(np.abs(k) <= kmax, axis=0)
-        coeffs = field.coeffs * keep[None]
-        out = cls(grid, kind, coeffs)
+        h = grid.n // 2 + 1
+        noise = rng.standard_normal((_NCOMP[kind](grid.dim),) + grid.shape)
+        half = np.fft.rfftn(noise, axes=grid.fft_axes)
+        half *= np.all(np.abs(grid.wavenumbers()[..., :h]) <= kmax, axis=0)
         if mean_zero:
-            out = out.mean_zero()
-        phys = out.physical()
-        scale = np.max(np.abs(phys)) or 1.0
-        return cls(grid, kind, out.coeffs * (amplitude / scale))
+            half[(slice(None),) + (0,) * grid.dim] = 0.0
+        # real noise has a Hermitian spectrum: irfftn is exact, and the other
+        # half of the coefficients is the conjugate mirror
+        values = np.fft.irfftn(half, s=grid.shape, axes=grid.fft_axes)
+        factor = amplitude / (np.max(np.abs(values)) or 1.0)
+        half *= factor
+        values *= factor
+        mirror = np.conj(grid._at_minus_xi(half, slice(h, None)))
+        field = cls(grid, kind, np.concatenate([half, mirror], axis=-1))
+        field.__dict__["values"] = values
+        return field
 
 
 def _riesz_symbol(grid: PeriodicGrid) -> np.ndarray:
@@ -166,21 +213,12 @@ def riesz_apply(j: int, u: SpectralField) -> SpectralField:
     return SpectralField(u.grid, "scalar", coeffs)
 
 
-def derivative(j: int, u: SpectralField) -> np.ndarray:
-    """Coefficients of d_j applied componentwise (i xi_j multiplier)."""
-    k = u.grid.wavenumbers()[j]
-    return 1j * k[None] * u.coeffs
-
-
 def gradient_tensor(v: SpectralField) -> SpectralField:
     """(DV)_{k h} = d_h V_k as a matrix field."""
     if v.kind != "vector":
         raise InputError("gradient_tensor acts on vector fields")
-    d = v.grid.dim
-    blocks = [derivative(h, v) for h in range(d)]  # each (d, *shape)
-    coeffs = np.concatenate([np.stack([blocks[h][k] for h in range(d)])
-                             for k in range(d)])
-    return SpectralField(v.grid, "matrix", coeffs)
+    coeffs = 1j * v.grid.wavenumbers()[None] * v.coeffs[:, None]
+    return SpectralField(v.grid, "matrix", coeffs.reshape((-1,) + v.grid.shape))
 
 
 def divergence(v: SpectralField) -> SpectralField:
@@ -200,16 +238,6 @@ def curl(v: SpectralField) -> SpectralField:
     for (a, b) in skew_pairs(v.grid.dim):
         comps.append(1j * (k[b] * v.coeffs[a] - k[a] * v.coeffs[b]))
     return SpectralField(v.grid, "skew", np.stack(comps))
-
-
-def skew_to_matrix(g: SpectralField) -> np.ndarray:
-    """Full antisymmetric coefficient array (d, d, *shape) from skew storage."""
-    d = g.grid.dim
-    out = np.zeros((d, d) + g.grid.shape, dtype=complex)
-    for idx, (a, b) in enumerate(skew_pairs(d)):
-        out[a, b] = g.coeffs[idx]
-        out[b, a] = -g.coeffs[idx]
-    return out
 
 
 def matrix_physical(m: SpectralField) -> np.ndarray:
@@ -235,18 +263,15 @@ def divcurl_reconstruct(f: SpectralField, g: SpectralField) -> SpectralField:
     d = grid.dim
     k = grid.wavenumbers()
     mag2 = np.sum(k * k, axis=0)
-    mag2[(0,) * d] = 1.0
-    fz = f.coeffs[0]
-    gfull = skew_to_matrix(g)
-    blocks = []
-    for kk in range(d):
-        gdotk = np.sum(k * gfull[kk], axis=0)
-        for hh in range(d):
-            num = k[hh] * (k[kk] * fz + gdotk)
-            blocks.append(num / mag2)
-    coeffs = np.stack(blocks)
-    coeffs[(slice(None),) + (0,) * d] = 0.0
-    return SpectralField(grid, "matrix", coeffs)
+    mag2[(0,) * d] = 1.0  # the numerators vanish at the zero mode
+    # q_k = (xi_k f^ + sum_j xi_j G^_{k j}) / |xi|^2, then (DV)_{k h} = xi_h q_k
+    q = k * f.coeffs
+    for idx, (a, b) in enumerate(skew_pairs(d)):
+        q[a] += k[b] * g.coeffs[idx]
+        q[b] -= k[a] * g.coeffs[idx]
+    q /= mag2
+    coeffs = k[None] * q[:, None]
+    return SpectralField(grid, "matrix", coeffs.reshape((-1,) + grid.shape))
 
 
 # -- integral norms on the grid (midpoint rule; spectrally accurate) ----------
@@ -255,11 +280,6 @@ def lm_scalar_norm(values: np.ndarray, m: float, cell_volume: float) -> float:
     if m <= 0.0:
         raise InputError("m must be > 0")
     return float((np.sum(np.abs(values) ** m) * cell_volume) ** (1.0 / m))
-
-
-def lm_vector_norm(values: np.ndarray, m: float, cell_volume: float) -> float:
-    mag = np.sqrt(np.sum(values ** 2, axis=0))
-    return lm_scalar_norm(mag, m, cell_volume)
 
 
 def lm_matrix_norm(values: np.ndarray, m: float, cell_volume: float) -> float:
@@ -286,14 +306,14 @@ class IdentityReport:
 
 
 def divcurl_identity_residual(v: SpectralField) -> float:
-    """Relative defect of  int |DV|^2 = 1/2 int |curl V|^2 + int (Div V)^2."""
-    if v.kind != "vector":
-        raise InputError("expected a vector field")
+    """Relative defect of  int |DV|^2 = 1/2 int |curl V|^2 + int (Div V)^2.
+
+    With A = DV the pointwise defect is 2 sum_{i<j} (a_ij a_ji - a_ii a_jj),
+    which integrates to zero only by parts; the check stays an integral one.
+    """
     vol = v.grid.cell_volume
-    dv = matrix_physical(gradient_tensor(v))
+    dv, div, cg = v.derivatives
     lhs = np.sum(dv * dv) * vol
-    div = divergence(v).physical()[0]
-    cg = curl(v).physical()
     curl_sq = 2.0 * np.sum(cg * cg) * vol  # both triangles of the skew matrix
     rhs = 0.5 * curl_sq + np.sum(div * div) * vol
     scale = max(lhs, 1e-300)
@@ -309,27 +329,16 @@ def cutoff_identity_check(v: SpectralField, cutoff) -> IdentityReport:
     The cutoff object must provide value/grad_sq/hess_sq with analytic
     derivatives; quadrature is the grid midpoint rule.
     """
-    if v.kind != "vector":
-        raise InputError("expected a vector field")
     grid = v.grid
-    d = grid.dim
     pts = np.stack(grid.mesh(), axis=-1)
     phi = cutoff.value(pts)
-    border = np.concatenate([
-        phi[0].ravel(), phi[-1].ravel(),
-        phi[:, 0].ravel(), phi[:, -1].ravel(),
-    ]) if d == 2 else np.concatenate([
-        phi[0].ravel(), phi[-1].ravel(), phi[:, 0].ravel(), phi[:, -1].ravel(),
-        phi[:, :, 0].ravel(), phi[:, :, -1].ravel(),
-    ])
-    if np.max(np.abs(border)) > 1e-12:
+    border = [np.take(phi, [0, -1], axis=a) for a in range(grid.dim)]
+    if max(np.max(np.abs(b)) for b in border) > 1e-12:
         raise InputError("cutoff support touches the fundamental cell boundary")
 
     vol = grid.cell_volume
-    vphys = v.physical()
-    dv = matrix_physical(gradient_tensor(v))
-    div = divergence(v).physical()[0]
-    cg = curl(v).physical()
+    vphys = v.values
+    dv, div, cg = v.derivatives
 
     phi2 = phi * phi
     t_grad = np.sum(phi2 * np.sum(dv * dv, axis=(0, 1))) * vol
@@ -363,14 +372,11 @@ class LmBoundReport:
 
 def verify_lm_bound(v: SpectralField, m: float) -> LmBoundReport:
     """Check  ||DV||_m <= N^2 (mhat - 1) (||Div V||_m + ||curl V||_m)."""
-    if v.kind != "vector":
-        raise InputError("expected a vector field")
     grid = v.grid
     vol = grid.cell_volume
-    dv = matrix_physical(gradient_tensor(v))
+    dv, div, cg = v.derivatives
     lhs = lm_matrix_norm(dv, m, vol)
-    div_norm = lm_scalar_norm(divergence(v).physical()[0], m, vol)
-    cg = curl(v).physical()
+    div_norm = lm_scalar_norm(div, m, vol)
     curl_mag = np.sqrt(2.0 * np.sum(cg * cg, axis=0))
     curl_norm = lm_scalar_norm(curl_mag, m, vol)
     rhs = grid.dim ** 2 * (mhat(m) - 1.0) * (div_norm + curl_norm)
@@ -380,9 +386,5 @@ def verify_lm_bound(v: SpectralField, m: float) -> LmBoundReport:
 
 def write_grid_txt(path, field_values: np.ndarray, grid: PeriodicGrid) -> None:
     """Plain-text snapshot: one line per grid point, coordinates then values."""
-    mesh = grid.mesh()
-    cols = [m.ravel() for m in mesh]
-    vals = field_values.reshape(-1, cols[0].size) if field_values.ndim > grid.dim \
-        else field_values.reshape(1, -1)
-    data = np.column_stack(cols + [v for v in vals])
-    np.savetxt(path, data, fmt="%.17g")
+    cols = [m.ravel() for m in grid.mesh()]
+    write_txt(path, np.column_stack(cols + list(field_values.reshape(-1, cols[0].size))))

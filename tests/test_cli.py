@@ -219,8 +219,17 @@ class TestUsage:
          ["solve", "--config", "{tmp}/config.json"], "boundary"),
         ({}, {**_CONFIG, "solver": {"tol": "x"}},
          ["solve", "--config", "{tmp}/config.json"], "tol"),
+        ({}, None, ["cpprime-sweep", "--p-grid", ""], "--p-grid"),
+        ({}, None, ["cpprime-sweep", "--p-grid", "2,x"], "--p-grid"),
+        ({}, None, ["matrix-check", "--dims", "2,x"], "--dims"),
+        ({}, None, ["riesz-check", "--n", "32", "--fields", "0"], "--fields"),
+        ({}, None, ["riesz-check", "--n", "32", "--fields", "-3"], "--fields"),
+        ({}, None, ["cantor", "--levels", "4..5", "--bumps", "0"], "--bumps"),
+        ({}, None, ["cantor", "--levels", ","], "--levels"),
     ], ids=["quc-threads", "levels", "missing-config", "config-cells",
-            "config-stage", "config-list", "config-boundary", "config-tol"])
+            "config-stage", "config-list", "config-boundary", "config-tol",
+            "p-grid-empty", "p-grid-token", "dims-token", "fields-zero",
+            "fields-negative", "bumps-zero", "levels-empty"])
     def test_malformed_input_exit_2(self, tmp_path, monkeypatch, capsys, env, config,
                                     argv, message):
         for key, value in env.items():

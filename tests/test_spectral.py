@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from quclab.bumps import PlateauBump, SmoothBump
+from quclab.cli import main
+from quclab.cordes import apply_T
 from quclab.errors import InputError
 from quclab import spectral as sp
 
@@ -255,3 +257,89 @@ class TestLmBound:
             assert rep.curl_norm < 1e-10 * max(rep.lhs, 1.0)
             worst = max(worst, rep.lhs / rep.div_norm)
         assert worst <= grid.dim ** 2 * (sp.mhat(m) - 1.0)
+
+
+class TestOnePassDerivatives:
+    """The half-spectrum paths against the full complex ones on white noise,
+    whose Nyquist planes carry data."""
+
+    @staticmethod
+    def assert_close(got, want):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("dim,n", [(2, 16), (2, 32), (3, 8)])
+    def test_white_noise_matches_full_complex_path(self, dim, n, rng):
+        grid = sp.PeriodicGrid(dim=dim, n=n)
+
+        def noise(kind, ncomp):
+            values = rng.standard_normal((ncomp,) + grid.shape)
+            return sp.SpectralField.from_physical(grid, values, kind)
+
+        v = noise("vector", dim)
+        dv, div, curl = v.derivatives
+        self.assert_close(dv, sp.matrix_physical(sp.gradient_tensor(v)))
+        self.assert_close(div, sp.divergence(v).physical()[0])
+        self.assert_close(curl, sp.curl(v).physical())
+        self.assert_close(v.values, v.physical())
+
+        rec = sp.divcurl_reconstruct(sp.divergence(v), sp.curl(v))
+        self.assert_close(rec.values.reshape(dv.shape), sp.matrix_physical(rec))
+        f, g = noise("scalar", 1), noise("skew", dim * (dim - 1) // 2)
+        rec = sp.divcurl_reconstruct(f, g)
+        self.assert_close(rec.values.reshape(dv.shape), sp.matrix_physical(rec))
+        self.assert_close(apply_T(f, g), sp.matrix_physical(
+            sp.divcurl_reconstruct(f, g.scaled(np.sqrt(2.0)))))
+
+    def test_band_limited_values_match_physical(self, rng):
+        grid = sp.PeriodicGrid(dim=3, n=16)
+        v = sp.SpectralField.random_band_limited(grid, "vector", 4, rng)
+        self.assert_close(v.values, v.physical())
+
+    def test_scalar_field_has_no_derivatives(self, rng):
+        u = sp.SpectralField.random_band_limited(grid2(16), "scalar", 2, rng)
+        with pytest.raises(InputError):
+            u.derivatives
+
+
+class _Proxy:
+    """Module stand-in that overrides some attributes and forwards the rest."""
+
+    def __init__(self, base, **overrides):
+        self._base = base
+        self.__dict__.update(overrides)
+
+    def __getattr__(self, name):
+        return getattr(self._base, name)
+
+
+def test_riesz_check_fft_budget_per_field(tmp_path, monkeypatch):
+    # cost in complex n^2 transforms, a real-input or real-output transform
+    # counting half: re-deriving DV, Div V and curl V for the identity, the
+    # round trip and each of the four L^m checks costs 42 per field
+    n = 32
+    cost = [0.0]
+
+    def counted(fn, weight):
+        def wrapper(a, *args, **kwargs):
+            out = fn(a, *args, **kwargs)
+            cost[0] += weight * max(np.size(a), np.size(out)) / n ** 2
+            return out
+        return wrapper
+
+    names = [name for name in dir(np.fft)
+             if name.endswith(("fft", "fftn", "fft2")) and not name.startswith("_")]
+    fft = _Proxy(np.fft, **{name: counted(getattr(np.fft, name),
+                                          0.5 if name.startswith(("r", "ir")) else 1.0)
+                            for name in names})
+    monkeypatch.setattr(sp, "np", _Proxy(np, fft=fft))
+
+    def run(fields):
+        cost[0] = 0.0
+        code = main(["riesz-check", "--n", str(n), "--kmax", "8", "--fields", str(fields),
+                     "--out", str(tmp_path / str(fields))])
+        assert code == 0
+        return cost[0]
+
+    # the T-norm probe runs max(10, fields) trials either way
+    assert run(2) - run(1) <= 12

@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 
-from quclab.utils import Manifest, worker_count, write_csv, write_json
+from quclab.utils import Manifest, worker_count, write_csv, write_json, write_txt
 
 
 class TestWorkerCount:
@@ -33,6 +33,14 @@ class TestWriters:
         assert p1.read_bytes() == p2.read_bytes()
         loaded = json.loads(p1.read_text())
         assert loaded["arr"] == [1.0, "inf"]
+
+    def test_txt_matches_savetxt_bytes(self, tmp_path, rng):
+        data = rng.standard_normal((50, 4)) * 10.0 ** rng.integers(-300, 300, (50, 4))
+        data[0] = [-0.0, np.nan, np.inf, -np.inf]
+        data[1] = [0.1 + 0.2, 1e-320, 2.0 ** 60, -1.0]
+        write_txt(tmp_path / "a.txt", data)
+        np.savetxt(tmp_path / "b.txt", data, fmt="%.17g")
+        assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
 
     def test_csv_float_repr(self, tmp_path):
         path = tmp_path / "t.csv"
