@@ -173,8 +173,16 @@ class QuinticBump:
         return self.center.shape[0]
 
     def _t(self, x):
-        d = np.asarray(x, float) - self.center
-        return 1.0 - np.sum(d * d, axis=-1) / self.radius ** 2, d
+        # column by column: numpy loops over a short last axis (broadcast or
+        # reduced) are several times slower than over the point axis
+        x = np.asarray(x, float)
+        d = np.empty(np.broadcast_shapes(x.shape, self.center.shape))
+        for i in range(self.dim):
+            np.subtract(x[..., i], self.center[i], out=d[..., i])
+        sq = d[..., 0] * d[..., 0]
+        for i in range(1, self.dim):
+            sq += d[..., i] * d[..., i]
+        return 1.0 - sq / self.radius ** 2, d
 
     def value(self, x):
         t, _ = self._t(x)
@@ -182,8 +190,10 @@ class QuinticBump:
 
     def gradient(self, x):
         t, d = self._t(x)
-        ds = smoothstep(t, 1)[1]
-        return ds[..., None] * (-2.0 / self.radius ** 2) * d
+        scale = smoothstep(t, 1)[1] * (-2.0 / self.radius ** 2)
+        for i in range(self.dim):
+            d[..., i] *= scale
+        return d
 
     def hessian(self, x):
         t, d = self._t(x)

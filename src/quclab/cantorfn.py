@@ -82,8 +82,9 @@ class CantorProfile:
         object.__setattr__(self, "_cumint", cumint)
 
     def _pieces(self, frac: np.ndarray) -> np.ndarray:
-        return np.clip(np.searchsorted(self._breaks, frac, side="right") - 1,
-                       0, len(self._breaks) - 1)
+        # breaks[0] = 0 <= frac, so the index is >= 0; it is at most
+        # len - 1 (the t = 1 sentinel), which is where frac = 1 and NaN land
+        return np.searchsorted(self._breaks, frac, side="right") - 1
 
     def h(self, t):
         """h_L(t) for t >= 0 (integer-shift extension h(t+k) = k + h(t))."""

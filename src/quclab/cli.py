@@ -306,22 +306,20 @@ def cmd_cpprime_sweep(args, out_dir: Path, manifest: Manifest):
 def cmd_cantor(args, out_dir: Path, manifest: Manifest):
     if args.bumps < 1:
         raise InputError(f"--bumps must be >= 1, got {args.bumps}")
-    levels = _parse_levels(args.levels)
-    workers = worker_count(len(levels))
-    table = counterexamples.sobolev_blowup_diagnostic(levels, n_grid=args.n_grid)
+    levels = counterexamples.check_levels(_parse_levels(args.levels))
+    fields = [counterexamples.cantor_stress_field(level) for level in levels]
+    # the blow-up table shares the pool with the per-bump quadratures
+    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
+        table_job = pool.submit(counterexamples.sobolev_blowup_diagnostic,
+                                levels, n_grid=args.n_grid)
+        residuals = counterexamples.weak_divergence_residuals(
+            fields, n_bumps=args.bumps, seed=args.seed, map=pool.map)
+        table = table_job.result()
     write_csv(manifest.add(out_dir / "blowup.csv"),
               ["level", "w11_quotient", "sup_quotient", "l15_quotient",
                "control_w11"],
               [[r.level, r.w11_quotient, r.sup_quotient, r.l15_quotient,
                 r.control_w11] for r in table])
-
-    def one(level):
-        return counterexamples.weak_divergence_residual(
-            counterexamples.cantor_stress_field(level),
-            n_bumps=args.bumps, seed=args.seed)
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        residuals = list(pool.map(one, levels))
     write_csv(manifest.add(out_dir / "residuals.csv"),
               ["level", "weak_divergence_residual"],
               list(zip(levels, residuals)))

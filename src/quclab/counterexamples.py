@@ -118,10 +118,13 @@ def cantor_stress_field(level: int) -> Callable[[np.ndarray], np.ndarray]:
 
     def field(z):
         z = _check_half_plane(z)
-        r = np.linalg.norm(z, axis=-1)
-        perp = np.stack([-z[..., 1], z[..., 0]], axis=-1)
+        x, y = z[..., 0], z[..., 1]
+        r = np.sqrt(x * x + y * y)
         scalar = 1.0 / (r * r) + profile.h(1.0 / r) / r
-        return scalar[..., None] * perp
+        out = np.empty(z.shape)
+        np.multiply(scalar, -y, out=out[..., 0])
+        np.multiply(scalar, x, out=out[..., 1])
+        return out
 
     return field
 
@@ -153,37 +156,58 @@ def _bump_bank(ball_center, ball_radius, count: int, seed: int):
     return bumps
 
 
-def weak_divergence_residual(field: Callable, ball_center=DEFAULT_BALL[0],
-                             ball_radius: float = DEFAULT_BALL[1],
-                             n_bumps: int = 50, seed: int = 0,
-                             tol_cell: float = 1e-12, max_depth: int = 8,
-                             max_cells: int = 60_000) -> float:
-    """max over C^2 bumps phi of |int (V, Dphi)| / ||Dphi||_1.
+def _pairing(field: Callable, bump: QuinticBump) -> Callable:
+    """The integrand (V, Dphi) of the weak divergence pairing."""
+    def pairing(pts):
+        v, g = field(pts), bump.gradient(pts)
+        return v[:, 0] * g[:, 0] + v[:, 1] * g[:, 1]
+
+    return pairing
+
+
+def weak_divergence_residuals(fields, ball_center=DEFAULT_BALL[0],
+                              ball_radius: float = DEFAULT_BALL[1],
+                              n_bumps: int = 50, seed: int = 0,
+                              tol_cell: float = 1e-12, max_depth: int = 8,
+                              max_cells: int = 60_000, map=map) -> list[float]:
+    """Per field, max over C^2 bumps phi of |int (V, Dphi)| / ||Dphi||_1.
 
     Both integrals use the adaptive quadtree rule over each bump's bounding
-    box; the returned value decreases toward zero under quadrature
-    refinement (deeper max_depth / smaller tol_cell).
+    box; the returned values decrease toward zero under quadrature
+    refinement (deeper max_depth / smaller tol_cell).  ||Dphi||_1 depends
+    only on the bump, so it is computed once per bump for all fields.  The
+    bumps are independent tasks handed to ``map`` (an executor's ``map``
+    runs them in parallel); the result does not depend on its schedule.
     """
-    bumps = _bump_bank(ball_center, ball_radius, n_bumps, seed)
-    worst = 0.0
-    for bump in bumps:
+    fields = list(fields)
+
+    def per_bump(bump):
         cx, cy = bump.center
         rho = bump.radius
         box = (cx - rho, cx + rho, cy - rho, cy + rho)
-
-        def pairing(pts):
-            return np.sum(field(pts) * bump.gradient(pts), axis=-1)
-
-        num = adaptive_quad_2d(pairing, box, tol_cell=tol_cell,
-                               max_depth=max_depth, max_cells=max_cells)
         den = adaptive_quad_2d(
             lambda pts: np.linalg.norm(bump.gradient(pts), axis=-1), box,
-            tol_cell=tol_cell, max_depth=6, max_cells=20_000)
-        worst = max(worst, abs(num.value) / den.value)
-    return float(worst)
+            tol_cell=tol_cell, max_depth=6, max_cells=20_000).value
+        return [abs(adaptive_quad_2d(_pairing(field, bump), box, tol_cell=tol_cell,
+                                     max_depth=max_depth,
+                                     max_cells=max_cells).value) / den
+                for field in fields]
+
+    worst = [0.0] * len(fields)
+    for ratios in map(per_bump, _bump_bank(ball_center, ball_radius, n_bumps, seed)):
+        worst = [max(w, r) for w, r in zip(worst, ratios)]
+    return worst
+
+
+def weak_divergence_residual(field: Callable, **kw) -> float:
+    """max over C^2 bumps phi of |int (V, Dphi)| / ||Dphi||_1 for one field."""
+    return weak_divergence_residuals([field], **kw)[0]
 
 
 # -- finite-level Sobolev diagnostics -------------------------------------------
+
+_GRID_CHUNK = 1 << 16  # grid points per field evaluation in the blow-up table
+
 
 @dataclass(frozen=True)
 class BlowupRow:
@@ -192,6 +216,14 @@ class BlowupRow:
     sup_quotient: float      # max_x |V(x+de) - V(x)|/d   (resolves (3/2)^L while d ~ 3^-L)
     l15_quotient: float      # m = 1.5 difference-quotient seminorm (grows with L)
     control_w11: float       # same W^{1,1} diagnostic for the smooth part
+
+
+def check_levels(levels) -> list[int]:
+    """The levels as ints; InputError unless they strictly increase."""
+    levels = [int(l) for l in levels]
+    if any(b <= a for a, b in zip(levels, levels[1:])):
+        raise InputError("levels must be strictly increasing")
+    return levels
 
 
 def sobolev_blowup_diagnostic(levels, ball_center=DEFAULT_BALL[0],
@@ -204,25 +236,32 @@ def sobolev_blowup_diagnostic(levels, ball_center=DEFAULT_BALL[0],
     taken.  See the module docstring for why the W^{1,1} column saturates at
     the total-variation value while the m > 1 columns grow.
     """
-    levels = [int(l) for l in levels]
-    if any(b <= a for a, b in zip(levels, levels[1:])):
-        raise InputError("levels must be strictly increasing")
+    levels = check_levels(levels)
     c = np.asarray(ball_center, float)
     delta = 2.0 * ball_radius / n_grid
     axis = np.linspace(-ball_radius, ball_radius, n_grid, endpoint=False) + delta / 2.0
-    xx, yy = np.meshgrid(c[0] + axis, c[1] + axis, indexing="ij")
-    pts = np.stack([xx.ravel(), yy.ravel()], axis=1)
-    inside = np.linalg.norm(pts - c, axis=1) <= ball_radius - 2.0 * delta
+    pts = np.stack([g.ravel() for g in np.meshgrid(c[0] + axis, c[1] + axis,
+                                                   indexing="ij")], axis=1)
+    pts = pts[np.linalg.norm(pts - c, axis=1) <= ball_radius - 2.0 * delta]
     dirs = np.array([[1.0, 0.0], [0.0, 1.0],
                      [1.0, 1.0], [1.0, -1.0]])
     dirs = delta * dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
     area = delta * delta
+    chunks = [slice(lo, lo + _GRID_CHUNK) for lo in range(0, len(pts), _GRID_CHUNK)]
 
     def quotients(field):
-        base = field(pts[inside])
+        # the fields are pointwise: evaluating them chunk by chunk bounds
+        # their temporaries and leaves every entry of diff unchanged
+        base = np.empty_like(pts)
+        for ch in chunks:
+            base[ch] = field(pts[ch])
+        diff = np.empty(len(pts))
         w11 = sup_q = l15 = 0.0
         for e in dirs:
-            diff = np.linalg.norm(field(pts[inside] + e) - base, axis=1) / delta
+            for ch in chunks:
+                step = field(pts[ch] + e)
+                step -= base[ch]
+                diff[ch] = np.linalg.norm(step, axis=1) / delta
             w11 = max(w11, float(np.sum(diff) * area))
             sup_q = max(sup_q, float(diff.max()))
             l15 = max(l15, float((np.sum(diff ** 1.5) * area) ** (1.0 / 1.5)))

@@ -235,6 +235,8 @@ def batch_skew_check(rng: np.random.Generator, trials: int, dim: int,
     """
     if trials < 1:
         raise InputError("trials must be >= 1")
+    if dim < 2:
+        raise InputError(f"dimension must be >= 2, got {dim}")
     worst = -np.inf
     violations = 0
     remaining = trials

@@ -1,10 +1,12 @@
 """Adaptive 2-D quadrature on a quadtree with tensor Gauss panels.
 
 Each active cell is integrated with tensor Gauss-Legendre rules of orders 3
-and 5; their difference drives refinement.  Cells are processed in batches
-so the integrand is always evaluated on large point arrays.  Refinement is
-bounded by a depth cap and a global cell budget, and the achieved error
-estimate is returned alongside the value.
+and 5; their difference drives refinement.  Cells are processed in blocks of
+at most ``_BLOCK_CELLS``, and each block's 9 + 25 nodes go to the integrand
+in one call, so it sees large point arrays while its temporaries stay
+bounded.  The integrand must be pointwise; the block size then does not
+change any sum.  Refinement is bounded by a depth cap and a global cell
+budget, and the achieved error estimate is returned alongside the value.
 """
 
 from __future__ import annotations
@@ -28,6 +30,9 @@ def _tensor_rule(rule):
 
 _PTS3, _W3 = _tensor_rule(_G3)
 _PTS5, _W5 = _tensor_rule(_G5)
+_NODES = np.concatenate([_PTS3, _PTS5])  # (9 + 25, 2) on [-1, 1]^2
+_N3 = len(_PTS3)
+_BLOCK_CELLS = 1024
 
 
 @dataclass(frozen=True)
@@ -53,10 +58,20 @@ def adaptive_quad_2d(fn, box, tol_cell: float = 1e-12, max_depth: int = 10,
     depth = 0
     while len(centers):
         area_w = halves[:, 0] * halves[:, 1]
-        pts3 = centers[:, None, :] + halves[:, None, :] * _PTS3[None, :, :]
-        pts5 = centers[:, None, :] + halves[:, None, :] * _PTS5[None, :, :]
-        f3 = np.asarray(fn(pts3.reshape(-1, 2)), float).reshape(len(centers), -1)
-        f5 = np.asarray(fn(pts5.reshape(-1, 2)), float).reshape(len(centers), -1)
+        f3 = np.empty((len(centers), _N3))
+        f5 = np.empty((len(centers), len(_NODES) - _N3))
+        for lo in range(0, len(centers), _BLOCK_CELLS):
+            blk = slice(lo, lo + _BLOCK_CELLS)
+            c, h = centers[blk], halves[blk]
+            # center + half * node, one coordinate at a time: broadcasting
+            # over a last axis of length 2 is several times slower
+            pts = np.empty((len(c), len(_NODES), 2))
+            for k in range(2):
+                np.multiply(h[:, k, None], _NODES[:, k], out=pts[..., k])
+                pts[..., k] += c[:, k, None]
+            f = np.asarray(fn(pts.reshape(-1, 2)), float).reshape(len(c), -1)
+            f3[blk] = f[:, :_N3]
+            f5[blk] = f[:, _N3:]
         i3 = (f3 @ _W3) * area_w
         i5 = (f5 @ _W5) * area_w
         err = np.abs(i5 - i3)

@@ -126,7 +126,6 @@ class DiscreteSolution:
     schedule: RegularizationSchedule
     mesh: BoxMesh
     u: np.ndarray               # nodal potential, flattened
-    du_cells: np.ndarray        # cell-centered gradients (n_cells, dim)
     stress_cells: np.ndarray    # V = DF(Du) at cell centers
     energy: float               # unregularized energy at the final iterate
     history: tuple
@@ -201,5 +200,5 @@ def minimize(spec: ProblemSpec, schedule: RegularizationSchedule | None = None,
     stress = np.asarray(spec.integrand.gradient(du_cells), float)
     final_energy = assemble_energy(mesh, spec.integrand, u, f_nodes_raw)
     return DiscreteSolution(spec=spec, schedule=schedule, mesh=mesh, u=u,
-                            du_cells=du_cells, stress_cells=stress,
+                            stress_cells=stress,
                             energy=final_energy, history=tuple(history))

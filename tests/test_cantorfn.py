@@ -100,3 +100,24 @@ class TestSlopes:
         pts = prof.breakpoints_in(0.0, 1.0)
         assert len(pts) == 2 ** 4
         assert np.all((pts >= 0.0) & (pts <= 1.0))
+
+
+class _ClippedProfile(CantorProfile):
+    """Reference piece lookup with the index clipped into the table."""
+
+    def _pieces(self, frac):
+        return np.clip(np.searchsorted(self._breaks, frac, side="right") - 1,
+                       0, len(self._breaks) - 1)
+
+
+class TestPieceLookup:
+    @pytest.mark.parametrize("level", [1, 4, 12])
+    def test_unclipped_lookup_matches_clipped_reference(self, level):
+        prof, ref = CantorProfile(level), _ClippedProfile(level)
+        b = prof._breaks
+        t = np.concatenate([b, np.nextafter(b, 2.0), np.nextafter(b[1:], 0.0),
+                            b + 3.0, [np.nextafter(1.0, 0.0)],
+                            np.arange(0.0, 8.0), [1e6]])
+        for name in ("h", "h_prime", "H"):
+            got, want = getattr(prof, name)(t), getattr(ref, name)(t)
+            assert np.array_equal(got, want), name

@@ -222,13 +222,16 @@ class TestUsage:
         ({}, None, ["cpprime-sweep", "--p-grid", ""], "--p-grid"),
         ({}, None, ["cpprime-sweep", "--p-grid", "2,x"], "--p-grid"),
         ({}, None, ["matrix-check", "--dims", "2,x"], "--dims"),
+        ({}, None, ["matrix-check", "--dims", "0", "--trials", "10"], "dimension"),
+        ({}, None, ["matrix-check", "--dims", "1", "--trials", "10"], "dimension"),
         ({}, None, ["riesz-check", "--n", "32", "--fields", "0"], "--fields"),
         ({}, None, ["riesz-check", "--n", "32", "--fields", "-3"], "--fields"),
         ({}, None, ["cantor", "--levels", "4..5", "--bumps", "0"], "--bumps"),
         ({}, None, ["cantor", "--levels", ","], "--levels"),
     ], ids=["quc-threads", "levels", "missing-config", "config-cells",
             "config-stage", "config-list", "config-boundary", "config-tol",
-            "p-grid-empty", "p-grid-token", "dims-token", "fields-zero",
+            "p-grid-empty", "p-grid-token", "dims-token", "dims-zero", "dims-one",
+            "fields-zero",
             "fields-negative", "bumps-zero", "levels-empty"])
     def test_malformed_input_exit_2(self, tmp_path, monkeypatch, capsys, env, config,
                                     argv, message):

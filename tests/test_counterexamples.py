@@ -1,5 +1,7 @@
 """Tests for the arctan family and the Cantor stress diagnostics."""
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -119,6 +121,16 @@ class TestWeakDivergence:
         fine = ce.weak_divergence_residual(field, n_bumps=4, seed=5,
                                            max_depth=9, tol_cell=1e-12)
         assert fine < coarse
+
+    def test_plural_matches_single_field_calls_bit_for_bit(self):
+        # one shared denominator per bump and a parallel map change no bit
+        fields = [ce.cantor_stress_field(8), ce.cantor_stress_field(12)]
+        singles = [ce.weak_divergence_residual(f, n_bumps=4, seed=3) for f in fields]
+        assert ce.weak_divergence_residuals(fields, n_bumps=4, seed=3) == singles
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            pooled = ce.weak_divergence_residuals(fields, n_bumps=4, seed=3,
+                                                  map=pool.map)
+        assert pooled == singles
 
     def test_divergent_field_flagged(self):
         # V = x has weak divergence 2: the residual stays away from zero
