@@ -190,7 +190,9 @@ class QuinticBump:
 
     def gradient(self, x):
         t, d = self._t(x)
-        scale = smoothstep(t, 1)[1] * (-2.0 / self.radius ** 2)
+        # s'(t) of the smoothstep alone; smoothstep(t, 1) also forms s
+        t = np.clip(t, 0.0, 1.0)
+        scale = 30.0 * t * t * (1.0 - t) ** 2 * (-2.0 / self.radius ** 2)
         for i in range(self.dim):
             d[..., i] *= scale
         return d

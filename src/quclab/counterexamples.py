@@ -240,9 +240,21 @@ def sobolev_blowup_diagnostic(levels, ball_center=DEFAULT_BALL[0],
     c = np.asarray(ball_center, float)
     delta = 2.0 * ball_radius / n_grid
     axis = np.linspace(-ball_radius, ball_radius, n_grid, endpoint=False) + delta / 2.0
-    pts = np.stack([g.ravel() for g in np.meshgrid(c[0] + axis, c[1] + axis,
-                                                   indexing="ij")], axis=1)
-    pts = pts[np.linalg.norm(pts - c, axis=1) <= ball_radius - 2.0 * delta]
+    xs, ys = c[0] + axis, c[1] + axis
+    # the in-ball points of the n_grid^2 grid, row by row in meshgrid "ij"
+    # order; sqrt(dx^2 + dy^2) is np.linalg.norm(pt - c) bit for bit, so the
+    # boundary rows keep exactly the same points
+    dx, dy = xs - c[0], ys - c[1]
+    dx2, dy2 = dx * dx, dy * dy
+    limit = ball_radius - 2.0 * delta
+    inside = [np.sqrt(sq + dy2) <= limit for sq in dx2]
+    pts = np.empty((sum(np.count_nonzero(row) for row in inside), 2))
+    lo = 0
+    for x, row in zip(xs, inside):
+        hi = lo + np.count_nonzero(row)
+        pts[lo:hi, 0] = x
+        pts[lo:hi, 1] = ys[row]
+        lo = hi
     dirs = np.array([[1.0, 0.0], [0.0, 1.0],
                      [1.0, 1.0], [1.0, -1.0]])
     dirs = delta * dirs / np.linalg.norm(dirs, axis=1, keepdims=True)

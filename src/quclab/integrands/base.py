@@ -2,9 +2,10 @@
 
 An :class:`Integrand` bundles one batched evaluator, the jet, with declared
 metadata: the eigenvalue-ratio bound K (when known), the growth exponents
-p = 1 + 1/K and q = 1 + K derived from it, the minimizer location, and the
+p = 1 + 1/K and q = 1 + K derived from it, the minimizer location, the
 points where the Hessian is singular and should be skipped by
-almost-everywhere samplers.
+almost-everywhere samplers, and whether F is a smooth radial profile
+f(|z|) about the origin (which lets the mollifier work in one dimension).
 
 The jet contract: ``jet_fn(z, order)`` maps points of shape (..., N) to
 ``(F,)``, ``(F, DF)`` or ``(F, DF, D2F)`` for ``order`` 0, 1 or 2, with
@@ -42,6 +43,9 @@ class Integrand:
     minimizer: np.ndarray = None
     singular_points: tuple = ()
     params: dict = field(default_factory=dict)
+    # F(z) = f(|z|) with f smooth on r > 0 (the Uhlenbeck class).  The tilt
+    # keeps it; sums and the other combinators build integrands without it.
+    radial: bool = False
 
     def __post_init__(self):
         if self.dim < 1:

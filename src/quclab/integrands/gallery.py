@@ -101,6 +101,7 @@ def power(p: float, dim: int = 2, center=None) -> Integrand:
         declared_K=_power_K(p), minimizer=c,
         singular_points=(tuple(c),) if p != 2.0 else (),
         params={"p": p, "center": list(np.asarray(c, float))},
+        radial=not np.any(c),
     )
 
 
@@ -170,6 +171,7 @@ def uhlenbeck(profile: UhlenbeckProfile, dim: int = 2) -> Integrand:
         declared_K=indices_to_K(i_a, s_a), minimizer=np.zeros(dim),
         singular_points=singular,
         params={"profile": profile.name.split("[", 1)[0], **(profile.params or {})},
+        radial=True,
     )
 
 
@@ -211,7 +213,9 @@ def cantor(level: int = 12, dim: int = 2) -> Integrand:
     At level L the radial second derivative is 1 + h_L'(t) in {1, 1+(3/2)^L}
     and the transversal eigenvalue is 1 + h_L(t)/t, so the eigenvalue ratio
     is bounded by 1 + (3/2)^L on all of R^N; the bound degrades to infinity
-    as L grows, which is the point of the example.
+    as L grows, which is the point of the example.  F is radial, but its
+    second derivative jumps on the Cantor set's scale 3^-L, so it does not
+    set ``radial`` and its mollification keeps the kernel sweep.
     """
     profile = CantorProfile(level)
 

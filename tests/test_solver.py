@@ -291,6 +291,20 @@ class TestMinimize:
         assert errs[0] / errs[1] > 1.5
         assert errs[1] / errs[2] > 1.5
 
+    def test_p3_3d_cascade_matches_radial_oracle(self):
+        # the advertised N = 3 path, end to end, on meshes that include 12^3
+        # (where the kernel-sweep cascade once spun in its line search)
+        exact = radial_power_solution(3.0, dim=3)
+        errs = []
+        for cells in (12, 16):
+            spec = ProblemSpec(integrand=gallery("power", p=3.0, dim=3), cells=cells,
+                               boundary=make_boundary("radial_power", p=3.0, dim=3),
+                               source=make_source("constant", value=1.0))
+            sol = minimize(spec)  # raises NumericError if a stage fails
+            assert [rec.grad_norm <= 1e-10 for rec in sol.history] == [True] * 4
+            errs.append(float(np.max(np.abs(sol.u - exact(sol.mesh.node_coords())))))
+        assert errs[1] < errs[0] < 1e-2
+
     def test_el_residual_small_at_minimizer(self, p3_solution):
         assert euler_lagrange_residual(p3_solution, mode="hat") < 1e-8
 
