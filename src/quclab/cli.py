@@ -258,7 +258,11 @@ def cmd_radial(args, out_dir: Path, manifest: Manifest):
     if args.f_kind == "const" and args.f_value == 1.0:
         rng = np.random.default_rng(0)
         pts = rng.uniform(-0.5, 0.5, size=(500, args.N)) * args.r_max
-        pts = pts[np.linalg.norm(pts, axis=1) > 0.05 * args.r_max]
+        norm = np.linalg.norm(pts, axis=1)
+        pts = pts[(norm > 0.05 * args.r_max) & (norm <= args.r_max)]
+        if not len(pts):
+            raise InputError(f"no stress sample point in 0.05 r_max < |x| <= r_max "
+                             f"for r_max = {args.r_max:g}")
         grid = radial.stress_of(sol, pts)
         stress_err = float(np.max(np.abs(grid.values - pts / args.N)))
     write_csv(manifest.add(out_dir / "profile.csv"),

@@ -6,9 +6,10 @@ For radial u(x) = v(|x|) the equation reduces to the flux identity
     r^(N-1) T(r) = int_{r0}^r s^(N-1) f(s) ds + c,      T = a(|v'|) v',
 
 with c the homogeneous flux mode (first-class for annular domains that do
-not contain the origin).  The scalar monotone map t -> a(|t|) t is inverted
-per radius, so the solver is exact up to 1-D quadrature and root-finding
-tolerances and serves as an oracle for the 2-D grid solver.
+not contain the origin).  The integral takes adaptive Gauss-Kronrod panels on
+all grid segments at once, and the monotone map t -> a(|t|) t is inverted at
+all radii at once, so the solver is exact up to 1-D quadrature and
+root-finding tolerances and serves as an oracle for the grid solvers.
 
 The stress field is V(x) = (T(|x|)/|x|) x with the analytic gradient
 DV = h I + r h' (x/r)(x/r)^t, h = T/r, which is symmetric: radial stress
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy import integrate, optimize, stats
+from scipy import integrate, stats
 
 from .errors import InputError, ModelError, NumericError, PreconditionError
 from .integrands.profiles import UhlenbeckProfile, power_profile
@@ -52,8 +53,9 @@ class RadialProblem:
     def __post_init__(self):
         if self.dim < 1:
             raise InputError("dim must be >= 1")
-        if not 0.0 <= self.r_min < self.r_max:
-            raise InputError("need 0 <= r_min < r_max")
+        if not (0.0 <= self.r_min < self.r_max < np.inf
+                and np.isfinite(self.flux_c) and np.isfinite(self.boundary_value)):
+            raise InputError("need 0 <= r_min < r_max < inf and finite flux_c, boundary_value")
         if self.r_min == 0.0 and self.flux_c != 0.0:
             raise InputError("the homogeneous flux mode needs r_min > 0")
         i_a, s_a = self.profile.indices()
@@ -70,90 +72,104 @@ class RadialSolution:
     v: np.ndarray
     flux_prime: np.ndarray = field(repr=False, default=None)
 
-    def flux_at(self, r):
-        return np.interp(np.asarray(r, float), self.r, self.flux)
+
+# QUADPACK's 15-point Kronrod rule on [-1, 1], nodes (first row) and weights
+# from -1 to 0, mirrored; its embedded 7-point Gauss rule uses every other node
+_K15 = np.array([
+    [0.9914553711208126, 0.9491079123427585, 0.8648644233597691, 0.7415311855993945,
+     0.5860872354676911, 0.4058451513773972, 0.20778495500789848, 0.0],
+    [0.022935322010529224, 0.06309209262997856, 0.10479001032225019, 0.14065325971552592,
+     0.1690047266392679, 0.19035057806478542, 0.20443294007529889, 0.20948214108472782]])
+_XK, _WK = np.r_[-_K15[0], _K15[0, -2::-1]], np.r_[_K15[1], _K15[1, -2::-1]]
+_WG = np.zeros(15)
+_WG[1::2] = np.polynomial.legendre.leggauss(7)[1]
+
+
+def _source_on(prob: RadialProblem, s: np.ndarray) -> np.ndarray:
+    """f(s) as a float array shaped like s; a source may return a scalar."""
+    return np.broadcast_to(np.asarray(prob.source(s.ravel()), float), s.size).reshape(s.shape)
 
 
 def _cumulative_source_integral(prob: RadialProblem, r: np.ndarray) -> np.ndarray:
-    """int_{r0}^{r_i} s^(N-1) f(s) ds by adaptive Gauss-Kronrod per segment."""
-    vals = np.zeros_like(r)
-    acc = 0.0
-    lo = prob.r_min
-    integrand = lambda s: s ** (prob.dim - 1) * float(prob.source(np.asarray(s)))
-    for i, hi in enumerate(r):
-        if hi > lo:
-            seg, err = integrate.quad(integrand, lo, hi, epsabs=1e-13, epsrel=1e-12)
-            if not np.isfinite(seg):
-                raise InputError("source is not integrable against r^(N-1)")
-            acc += seg
-        vals[i] = acc
-        lo = hi
-    return vals
+    """int_{r0}^{r_i} s^(N-1) f(s) ds on the increasing grid r, r[0] = r0.
+
+    Each level puts the Kronrod and Gauss rules on all open panels, with one
+    source call per 1024 panels; a panel's tolerance is 1e-12 of its
+    int |s^(N-1) f|.  A segment is done when its panels' rule differences add
+    up to their tolerances, else its panels that miss their own are bisected.
+    """
+    lo, hi = r[:-1], r[1:]
+    n = len(lo)
+    seg = np.arange(n)
+    value, slack = np.zeros(n), np.zeros(n)  # over the accepted panels
+    for _ in range(100):
+        half = 0.5 * (hi - lo)
+        rules = np.empty((3, len(lo)))
+        for b in range(0, len(lo), 1024):  # bounds the temporaries
+            blk = slice(b, b + 1024)
+            s = (lo[blk] + half[blk])[:, None] + half[blk, None] * _XK
+            f = s ** (prob.dim - 1) * _source_on(prob, s)
+            rules[:, blk] = np.array([f @ _WK, f @ _WG, np.abs(f) @ _WK]) * half[blk]
+        kronrod, err, tol = rules[0], np.abs(rules[0] - rules[1]), 1e-12 * rules[2]
+        if not np.all(np.isfinite(err)):
+            raise InputError("source is not integrable against r^(N-1)")
+        # the sum test ends the bisection at an integrable endpoint singularity
+        done = (np.bincount(seg, err - tol, minlength=n) <= slack)[seg] | (err <= tol)
+        value += np.bincount(seg[done], kronrod[done], minlength=n)
+        slack += np.bincount(seg[done], (tol - err)[done], minlength=n)
+        if done.all():
+            return np.r_[0.0, np.cumsum(value)]
+        lo, hi, seg = lo[~done], hi[~done], seg[~done]
+        mid = 0.5 * (lo + hi)
+        lo, hi, seg = np.r_[lo, mid], np.r_[mid, hi], np.r_[seg, seg]
+    raise NumericError("source integral not converged after 100 bisections")
 
 
 def _invert_flux(profile: UhlenbeckProfile, t_flux: np.ndarray) -> np.ndarray:
     """Solve a(|t|) t = T per entry (monotone under admissibility).
 
-    Power profiles are inverted in closed form; the generic path brackets
-    geometrically, bisects with brentq, then polishes with Newton.
+    Power profiles are inverted in closed form.  The generic path bisects
+    log2 t on [-1075, 199] for all entries at once, the array form of
+    doubling and halving a bracket, then polishes with three Newton steps.
     """
     params = profile.params or {}
     if profile.name.startswith("power[") and "p" in params:
         p = params["p"]
         return np.sign(t_flux) * np.abs(t_flux) ** (1.0 / (p - 1.0))
-
-    def solve_one(target: float) -> float:
-        if target == 0.0:
-            return 0.0
-        sign = np.sign(target)
-        mag = abs(target)
-        g = lambda t: profile.a(np.asarray(t)) * t - mag
-        hi = 1.0
-        for _ in range(200):
-            if g(hi) >= 0.0:
-                break
-            hi *= 2.0
-        else:
-            raise ModelError(f"flux {target:.3e} outside the range of a(t) t")
-        lo = 0.0 if g(1e-300) <= 0.0 else None
-        if lo is None:
-            lo = hi
-            for _ in range(200):
-                lo *= 0.5
-                if g(lo) <= 0.0:
-                    break
-            else:
-                raise ModelError(f"flux {target:.3e} outside the range of a(t) t")
-        root = optimize.brentq(g, lo, hi, xtol=1e-300, rtol=8.9e-16, maxiter=300)
-        for _ in range(3):  # Newton polish
-            a_val = float(profile.a(np.asarray(root)))
-            da_val = float(profile.da(np.asarray(root)))
-            deriv = a_val + root * da_val
-            if deriv > 0.0:
-                step = (a_val * root - mag) / deriv
-                root -= step
-        resid = abs(float(profile.a(np.asarray(root))) * root - mag)
-        if resid > 1e-12 * (1.0 + mag):
-            raise NumericError(f"flux inversion residual {resid:.2e}")
-        return sign * root
-
-    return np.array([solve_one(float(t)) for t in t_flux])
+    live = np.flatnonzero(t_flux)
+    mag = np.abs(t_flux[live])
+    g = lambda log2_t: profile.a(np.exp2(log2_t)) * np.exp2(log2_t) - mag
+    lo, hi = np.full_like(mag, -1075.0), np.full_like(mag, 199.0)
+    short = ~(g(hi) >= 0.0)  # a NaN flux is out of range too
+    if short.any():
+        raise ModelError(f"flux {t_flux[live][short][0]:.3e} outside the range of a(t) t")
+    for _ in range(64):  # to below an ulp of log2 t
+        mid = 0.5 * (lo + hi)
+        above = g(mid) >= 0.0
+        lo, hi = np.where(above, lo, mid), np.where(above, mid, hi)
+    root = np.exp2(hi)
+    for _ in range(3):  # Newton polish
+        a_val = profile.a(root)
+        deriv = a_val + root * profile.da(root)
+        root = root - np.divide(a_val * root - mag, deriv, out=np.zeros_like(root),
+                                where=deriv > 0.0)
+    resid = np.abs(profile.a(root) * root - mag)
+    if np.any(resid > 1e-12 * (1.0 + mag)):
+        raise NumericError(f"flux inversion residual {resid.max():.2e}")
+    out = np.zeros(np.shape(t_flux))
+    out[live] = np.sign(t_flux[live]) * root
+    return out
 
 
 def solve_radial(prob: RadialProblem, num: int = 4097) -> RadialSolution:
     """Flux quadrature + monotone inversion + cumulative integration of v'."""
     r = np.linspace(prob.r_min, prob.r_max, num)
     src_int = _cumulative_source_integral(prob, r)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        flux = (src_int + prob.flux_c) / np.where(r > 0.0, r ** (prob.dim - 1), np.inf)
-    if r[0] == 0.0:
-        flux[0] = 0.0
+    flux = (src_int + prob.flux_c) / np.where(r > 0.0, r ** (prob.dim - 1), np.inf)
     v_prime = _invert_flux(prob.profile, flux)
     v_rel = integrate.cumulative_simpson(v_prime, x=r, initial=0.0)
     v = v_rel - v_rel[-1] + prob.boundary_value
-    f_vals = np.asarray(prob.source(r), dtype=float)
-    if f_vals.ndim == 0:
-        f_vals = np.full_like(r, float(f_vals))
+    f_vals = _source_on(prob, r)
     with np.errstate(invalid="ignore"):
         flux_prime = f_vals - (prob.dim - 1) * flux / np.where(r > 0.0, r, np.inf)
     if r[0] == 0.0:
@@ -197,9 +213,8 @@ def stress_of(sol: RadialSolution, points: np.ndarray) -> StressGrid:
     r = np.linalg.norm(pts, axis=-1)
     if np.any(r < max(sol.problem.r_min, 1e-14)) or np.any(r > sol.problem.r_max + 1e-12):
         raise InputError("points outside the solved radial range")
-    t_flux = sol.flux_at(r)
     t_prime = np.interp(r, sol.r, sol.flux_prime)
-    h = t_flux / r
+    h = np.interp(r, sol.r, sol.flux) / r
     values = h[..., None] * pts
     gradients = radial_hessian(pts / r[..., None], t_prime, h)
     return StressGrid(points=pts, values=values, gradients=gradients)
@@ -294,9 +309,7 @@ def stress_wm_norm(sol: RadialSolution, m: float, r_lo: float, r_hi: float) -> d
 def source_lm_norm(prob: RadialProblem, m: float, r_lo: float, r_hi: float,
                    num: int = 2049) -> float:
     r = np.linspace(max(r_lo, prob.r_min), min(r_hi, prob.r_max), num)
-    f_vals = np.asarray(prob.source(r), dtype=float)
-    if f_vals.ndim == 0:
-        f_vals = np.full_like(r, float(f_vals))
+    f_vals = _source_on(prob, r)
     area = sphere_area(prob.dim)
     return float((area * integrate.simpson(np.abs(f_vals) ** m * r ** (prob.dim - 1), x=r))
                  ** (1.0 / m))

@@ -165,6 +165,14 @@ class TestRadial:
         header = (out / "profile.csv").read_text().splitlines()[0]
         assert header == "r,flux,v_prime,v"
 
+    @pytest.mark.parametrize("dim", [5, 6])
+    def test_stress_check_in_high_dimension(self, tmp_path, dim):
+        # the cube [-R/2, R/2]^N reaches past the ball |x| <= R once N >= 5
+        code, out = run(tmp_path, "radial", "--p", "3", "--N", str(dim))
+        assert code == 0
+        rep = json.loads((out / "report.json").read_text())
+        assert rep["stress_check_max_error"] < 1e-10
+
 
 class TestCpPrimeSweep:
     def test_sweep(self, tmp_path):
@@ -228,11 +236,14 @@ class TestUsage:
         ({}, None, ["riesz-check", "--n", "32", "--fields", "-3"], "--fields"),
         ({}, None, ["cantor", "--levels", "4..5", "--bumps", "0"], "--bumps"),
         ({}, None, ["cantor", "--levels", ","], "--levels"),
+        ({}, None, ["radial", "--p", "3", "--r-max", "inf"], "finite"),
+        ({}, None, ["radial", "--p", "3", "--r-max", "1e-300"], "sample point"),
     ], ids=["quc-threads", "levels", "missing-config", "config-cells",
             "config-stage", "config-list", "config-boundary", "config-tol",
             "p-grid-empty", "p-grid-token", "dims-token", "dims-zero", "dims-one",
             "fields-zero",
-            "fields-negative", "bumps-zero", "levels-empty"])
+            "fields-negative", "bumps-zero", "levels-empty", "r-max-inf",
+            "r-max-tiny"])
     def test_malformed_input_exit_2(self, tmp_path, monkeypatch, capsys, env, config,
                                     argv, message):
         for key, value in env.items():

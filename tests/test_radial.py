@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from scipy import optimize
 
-from quclab.errors import InputError, PreconditionError
+from quclab.errors import InputError, ModelError, PreconditionError, QuclabError
 from quclab import radial
-from quclab.integrands.profiles import bounded_power_profile, power_profile
+from quclab.integrands.profiles import (UhlenbeckProfile, bounded_power_profile,
+                                        power_profile)
 
 CONST_ONE = lambda r: np.ones_like(np.asarray(r, float))
 
@@ -69,6 +71,97 @@ class TestSolveRadial:
         sol = radial.solve_radial(prob, num=513)
         a = prob.profile.a(np.abs(sol.v_prime))
         assert np.allclose(a * sol.v_prime, sol.flux, atol=1e-11)
+
+
+class TestSourceIntegral:
+    @staticmethod
+    def flux(dim, source, **kwargs):
+        prob = radial.RadialProblem(dim=dim, profile=power_profile(2.0), source=source,
+                                    **{"r_max": 1.0, **kwargs})
+        with np.errstate(divide="ignore"):  # r^a at r = 0 for T' only
+            return radial.solve_radial(prob)
+
+    # source f and T(r) = r^(1-N) int_0^r s^(N-1) f(s) ds in closed form
+    @pytest.mark.parametrize("source, flux", [
+        (lambda r: 0.0 * r, lambda r, n: 0.0 * r),
+        (lambda r: r ** 0.0, lambda r, n: r / n),
+        (lambda r: 1.0 + 0.3 * r ** 2, lambda r, n: r / n + 0.3 * r ** 3 / (n + 2)),
+        (lambda r: r ** -0.5, lambda r, n: r ** 0.5 / (n - 0.5)),
+        (lambda r: r ** 0.5, lambda r, n: r ** 1.5 / (n + 0.5)),
+        (lambda r: r ** 2.0, lambda r, n: r ** 3.0 / (n + 2.0)),
+    ], ids=["zero", "one", "one-plus-quadratic", "power-minus-half", "power-half",
+            "power-two"])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_flux_matches_closed_form(self, dim, source, flux):
+        sol = self.flux(dim, source)
+        exact = flux(sol.r[1:], dim)
+        assert np.all(np.abs(sol.flux[1:] - exact) <= 1e-12 * np.abs(exact))
+
+    def test_annulus(self):
+        # r T = int_{r0}^r s (1 + 0.3 s^2) ds + c
+        r0, c = 0.5, 0.7
+        sol = self.flux(2, lambda r: 1.0 + 0.3 * r ** 2, r_min=r0, r_max=2.0, flux_c=c)
+        r = sol.r
+        exact = ((r ** 2 - r0 ** 2) / 2.0 + 0.3 * (r ** 4 - r0 ** 4) / 4.0 + c) / r
+        assert np.all(np.abs(sol.flux - exact) <= 1e-12 * np.abs(exact))
+
+    @pytest.mark.parametrize("a", [-3.0, -2.0])
+    def test_non_integrable_source_raises(self, a):
+        # s^(N-1) f = s^(a+1) is not integrable at 0 in 2-D
+        with pytest.raises(QuclabError):
+            self.flux(2, lambda r: np.asarray(r, float) ** a)
+
+    def test_source_call_budget_and_no_scalar_quad(self, monkeypatch):
+        calls = [0]
+
+        def one(r):
+            calls[0] += 1
+            return np.ones_like(np.asarray(r, float))
+
+        def no_quad(*args, **kwargs):
+            raise AssertionError("scalar quad on the solve path")
+
+        monkeypatch.setattr(radial.integrate, "quad", no_quad)
+        prob = radial.RadialProblem(dim=2, profile=bounded_power_profile(3.0),
+                                    source=one, r_max=1.0)
+        radial.solve_radial(prob, num=8193)
+        # one call per 1024 panels of a bisection level (8 here), one for T'
+        assert calls[0] <= 24
+
+
+class TestInvertFlux:
+    @staticmethod
+    def brentq_root(profile, target):
+        mag = abs(target)
+        g = lambda t: float(profile.a(t)) * t - mag
+        hi = 1.0
+        while g(hi) < 0.0:
+            hi *= 2.0
+        root = optimize.brentq(g, 0.0, hi, xtol=5e-324, rtol=8.9e-16, maxiter=500)
+        return np.sign(target) * root
+
+    @pytest.mark.parametrize("p", [1.5, 4.0])
+    def test_matches_scalar_brentq(self, p):
+        profile = bounded_power_profile(p)
+        mags = np.concatenate([[1e-300], np.logspace(-12, 6, 37)])
+        fluxes = np.concatenate([mags, -mags])
+        t = radial._invert_flux(profile, fluxes)
+        ref = np.array([self.brentq_root(profile, f) for f in fluxes])
+        assert np.all(np.abs(t - ref) <= 1e-13 * np.abs(ref))
+        resid = np.abs(profile.a(np.abs(t)) * t - fluxes)
+        assert np.all(resid <= 1e-12 * (1.0 + np.abs(fluxes)))
+
+    def test_zero_flux_is_exactly_zero(self):
+        t = radial._invert_flux(bounded_power_profile(4.0), np.array([0.0, 2.0, -0.0]))
+        assert t[0] == 0.0 and t[2] == 0.0 and t[1] > 0.0
+
+    @pytest.mark.parametrize("flux", [2.0, np.inf, np.nan])
+    def test_out_of_range_flux_raises(self, flux):
+        # a(t) t = t / (1 + t) stays below 1
+        saturating = UhlenbeckProfile(name="saturating", a=lambda t: 1.0 / (1.0 + t),
+                                      da=lambda t: -1.0 / (1.0 + t) ** 2)
+        with pytest.raises(ModelError):
+            radial._invert_flux(saturating, np.array([0.5, flux]))
 
 
 class TestStress:
