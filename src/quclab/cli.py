@@ -25,7 +25,8 @@ from .integrands import (
     uhlenbeck_indices,
     verify_growth,
 )
-from .integrands.profiles import bounded_power_profile, constant_profile, power_profile
+from .integrands.gallery import PROFILES
+from .integrands.profiles import power_profile
 from .solver import (
     euler_lagrange_residual,
     load_problem_config,
@@ -95,10 +96,6 @@ def cmd_matrix_check(args, out_dir: Path, manifest: Manifest):
     return payload, passed
 
 
-_PROFILE_MAKERS = {"power": power_profile, "constant": lambda **kw: constant_profile(),
-                   "bounded_power": bounded_power_profile}
-
-
 def cmd_integrand(args, out_dir: Path, manifest: Manifest):
     params = _parse_params(args.param)
     f = gallery(args.name, **params)
@@ -113,10 +110,7 @@ def cmd_integrand(args, out_dir: Path, manifest: Manifest):
                   "C_upper": rep.C_upper, "holds": rep.holds}
     indices = None
     if args.name == "uhlenbeck":
-        prof_name = params.get("profile", "power")
-        maker = _PROFILE_MAKERS[prof_name]
-        prof_params = {k: v for k, v in params.items() if k in ("p",)}
-        indices = uhlenbeck_indices(maker(**prof_params))
+        indices = uhlenbeck_indices(PROFILES[params.get("profile", "power")](params))
     passed = True
     if f.declared_K is not None:
         passed = est <= f.declared_K * (1.0 + 1e-6) and (growth is None or growth["holds"])
@@ -257,7 +251,9 @@ def cmd_radial(args, out_dir: Path, manifest: Manifest):
     stress_err = None
     if args.f_kind == "const" and args.f_value == 1.0:
         rng = np.random.default_rng(0)
-        pts = rng.uniform(-0.5, 0.5, size=(500, args.N)) * args.r_max
+        # the cube's corners stay in the ball |x| <= r_max for every N >= 4
+        side = args.r_max * min(1.0, 2.0 / np.sqrt(args.N))
+        pts = rng.uniform(-0.5, 0.5, size=(500, args.N)) * side
         norm = np.linalg.norm(pts, axis=1)
         pts = pts[(norm > 0.05 * args.r_max) & (norm <= args.r_max)]
         if not len(pts):
@@ -311,6 +307,7 @@ def cmd_cantor(args, out_dir: Path, manifest: Manifest):
     if args.bumps < 1:
         raise InputError(f"--bumps must be >= 1, got {args.bumps}")
     levels = counterexamples.check_levels(_parse_levels(args.levels))
+    counterexamples.check_n_grid(args.n_grid)
     fields = [counterexamples.cantor_stress_field(level) for level in levels]
     # the blow-up table shares the pool with the per-bump quadratures
     with ThreadPoolExecutor(max_workers=worker_count()) as pool:
@@ -449,6 +446,16 @@ _HANDLERS = {
 }
 
 
+def _check_numbers(args) -> None:
+    """InputError for a non-finite float option or a negative seed."""
+    for name, value in vars(args).items():
+        for v in value if isinstance(value, (list, tuple)) else (value,):
+            if isinstance(v, float) and not np.isfinite(v):
+                raise InputError(f"--{name.replace('_', '-')} must be finite, got {v}")
+    if args.seed < 0:
+        raise InputError(f"--seed must be >= 0, got {args.seed}")
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
@@ -460,6 +467,7 @@ def main(argv=None) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = Manifest(args.command, argv, getattr(args, "seed", None))
     try:
+        _check_numbers(args)
         _, passed = _HANDLERS[args.command](args, out_dir, manifest)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -226,6 +226,21 @@ def check_levels(levels) -> list[int]:
     return levels
 
 
+def check_n_grid(n_grid) -> int:
+    """n_grid as an int; InputError unless its grid meets the table's ball.
+
+    The table keeps the grid points within R - 2 delta of the center, with
+    delta = 2R/n_grid.  The nearest grid point lies at 0 (odd n_grid) or at
+    delta/sqrt(2) (even n_grid), so for every R some point is kept exactly
+    when n_grid >= 5.
+    """
+    n_grid = int(n_grid)
+    if n_grid < 5:
+        raise InputError(f"n_grid must be >= 5 to put a grid point in the ball, "
+                         f"got {n_grid}")
+    return n_grid
+
+
 def sobolev_blowup_diagnostic(levels, ball_center=DEFAULT_BALL[0],
                               ball_radius: float = DEFAULT_BALL[1],
                               n_grid: int = 1024) -> list[BlowupRow]:
@@ -237,6 +252,7 @@ def sobolev_blowup_diagnostic(levels, ball_center=DEFAULT_BALL[0],
     the total-variation value while the m > 1 columns grow.
     """
     levels = check_levels(levels)
+    n_grid = check_n_grid(n_grid)
     c = np.asarray(ball_center, float)
     delta = 2.0 * ball_radius / n_grid
     axis = np.linspace(-ball_radius, ball_radius, n_grid, endpoint=False) + delta / 2.0

@@ -258,7 +258,7 @@ def orthotropic(p: float, dim: int = 2) -> Integrand:
     )
 
 
-_PROFILES = {
+PROFILES = {
     "power": lambda params: power_profile(params["p"]),
     "constant": lambda params: constant_profile(),
     "bounded_power": lambda params: bounded_power_profile(params["p"]),
@@ -268,10 +268,11 @@ _PROFILES = {
 def gallery(name: str, **params) -> Integrand:
     """Factory for the named integrands; see the module docstring.
 
-    Unknown names and leftover parameters are rejected (fail-closed).
+    Unknown names and malformed or leftover parameters are rejected with
+    InputError (fail-closed).
     """
-    dim = int(params.pop("dim", 2))
     try:
+        dim = int(params.pop("dim", 2))
         if name == "power":
             out = power(params.pop("p"), dim=dim, center=params.pop("center", None))
         elif name == "two_center":
@@ -280,7 +281,7 @@ def gallery(name: str, **params) -> Integrand:
             out = mixed(params.pop("p"), params.pop("q"), dim=dim)
         elif name == "uhlenbeck":
             prof_name = params.pop("profile", "power")
-            maker = _PROFILES.get(prof_name)
+            maker = PROFILES.get(prof_name)
             if maker is None:
                 raise InputError(f"unknown profile {prof_name!r}")
             out = uhlenbeck(maker(params), dim=dim)
@@ -293,8 +294,12 @@ def gallery(name: str, **params) -> Integrand:
             out = orthotropic(params.pop("p"), dim=dim)
         else:
             raise InputError(f"unknown gallery integrand {name!r}")
+    except InputError:
+        raise
     except KeyError as exc:
         raise InputError(f"gallery({name!r}) is missing parameter {exc}") from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"gallery({name!r}): malformed parameter: {exc}") from None
     if params:
         raise InputError(f"gallery({name!r}) got unknown parameters {sorted(params)}")
     return out

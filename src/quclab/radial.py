@@ -211,7 +211,8 @@ def stress_of(sol: RadialSolution, points: np.ndarray) -> StressGrid:
     if pts.shape[-1] != dim:
         raise InputError("points dimension mismatch")
     r = np.linalg.norm(pts, axis=-1)
-    if np.any(r < max(sol.problem.r_min, 1e-14)) or np.any(r > sol.problem.r_max + 1e-12):
+    r_floor = max(sol.problem.r_min, 1e-14 * sol.problem.r_max)
+    if np.any(r < r_floor) or np.any(r > sol.problem.r_max + 1e-12):
         raise InputError("points outside the solved radial range")
     t_prime = np.interp(r, sol.r, sol.flux_prime)
     h = np.interp(r, sol.r, sol.flux) / r

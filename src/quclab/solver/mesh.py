@@ -7,8 +7,12 @@ then convex whenever F is, with a unique minimizer under Dirichlet data,
 and for F = |z|^2/2 its Euler-Lagrange system is exactly the classical
 (2N+1)-point Laplacian, e.g. the 5-point scheme in 2-D.
 
-Gradients are evaluated per simplex for assembly; cell-centered gradients
-(the per-cell average, which in 2-D equals the bilinear mid-cell gradient)
+One vertex table V[perm, k, cell] (the node k steps along the Kuhn path
+from the cell's base) and one gradient table G[perm, axis, k] hold the P1
+gradient B and serve every operator: B u = G u[V], the energy gradient
+B^T(vol DF) is one ``np.bincount`` over V, the Hessian B^T(vol D2F)B goes
+through kron(G, G), and centroids are vertex means.  Cell-centered
+gradients (the per-cell average, in 2-D the bilinear mid-cell gradient)
 feed the stress-field reports.
 
 The Hessian's sparsity depends on the mesh only, so it is built once per
@@ -24,7 +28,7 @@ permutation.  Assembly is then one ``np.bincount`` into the fixed pattern.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
 from math import factorial
@@ -91,50 +95,40 @@ class BoxMesh:
     cells: int          # cells per axis
     half_width: float
 
-    _vertex_ids: list = field(repr=False, default=None, compare=False)
-    _gmats: list = field(repr=False, default=None, compare=False)
-    _boundary: np.ndarray = field(repr=False, default=None, compare=False)
-    _node_weights: np.ndarray = field(repr=False, default=None, compare=False)
-
     def __post_init__(self):
         if self.dim not in (2, 3):
             raise InputError("mesh dimension must be 2 or 3")
         if self.cells < 4:
             raise InputError("need at least 4 cells per axis")
-        n, d, h = self.cells, self.dim, self.h
-        shape = (n + 1,) * d
-        strides = np.array([(n + 1) ** (d - 1 - ax) for ax in range(d)])
-        cell_idx = np.indices((n,) * d).reshape(d, -1)
-        base = (strides[:, None] * cell_idx).sum(axis=0)
 
-        vertex_ids = []
-        gmats = []
-        for perm in permutations(range(d)):
-            ids = np.empty((d + 1, base.size), dtype=np.int64)
-            ids[0] = base
-            acc = base.copy()
-            for k, axis in enumerate(perm):
-                acc = acc + strides[axis]
-                ids[k + 1] = acc
-            vertex_ids.append(ids)
-            g = np.zeros((d, d + 1))
-            for k, axis in enumerate(perm):
-                g[axis, k + 1] = 1.0 / h
-                g[axis, k] = -1.0 / h
-            gmats.append(g)
+    # -- the P1 gradient operator ----------------------------------------------
 
-        node_idx = np.indices(shape).reshape(d, -1)
-        boundary = np.any((node_idx == 0) | (node_idx == n), axis=0)
+    @cached_property
+    def _perms(self) -> np.ndarray:
+        """The Kuhn simplices of a cell: row p lists the axes in stepping order."""
+        return np.array(list(permutations(range(self.dim))))
 
-        w = np.ones(node_idx.shape[1])
-        for ax in range(d):
-            w *= np.where((node_idx[ax] == 0) | (node_idx[ax] == n), 0.5, 1.0)
-        w *= h ** d
+    @cached_property
+    def _vertex_ids(self) -> np.ndarray:
+        """Vertex table V[perm, k, cell]: node id after k steps from the cell's base."""
+        n, d = self.cells, self.dim
+        strides = (n + 1) ** np.arange(d - 1, -1, -1)
+        base = strides @ np.indices((n,) * d).reshape(d, -1)
+        path = np.cumsum(strides[self._perms], axis=1)
+        offsets = np.hstack([np.zeros((len(path), 1), path.dtype), path])
+        return base + offsets[:, :, None]
 
-        object.__setattr__(self, "_vertex_ids", vertex_ids)
-        object.__setattr__(self, "_gmats", gmats)
-        object.__setattr__(self, "_boundary", boundary)
-        object.__setattr__(self, "_node_weights", w)
+    @cached_property
+    def _gmats(self) -> np.ndarray:
+        """Gradient table G[perm, axis, k]: axis steps from vertex k to k + 1."""
+        eye = np.eye(self.dim + 1)
+        step = np.argsort(self._perms, axis=1)
+        return (eye[step + 1] - eye[step]) / self.h
+
+    def _on_face(self) -> np.ndarray:
+        """Per axis and node: does the node's index lie at either end of the axis?"""
+        idx = np.indices((self.cells + 1,) * self.dim).reshape(self.dim, -1)
+        return (idx == 0) | (idx == self.cells)
 
     # -- geometry ------------------------------------------------------------
 
@@ -158,18 +152,18 @@ class BoxMesh:
     def simplex_volume(self) -> float:
         return self.h ** self.dim / factorial(self.dim)
 
-    @property
+    @cached_property
     def boundary_mask(self) -> np.ndarray:
-        return self._boundary
+        return self._on_face().any(axis=0)
 
     @property
     def interior_mask(self) -> np.ndarray:
-        return ~self._boundary
+        return ~self.boundary_mask
 
-    @property
+    @cached_property
     def node_weights(self) -> np.ndarray:
         """Trapezoidal quadrature weights for nodal integrals."""
-        return self._node_weights
+        return np.where(self._on_face(), 0.5, 1.0).prod(axis=0) * self.h ** self.dim
 
     def node_coords(self) -> np.ndarray:
         n, d = self.cells, self.dim
@@ -184,46 +178,35 @@ class BoxMesh:
         return np.stack([g.ravel() for g in grids], axis=1)
 
     def simplex_centroids(self) -> np.ndarray:
-        coords = self.node_coords()
-        out = []
-        for ids in self._vertex_ids:
-            out.append(coords[ids].mean(axis=0))
-        return np.concatenate(out, axis=0)
+        return self.node_coords()[self._vertex_ids].mean(axis=1).reshape(-1, self.dim)
 
     # -- differential operators ----------------------------------------------
 
     def simplex_gradients(self, u: np.ndarray) -> np.ndarray:
-        """Constant gradient per simplex, shape (n_simplices, dim)."""
-        out = []
-        for ids, g in zip(self._vertex_ids, self._gmats):
-            out.append((g @ u[ids]).T)
-        return np.concatenate(out, axis=0)
+        """Constant gradient per simplex, shape (n_simplices, dim), F-ordered:
+        each component is contiguous over the simplices."""
+        return np.concatenate(self._gmats @ u[self._vertex_ids], axis=1).T
 
     def cell_mean_gradients(self, u: np.ndarray) -> np.ndarray:
         """Average simplex gradient per cell (= mid-cell bilinear gradient in 2-D)."""
         g = self.simplex_gradients(u)
-        nperm = factorial(self.dim)
-        return g.reshape(nperm, self.n_cells, self.dim).mean(axis=0)
+        return g.reshape(len(self._perms), self.n_cells, self.dim).mean(axis=0)
 
     # -- assembly --------------------------------------------------------------
 
     def scatter_gradient(self, df: np.ndarray) -> np.ndarray:
         """Nodal gradient of sum_s vol F(Dw|_s) given DF at simplex gradients."""
-        vol = self.simplex_volume
-        out = np.zeros(self.n_nodes)
-        nperm = factorial(self.dim)
-        per_perm = df.reshape(nperm, self.n_cells, self.dim)
-        for ids, g, dfp in zip(self._vertex_ids, self._gmats, per_perm):
-            contrib = vol * dfp @ g  # (cells, dim+1)
-            for a in range(self.dim + 1):
-                np.add.at(out, ids[a], contrib[:, a])
-        return out
+        vol_df = self.simplex_volume * df.reshape(len(self._perms), self.n_cells, self.dim)
+        # G^T (vol DF)^T is laid out (perm, vertex, cell), the order of the sums
+        local = self._gmats.transpose(0, 2, 1) @ vol_df.transpose(0, 2, 1)
+        return np.bincount(self._vertex_ids.ravel(), weights=local.ravel(),
+                           minlength=self.n_nodes)
 
     @cached_property
     def hessian_pattern(self) -> HessianPattern:
         """The Hessian's sparsity and interior elimination order, built on first use."""
         n, d = self.n_nodes, self.dim
-        vertex = np.stack(self._vertex_ids).transpose(0, 2, 1)   # (perm, cell, a)
+        vertex = self._vertex_ids.transpose(0, 2, 1)     # (perm, cell, a)
         rows = np.repeat(vertex, d + 1, axis=2)          # vertex a of entry (a, b)
         cols = np.tile(vertex, d + 1)                    # vertex b of entry (a, b)
         indices, indptr, slot = _csc_pattern(rows.ravel(), cols.ravel(), n)
@@ -247,11 +230,11 @@ class BoxMesh:
 
     def assemble_hessian(self, d2f: np.ndarray) -> sparse.csc_matrix:
         """Sparse Hessian of the gradient energy given D2F per simplex."""
-        d = self.dim
+        d, g = self.dim, self._gmats
         # local[s, a, b] = vol * sum_ij G[i, a] D2F_s[i, j] G[j, b]: one batched
         # product with kron(G, G) per permutation
-        kron = np.stack([np.kron(g, g) for g in self._gmats])
-        local = np.matmul(d2f.reshape(len(kron), self.n_cells, d * d), kron)
+        kron = np.einsum("pia,pjb->pijab", g, g).reshape(len(g), d * d, -1)
+        local = np.matmul(d2f.reshape(len(g), self.n_cells, d * d), kron)
         local *= self.simplex_volume
         pattern = self.hessian_pattern
         n = self.n_nodes

@@ -172,7 +172,7 @@ def _parse(what: str, fn, *args, **kwargs):
         raise
     except KeyError as exc:
         raise InputError(f"malformed {what}: missing {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"malformed {what}: {exc}") from None
 
 

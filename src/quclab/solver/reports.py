@@ -195,12 +195,9 @@ def caccioppoli_check(sol: DiscreteSolution, r: float, s: float, big_r: float,
 
 def hat_norm_w1p(mesh: BoxMesh, p: float) -> float:
     """W^{1,p} norm of one interior hat function (all are congruent)."""
-    # 2 dim! simplices touch each interior node per "corner role"; integrate
-    # |phi|^p and |Dphi|^p exactly per simplex with a 3-point edge rule is
-    # overkill: |Dphi| = 1/h or sqrt(2)/h per simplex, |phi|^p integral is
-    # vol * p-dependent constant < vol.  Use the mid-order approximation
-    # int |phi|^p ~ vol * 2/( (p+1)(p+2) ) per simplex (exact for the unit
-    # triangle corner hat) summed over the 2 dim! adjacent simplices.
+    # Six simplices, on each int phi^p = vol dim!/((p+1)...(p+dim)) and
+    # |Dphi| = sqrt(k)/h: exact in 2-D (k = 1, 1, 2, twice); in 3-D an
+    # approximation with k = 1, 2, 3 twice (the true support is 24 simplices)
     h = mesh.h
     vol = mesh.simplex_volume
     if mesh.dim == 2:
@@ -249,9 +246,9 @@ def euler_lagrange_residual(sol: DiscreteSolution, mode: str = "hat",
     for cx in lin:
         for cy in lin:
             bump = QuinticBump(center=[cx, cy], radius=radius)
-            pairing = vol * float(np.sum(v_simplex * bump.gradient(centroids)))
-            load = float(np.sum(mesh.node_weights * f_nodes * bump.value(coords)))
             dphi = bump.gradient(centroids)
+            pairing = vol * float(np.sum(v_simplex * dphi))
+            load = float(np.sum(mesh.node_weights * f_nodes * bump.value(coords)))
             dphi_mag = np.linalg.norm(dphi, axis=1)
             norm = (vol * np.sum(bump.value(centroids) ** p)
                     + vol * np.sum(dphi_mag ** p)) ** (1.0 / p)

@@ -1,12 +1,21 @@
 """CLI tests: exit codes, determinism, schema conformance of reports."""
 
 import json
+import tempfile
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from quclab.cli import main
+from quclab.integrands import (
+    bounded_power_profile,
+    constant_profile,
+    power_profile,
+    uhlenbeck_indices,
+)
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "quclab" / "schemas"
 
@@ -109,6 +118,18 @@ class TestIntegrand:
         code, _ = run(tmp_path, "integrand", "--name", "nonsense", "--param", "p=3")
         assert code == 2
 
+    @pytest.mark.parametrize("profile, params", [
+        ("power", ["--param", "p=3"]), ("constant", []),
+        ("bounded_power", ["--param", "p=3"])])
+    def test_uhlenbeck_indices_of_each_profile(self, tmp_path, profile, params):
+        code, out = run(tmp_path, "integrand", "--name", "uhlenbeck", "--param",
+                        f"profile={profile}", *params, "--samples", "200")
+        assert code == 0
+        rep = json.loads((out / "report.json").read_text())
+        maker = {"power": lambda: power_profile(3.0), "constant": constant_profile,
+                 "bounded_power": lambda: bounded_power_profile(3.0)}[profile]
+        assert rep["uhlenbeck_indices"] == uhlenbeck_indices(maker())
+
 
 class TestRieszCheck:
     def test_csv_and_summary(self, tmp_path):
@@ -169,6 +190,15 @@ class TestRadial:
     def test_stress_check_in_high_dimension(self, tmp_path, dim):
         # the cube [-R/2, R/2]^N reaches past the ball |x| <= R once N >= 5
         code, out = run(tmp_path, "radial", "--p", "3", "--N", str(dim))
+        assert code == 0
+        rep = json.loads((out / "report.json").read_text())
+        assert rep["stress_check_max_error"] < 1e-10
+
+
+    @pytest.mark.parametrize("argv", [["--N", "8"], ["--N", "50"],
+                                      ["--r-max", "1e-13"], ["--r-max", "1e-100"]])
+    def test_valid_extremes_exit_0(self, tmp_path, argv):
+        code, out = run(tmp_path, "radial", "--p", "3", *argv)
         assert code == 0
         rep = json.loads((out / "report.json").read_text())
         assert rep["stress_check_max_error"] < 1e-10
@@ -238,12 +268,35 @@ class TestUsage:
         ({}, None, ["cantor", "--levels", ","], "--levels"),
         ({}, None, ["radial", "--p", "3", "--r-max", "inf"], "finite"),
         ({}, None, ["radial", "--p", "3", "--r-max", "1e-300"], "sample point"),
+        ({}, None, ["cordes", "--N", "2", "--m", "nan"], "--m must be finite"),
+        ({}, None, ["cordes", "--N", "2", "--m", "inf"], "--m must be finite"),
+        ({}, None, ["cordes", "--N", "2", "--m", "2", "--K", "inf"], "--K must be finite"),
+        ({}, None, ["cordes", "--N", "2", "--m", "2", "--window", "nan", "4"],
+         "--window must be finite"),
+        ({}, None, ["radial", "--p", "3", "--m", "nan"], "--m must be finite"),
+        ({}, None, ["radial", "--p", "3", "--m", "inf"], "--m must be finite"),
+        ({}, None, ["cpprime-sweep", "--p-grid", "3", "--m", "nan"], "--m must be finite"),
+        ({}, None, ["integrand", "--name", "power", "--param", "p=3", "--r-max", "1e400"],
+         "--r-max must be finite"),
+        ({}, None, ["riesz-check", "--n", "16", "--fields", "1", "--seed", "-1"], "--seed"),
+        ({}, None, ["matrix-check", "--trials", "10", "--seed", "-3"], "--seed"),
+        ({}, None, ["cantor", "--levels", "4..5", "--bumps", "2", "--n-grid", "0"], "n_grid"),
+        ({}, None, ["cantor", "--levels", "4..5", "--bumps", "2", "--n-grid", "-4"], "n_grid"),
+        ({}, None, ["cantor", "--levels", "4..5", "--bumps", "2", "--n-grid", "1"], "n_grid"),
+        ({}, None, ["cantor", "--levels", "4..5", "--bumps", "2", "--n-grid", "3"], "n_grid"),
+        ({}, None, ["integrand", "--name", "power", "--param", "p=x"], "malformed"),
+        ({}, {**_CONFIG, "problem": {**_CONFIG["problem"], "cells": float("inf")}},
+         ["solve", "--config", "{tmp}/config.json"], "cells"),
     ], ids=["quc-threads", "levels", "missing-config", "config-cells",
             "config-stage", "config-list", "config-boundary", "config-tol",
             "p-grid-empty", "p-grid-token", "dims-token", "dims-zero", "dims-one",
             "fields-zero",
             "fields-negative", "bumps-zero", "levels-empty", "r-max-inf",
-            "r-max-tiny"])
+            "r-max-tiny", "cordes-m-nan", "cordes-m-inf", "cordes-k-inf",
+            "cordes-window-nan", "radial-m-nan", "radial-m-inf", "cpprime-m-nan",
+            "integrand-r-max-overflow", "riesz-seed-negative", "matrix-seed-negative",
+            "n-grid-zero", "n-grid-negative", "n-grid-one", "n-grid-three",
+            "param-token", "config-cells-inf"])
     def test_malformed_input_exit_2(self, tmp_path, monkeypatch, capsys, env, config,
                                     argv, message):
         for key, value in env.items():
@@ -254,3 +307,73 @@ class TestUsage:
         assert code == 2
         err = capsys.readouterr().err
         assert "input error:" in err and message in err
+
+
+# fuzz: one option value of a small valid run, or one leaf of a small valid
+# solve config, replaced by a malformed token
+_FUZZ_ARGV = {
+    "matrix-check": "--trials 50 --dims 2,3 --seed 0",
+    "integrand": "--name power --param p=3 --samples 200 --r-min 0.3 --r-max 3 --seed 0",
+    "cordes": "--N 2 --m 2 --K 1.1 --window 1.5 4",
+    "riesz-check": "--n 16 --fields 1 --kmax 4 --seed 0",
+    "solve": "--config {tmp}/config.json",
+    "radial": "--p 3 --N 2 --f-kind const --f-value 1 --m 2 --r-max 1",
+    "cpprime-sweep": "--p-grid 2,3 --N 2 --m 4",
+    "cantor": "--levels 4..5 --bumps 2 --n-grid 64 --seed 0",
+    "report": "--seed 0",
+}
+_FUZZ_CONFIG = {"version": 1, "problem": {
+    "integrand": {"name": "power", "dim": 2, "params": {"p": 3.0}}, "cells": 8,
+    "half_width": 1.0,
+    "boundary": {"kind": "radial_power", "params": {"p": 3.0}},
+    "source": {"kind": "constant", "params": {"value": 1.0}}},
+    "schedule": {"stages": [[0.1, 0.01], [0.0, 0.0]]},
+    "solver": {"tol": 1e-10, "max_iter": 60}}
+_FUZZ_TOKENS = ["", "x", "nan", "inf", "-inf", "-1", "0", "1e400", ",", "..", "3..",
+                "1,,2"]
+
+
+def _leaves(node, path=()):
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, value in items:
+            yield from _leaves(value, path + (key,))
+    else:
+        yield path
+
+
+_FUZZ_CASES = ([(sub, flag) for sub, text in _FUZZ_ARGV.items()
+                for flag in text.split() if flag.startswith("--")]
+               + [("config", path) for path in _leaves(_FUZZ_CONFIG)])
+
+
+def _fuzzed(case, token, tmp: Path) -> list[str]:
+    """The argv of the case with its slot set to the token; writes the config."""
+    config = json.loads(json.dumps(_FUZZ_CONFIG))
+    sub, slot = case
+    if sub == "config":
+        sub, node = "solve", config
+        for key in slot[:-1]:
+            node = node[key]
+        try:
+            node[slot[-1]] = float(token)
+        except ValueError:
+            node[slot[-1]] = token
+    (tmp / "config.json").write_text(json.dumps(config))
+    argv = _FUZZ_ARGV[sub].format(tmp=tmp).split()
+    if slot in argv:
+        i = argv.index(slot) + 1
+        key, eq, _ = argv[i].rpartition("=")
+        argv[i] = key + eq + token
+    return [sub] + argv + ["--out", str(tmp / "out")]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=st.sampled_from(_FUZZ_CASES), token=st.sampled_from(_FUZZ_TOKENS))
+@example(case=("cantor", "--n-grid"), token="0")
+@example(case=("riesz-check", "--seed"), token="-1")
+def test_fuzz_malformed_value_never_raises(monkeypatch, case, token):
+    monkeypatch.setenv("QUC_THREADS", "1")
+    with tempfile.TemporaryDirectory() as tmp:
+        assert main(_fuzzed(case, token, Path(tmp))) in (0, 1, 2)

@@ -120,16 +120,78 @@ def random_spd_d2f(rng, mesh):
     return np.einsum("sij,skj->sik", a, a) + 0.1 * np.eye(mesh.dim)
 
 
+def barycentric_gradients(mesh):
+    """Vertex ids (simplex-major, as d2f) and P1 gradients from the coordinates."""
+    coords = mesh.node_coords()
+    ids = np.concatenate(mesh._vertex_ids, axis=1).T
+    ones = np.ones((len(ids), mesh.dim + 1, 1))
+    bary = np.linalg.inv(np.concatenate([ones, coords[ids]], axis=2))
+    return ids, bary[:, 1:]                             # (dim, dim+1) per simplex
+
+
 def dense_hessian(mesh, d2f):
     """Sum of vol G^T D2F G over simplices, with G from the vertex coordinates."""
-    coords = mesh.node_coords()
-    ids = np.concatenate(mesh._vertex_ids, axis=1).T    # simplex-major, as d2f
     out = np.zeros((mesh.n_nodes, mesh.n_nodes))
-    for vertices, d in zip(ids, d2f):
-        bary = np.linalg.inv(np.hstack([np.ones((mesh.dim + 1, 1)), coords[vertices]]))
-        g = bary[1:]                                    # (dim, dim+1) P1 gradients
+    for vertices, g, d in zip(*barycentric_gradients(mesh), d2f):
         out[np.ix_(vertices, vertices)] += mesh.simplex_volume * g.T @ d @ g
     return out
+
+
+# dyadic and non-dyadic mesh widths h in 2-D and 3-D
+_OPERATOR_MESHES = [(2, 8, 1.0), (2, 10, 1.3), (3, 4, 1.0), (3, 6, 1.41)]
+
+
+class TestGradientOperator:
+    @pytest.mark.parametrize("dim, cells, half_width", _OPERATOR_MESHES)
+    def test_scatter_is_adjoint_of_gradient(self, rng, dim, cells, half_width):
+        # <B^T(vol w), u> = vol <w, B u>
+        mesh = BoxMesh(dim=dim, cells=cells, half_width=half_width)
+        u = rng.standard_normal(mesh.n_nodes)
+        w = rng.standard_normal((mesh.n_simplices, dim))
+        g = mesh.simplex_gradients(u)
+        lhs = mesh.scatter_gradient(w) @ u
+        rhs = mesh.simplex_volume * np.sum(w * g)
+        scale = mesh.simplex_volume * np.sum(np.abs(w * g))
+        assert abs(lhs - rhs) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("cells, half_width", [(4, 1.0), (5, 1.41)])
+    def test_gradients_match_barycentric_3d(self, rng, cells, half_width):
+        mesh = BoxMesh(dim=3, cells=cells, half_width=half_width)
+        u = rng.standard_normal(mesh.n_nodes)
+        ids, bary = barycentric_gradients(mesh)
+        ref = np.einsum("sak,sk->sa", bary, u[ids])
+        np.testing.assert_allclose(mesh.simplex_gradients(u), ref, rtol=1e-12,
+                                   atol=1e-12 * np.abs(ref).max())
+
+    @pytest.mark.parametrize("dim, cells, half_width", _OPERATOR_MESHES)
+    def test_centroids_are_vertex_means(self, dim, cells, half_width):
+        mesh = BoxMesh(dim=dim, cells=cells, half_width=half_width)
+        ids, _ = barycentric_gradients(mesh)
+        np.testing.assert_allclose(mesh.simplex_centroids(),
+                                   mesh.node_coords()[ids].mean(axis=1),
+                                   rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("dim, cells, half_width", _OPERATOR_MESHES)
+    def test_operators_equal_per_permutation_loops(self, rng, dim, cells, half_width):
+        # the loops sum in the same order, so the batched operators keep every bit
+        mesh = BoxMesh(dim=dim, cells=cells, half_width=half_width)
+        u = rng.standard_normal(mesh.n_nodes)
+        df = rng.standard_normal((mesh.n_simplices, dim))
+        tables = list(zip(mesh._vertex_ids, mesh._gmats))
+        grads = np.concatenate([(g @ u[ids]).T for ids, g in tables], axis=0)
+        scatter = np.zeros(mesh.n_nodes)
+        for (ids, g), dfp in zip(tables, df.reshape(len(tables), mesh.n_cells, dim)):
+            contrib = mesh.simplex_volume * dfp @ g
+            for a in range(dim + 1):
+                np.add.at(scatter, ids[a], contrib[:, a])
+        assert np.array_equal(mesh.simplex_gradients(u), grads)
+        assert np.array_equal(mesh.scatter_gradient(df), scatter)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_gradient_components_are_contiguous(self, rng, dim):
+        mesh = BoxMesh(dim=dim, cells=4, half_width=1.0)
+        g = mesh.simplex_gradients(rng.standard_normal(mesh.n_nodes))
+        assert g.shape == (mesh.n_simplices, dim) and g.flags.f_contiguous
 
 
 @pytest.mark.parametrize("dim, cells", [(2, 6), (3, 4)])
