@@ -207,27 +207,34 @@ def cmd_solve(args, out_dir: Path, manifest: Manifest):
               np.column_stack([sol.mesh.node_coords(), sol.u]))
     write_txt(manifest.add(out_dir / "stress.txt"),
               np.column_stack([sol.mesh.cell_centers(), sol.stress_cells]))
-    write_csv(manifest.add(out_dir / "stages.csv"),
-              ["stage", "eps", "mu", "iterations", "energy", "grad_norm",
-               "lipschitz", "coupling_term", "boundary_term"],
-              [[r.index, r.eps, r.mu, r.iterations, r.energy, r.grad_norm,
-                r.lipschitz, r.coupling_term, r.boundary_term]
-               for r in sol.history])
+    columns = ["index", "eps", "mu", "iterations", "energy", "grad_norm",
+               "lipschitz", "coupling_term", "boundary_term",
+               "linear_iterations", "lu_fallbacks"]
+    stages = [{key: getattr(r, key) for key in columns} for r in sol.history]
+    write_csv(manifest.add(out_dir / "stages.csv"), ["stage"] + columns[1:],
+              [[stage[key] for key in columns] for stage in stages])
     coupling = [r.coupling_term for r in sol.history]
     passed = el_res < 1e-6 and all(a >= b for a, b in zip(coupling, coupling[1:]))
     payload = {
         "subcommand": "solve",
         "config": {"path": str(args.config)},
         "energy": sol.energy, "el_residual_hat": el_res,
-        "stages": [{"index": r.index, "eps": r.eps, "mu": r.mu,
-                    "iterations": r.iterations, "energy": r.energy,
-                    "grad_norm": r.grad_norm, "lipschitz": r.lipschitz,
-                    "coupling_term": r.coupling_term,
-                    "boundary_term": r.boundary_term} for r in sol.history],
+        "warm_start": sol.warm_start, "stages": stages,
         "regularity": regularity, "pass": passed,
     }
     write_json(manifest.add(out_dir / "report.json"), payload)
     return payload, passed
+
+
+def _all_finite(obj) -> bool:
+    """Is every number in a (nested) report payload finite?"""
+    if isinstance(obj, dict):
+        return all(_all_finite(v) for v in obj.values())
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return all(_all_finite(v) for v in obj)
+    if isinstance(obj, (float, np.floating)):
+        return bool(np.isfinite(obj))
+    return True
 
 
 def _radial_source(kind: str, value: float):
@@ -264,14 +271,17 @@ def cmd_radial(args, out_dir: Path, manifest: Manifest):
     write_csv(manifest.add(out_dir / "profile.csv"),
               ["r", "flux", "v_prime", "v"],
               np.column_stack([sol.r, sol.flux, sol.v_prime, sol.v]).tolist())
-    passed = defect < 1e-10 and (stress_err is None or stress_err < 1e-10)
     payload = {
         "subcommand": "radial", "p": args.p, "dim": args.N, "m": args.m,
         "source": {"kind": args.f_kind, "value": args.f_value},
         "flux_defect": defect, "stress_check_max_error": stress_err,
         "holder_exponent": fit.exponent, "holder_ci95": fit.ci95,
-        "w1m_norms": norms, "pass": passed,
+        "w1m_norms": norms,
     }
+    # a NaN or inf anywhere in the report fails the gate instead of passing it
+    passed = defect < 1e-10 and (stress_err is None or stress_err < 1e-10) \
+        and _all_finite(payload)
+    payload["pass"] = passed
     write_json(manifest.add(out_dir / "report.json"), payload)
     return payload, passed
 

@@ -22,8 +22,22 @@ the interior block in a geometric nested-dissection order (George, SIAM J.
 Numer. Anal. 10, 1973).  That order bisects the longest axis of the interior
 grid, orders both halves recursively and numbers the separator plane last;
 on the (2N+1)-point stencil it is near-optimal for the fill of a sparse LU,
-so the interior block is factored in this order with no further column
-permutation.  Assembly is then one ``np.bincount`` into the fixed pattern.
+so an LU of the interior block (the coarsest multigrid level below, or the
+fallback of a Newton step) needs no further column permutation.  Assembly
+is then one ``np.bincount`` into the fixed pattern.
+
+Kuhn meshes nest: halving the cell count coarsens the triangulation, and
+on the coarse mesh's edges (the 0/1 steps s) the P1 prolongation is exact,
+with fine node 2c + s the mean of coarse nodes c and c + s.
+:attr:`BoxMesh.prolongations` holds these maps between interior nodes, each
+level in nested-dissection order, halving while the cell count is even and
+above 8.  Each Newton step solves the interior block by conjugate
+gradients preconditioned with one multigrid V-cycle on that hierarchy
+(Hackbusch, Multi-Grid Methods and Applications, 1985; Bramble, Pasciak &
+Xu, Math. Comp. 55, 1990), whose coarse operators are the Galerkin
+products P^T A P and whose coarsest level is a sparse LU.  A mesh that does
+not coarsen (odd, or 8 cells or fewer) is that one level: its V-cycle is
+the LU solve itself.
 """
 
 from __future__ import annotations
@@ -87,6 +101,33 @@ def _nested_dissection(ids: np.ndarray) -> np.ndarray:
     mid = len(ids) // 2
     return np.concatenate([_nested_dissection(ids[:mid]),
                            _nested_dissection(ids[mid + 1:]), ids[mid].ravel()])
+
+
+def _interior_order(dim: int, cells: int) -> np.ndarray:
+    """Interior node ids of the (cells + 1)^dim grid in nested-dissection order."""
+    ids = np.arange((cells + 1) ** dim).reshape((cells + 1,) * dim)
+    return _nested_dissection(ids[(slice(1, -1),) * dim])
+
+
+def _prolongation(dim: int, cells: int, fine: np.ndarray,
+                  coarse: np.ndarray) -> sparse.csr_matrix:
+    """P1 prolongation from the Kuhn mesh of cells/2 to that of cells.
+
+    Row i is the interior node fine[i], column j the coarse interior node
+    coarse[j]: fine node 2c + s, s in {0,1}^dim, is the mean of coarse nodes
+    c and c + s; coarse boundary nodes carry no correction and are dropped.
+    """
+    c, s = np.divmod(np.indices((cells + 1,) * dim).reshape(dim, -1)[:, fine], 2)
+    position = np.full((cells // 2 + 1) ** dim, -1)
+    position[coarse] = np.arange(coarse.size)
+    strides = (cells // 2 + 1) ** np.arange(dim - 1, -1, -1)
+    cols = position[strides @ np.stack([c, c + s])]
+    rows = np.broadcast_to(np.arange(fine.size), cols.shape)
+    keep = cols >= 0
+    # s = 0 lists coarse node c twice, and the duplicates add up to 1
+    return sparse.csr_matrix((np.full(np.count_nonzero(keep), 0.5),
+                              (rows[keep], cols[keep])),
+                             shape=(fine.size, coarse.size))
 
 
 @dataclass(frozen=True)
@@ -211,9 +252,7 @@ class BoxMesh:
         cols = np.tile(vertex, d + 1)                    # vertex b of entry (a, b)
         indices, indptr, slot = _csc_pattern(rows.ravel(), cols.ravel(), n)
 
-        interior_ids = np.arange(n).reshape((self.cells + 1,) * d)[
-            (slice(1, -1),) * d]
-        order = _nested_dissection(interior_ids)
+        order = _interior_order(d, self.cells)
         position = np.full(n, -1)
         position[order] = np.arange(order.size)
         entry_rows = position[indices]
@@ -227,6 +266,18 @@ class BoxMesh:
                               order=order, block_gather=block_gather,
                               block_indices=block_indices,
                               block_indptr=block_indptr)
+
+    @cached_property
+    def prolongations(self) -> tuple:
+        """P1 prolongations down the halving hierarchy, finest first, built on
+        first use; the first one's rows follow ``hessian_pattern.order``."""
+        out = []
+        cells, fine = self.cells, self.hessian_pattern.order
+        while cells % 2 == 0 and cells > 8:
+            coarse = _interior_order(self.dim, cells // 2)
+            out.append(_prolongation(self.dim, cells, fine, coarse))
+            cells, fine = cells // 2, coarse
+        return tuple(out)
 
     def assemble_hessian(self, d2f: np.ndarray) -> sparse.csc_matrix:
         """Sparse Hessian of the gradient energy given D2F per simplex."""

@@ -17,6 +17,7 @@ against the final energy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -28,6 +29,12 @@ from .mesh import BoxMesh
 from .problem import ProblemSpec, RegularizationSchedule
 
 ARMIJO = 1e-4
+# the Newton step's linear solve: weighted Jacobi smoothing with equal pre-
+# and post-sweeps keeps the V-cycle symmetric, as CG needs
+JACOBI_WEIGHT = 0.7
+SWEEPS = 2
+PCG_RTOL = 1e-10
+PCG_MAX_ITER = 50
 
 
 def assemble_energy(mesh: BoxMesh, f_obj: Integrand, u: np.ndarray,
@@ -41,29 +48,121 @@ def assemble_energy(mesh: BoxMesh, f_obj: Integrand, u: np.ndarray,
                  + np.sum(mesh.node_weights * f_nodes * u))
 
 
-def _factor_solve(block: sparse.csc_matrix, rhs: np.ndarray) -> np.ndarray:
-    """Solve block x = rhs by sparse LU in the block's own (nested-dissection)
-    order; a singular factorization gets a Levenberg bump, the documented
-    fallback."""
+def _factorize(block: sparse.csc_matrix):
+    """Sparse LU of block in the block's own (nested-dissection) order; a
+    singular factorization gets a Levenberg bump, the documented fallback."""
     options = dict(SymmetricMode=True)
     try:
-        return splu(block, permc_spec="NATURAL", options=options).solve(rhs)
+        return splu(block, permc_spec="NATURAL", options=options)
     except RuntimeError:
         diag_scale = max(float(np.abs(block.diagonal()).max()), 1.0)
         bumped = block + 1e-12 * diag_scale * sparse.identity(block.shape[0],
                                                               format="csc")
-        return splu(bumped, permc_spec="NATURAL", options=options).solve(rhs)
+        return splu(bumped, permc_spec="NATURAL", options=options)
+
+
+def _factor_solve(block: sparse.csc_matrix, rhs: np.ndarray) -> np.ndarray:
+    """Solve block x = rhs by sparse LU (see :func:`_factorize`)."""
+    return _factorize(block).solve(rhs)
+
+
+def _vcycle(block: sparse.csc_matrix, prolongations: tuple):
+    """One multigrid V-cycle for block, as a map from residual to correction.
+
+    The coarse operators are the Galerkin products P^T A P down the mesh
+    hierarchy, smoothed by weighted Jacobi, and the coarsest is factored
+    once; with no prolongation the cycle is that LU solve of block itself.
+    """
+    ops = [block]
+    for prol in prolongations:
+        ops.append((prol.T @ ops[-1] @ prol).tocsc())
+    coarsest = _factorize(ops[-1])
+    weights = [JACOBI_WEIGHT / a.diagonal() for a in ops[:-1]]
+
+    def cycle(r: np.ndarray, level: int = 0) -> np.ndarray:
+        if level == len(prolongations):
+            return coarsest.solve(r)
+        a, w, prol = ops[level], weights[level], prolongations[level]
+        x = w * r
+        for _ in range(SWEEPS - 1):
+            x += w * (r - a @ x)
+        x += prol @ cycle(prol.T @ (r - a @ x), level + 1)
+        for _ in range(SWEEPS):
+            x += w * (r - a @ x)
+        return x
+
+    return cycle
+
+
+def _pcg(a: sparse.csc_matrix, b: np.ndarray, precondition) -> tuple:
+    """Preconditioned CG from x = 0 to ||b - a x|| <= PCG_RTOL ||b||.
+
+    Returns (x, iterations); x is None when the cap is reached first or the
+    curvature p^T a p stops being positive.
+    """
+    x = np.zeros_like(b)
+    r = b.copy()
+    z = precondition(r)
+    p = z.copy()
+    rz = float(r @ z)
+    stop = PCG_RTOL * np.linalg.norm(b)
+    for iteration in range(1, PCG_MAX_ITER + 1):
+        ap = a @ p
+        curvature = float(p @ ap)
+        if not curvature > 0.0:
+            break
+        alpha = rz / curvature
+        x += alpha * p
+        r -= alpha * ap
+        if np.linalg.norm(r) <= stop:
+            return x, iteration
+        z = precondition(r)
+        rz, rz_old = float(r @ z), rz
+        p = z + (rz / rz_old) * p
+    return None, iteration
+
+
+def _solve_step(mesh: BoxMesh, block: sparse.csc_matrix,
+                rhs: np.ndarray) -> tuple[np.ndarray, int, bool]:
+    """Solve the interior block (nested-dissection order) for the Newton step.
+
+    Multigrid-preconditioned CG on the mesh hierarchy; if it misses its
+    tolerance, the LU solve of the block.  Returns (x, PCG iterations,
+    whether the LU fallback was taken).
+    """
+    x, iterations = _pcg(block, rhs, _vcycle(block, mesh.prolongations))
+    if x is None:
+        return _factor_solve(block, rhs), iterations, True
+    return x, iterations, False
+
+
+class StageResult(NamedTuple):
+    u: np.ndarray
+    iterations: int             # accepted Newton steps
+    grad_norm: float
+    energies: list
+    linear_iterations: int      # PCG iterations over all steps
+    lu_fallbacks: int           # steps solved by LU after a PCG miss
 
 
 def _stage_newton(mesh: BoxMesh, f_obj: Integrand, f_nodes: np.ndarray,
-                  u: np.ndarray, tol: float,
-                  max_iter: int) -> tuple[np.ndarray, int, float, list]:
+                  u: np.ndarray, tol: float, max_iter: int) -> StageResult:
+    """Damped Newton for one stage, from u until the interior gradient norm
+    is at most tol.
+
+    Each step solves the interior Hessian block by conjugate gradients
+    preconditioned with one multigrid V-cycle on the mesh's nested Kuhn
+    hierarchy (:func:`_solve_step`); a PCG miss falls back to the block's
+    sparse LU and is counted in ``lu_fallbacks``.  Armijo backtracking
+    accepts the step.
+    """
     interior = mesh.interior_mask
     pattern = mesh.hessian_pattern
     energies = [assemble_energy(mesh, f_obj, u, f_nodes)]
     grad_norm = np.inf
     load = mesh.node_weights * f_nodes
     step = np.zeros(mesh.n_nodes)
+    linear_iterations = lu_fallbacks = 0
 
     for iteration in range(max_iter):
         # DF and D2F from one sweep; the line search below needs F only
@@ -72,11 +171,15 @@ def _stage_newton(mesh: BoxMesh, f_obj: Integrand, f_nodes: np.ndarray,
         grad = grad_full[interior]
         grad_norm = float(np.linalg.norm(grad))
         if grad_norm <= tol:
-            return u, iteration, grad_norm, energies
+            return StageResult(u, iteration, grad_norm, energies,
+                               linear_iterations, lu_fallbacks)
 
         hess = mesh.assemble_hessian(np.asarray(d2f, float))
         block = pattern.interior_block(hess.data)
-        step[pattern.order] = _factor_solve(block, grad_full[pattern.order])
+        step[pattern.order], pcg_iterations, fell_back = _solve_step(
+            mesh, block, grad_full[pattern.order])
+        linear_iterations += pcg_iterations
+        lu_fallbacks += fell_back
         direction = -step[interior]
 
         slope = float(grad @ direction)
@@ -117,6 +220,8 @@ class StageRecord:
     lipschitz: float            # A_n = max |Dv_n|
     coupling_term: float        # mu^(p-1) A_n^(2-p)
     boundary_term: float        # mu * ||D u_0||_2^2 of the warm start
+    linear_iterations: int      # PCG iterations over the stage's Newton steps
+    lu_fallbacks: int           # Newton steps solved by LU after a PCG miss
     energies: list = field(repr=False, default_factory=list)
 
 
@@ -129,6 +234,7 @@ class DiscreteSolution:
     stress_cells: np.ndarray    # V = DF(Du) at cell centers
     energy: float               # unregularized energy at the final iterate
     history: tuple
+    warm_start: str             # "ok", "off", or why the harmonic start failed
 
     @property
     def f_nodes(self) -> np.ndarray:
@@ -139,8 +245,7 @@ def _harmonic_warm_start(mesh: BoxMesh, u0: np.ndarray, f_nodes: np.ndarray) -> 
     """One linear solve of the quadratic-energy problem as initialization."""
     from ..integrands.gallery import power
     quad = power(2.0, dim=mesh.dim)
-    u, _, _, _ = _stage_newton(mesh, quad, f_nodes, u0, tol=1e-9, max_iter=4)
-    return u
+    return _stage_newton(mesh, quad, f_nodes, u0, tol=1e-9, max_iter=4).u
 
 
 def minimize(spec: ProblemSpec, schedule: RegularizationSchedule | None = None,
@@ -166,11 +271,13 @@ def minimize(spec: ProblemSpec, schedule: RegularizationSchedule | None = None,
     if not np.all(np.isfinite(u[bmask])):
         raise InputError("boundary data has non-finite values")
 
-    try:
-        if warm_start:
+    start = "off"
+    if warm_start:
+        try:
             u = _harmonic_warm_start(mesh, u, f_nodes_raw)
-    except NumericError:
-        pass  # fall back to the flat extension
+            start = "ok"
+        except NumericError as exc:  # the flat extension stays, and is reported
+            start = str(exc)
     boundary_grad_sq = float(np.sum(mesh.simplex_gradients(u) ** 2)
                              * mesh.simplex_volume)
 
@@ -185,20 +292,25 @@ def minimize(spec: ProblemSpec, schedule: RegularizationSchedule | None = None,
         try:
             # the quadratic tilt already sits inside the stage Hessian; a
             # Levenberg bump covers the rare singular factorization at mu = 0
-            u, iters, gnorm, energies = _stage_newton(
-                mesh, f_stage, f_nodes_raw, u, tol=tol, max_iter=max_iter)
+            stage = _stage_newton(mesh, f_stage, f_nodes_raw, u, tol=tol,
+                                  max_iter=max_iter)
         except NumericError as exc:
             raise NumericError(f"stage {idx} (eps={eps:g}, mu={mu:g}): {exc}") from exc
+        u = stage.u
         lipschitz = float(np.max(np.linalg.norm(mesh.simplex_gradients(u), axis=1)))
         coupling = mu ** (growth_p - 1.0) * max(lipschitz, 1.0) ** (2.0 - growth_p)
         history.append(StageRecord(
-            index=idx, eps=eps, mu=mu, iterations=iters, energy=energies[-1],
-            grad_norm=gnorm, lipschitz=lipschitz, coupling_term=float(coupling),
-            boundary_term=float(mu * boundary_grad_sq), energies=energies))
+            index=idx, eps=eps, mu=mu, iterations=stage.iterations,
+            energy=stage.energies[-1], grad_norm=stage.grad_norm,
+            lipschitz=lipschitz, coupling_term=float(coupling),
+            boundary_term=float(mu * boundary_grad_sq),
+            linear_iterations=stage.linear_iterations,
+            lu_fallbacks=stage.lu_fallbacks, energies=stage.energies))
 
     du_cells = mesh.cell_mean_gradients(u)
     stress = np.asarray(spec.integrand.gradient(du_cells), float)
     final_energy = assemble_energy(mesh, spec.integrand, u, f_nodes_raw)
     return DiscreteSolution(spec=spec, schedule=schedule, mesh=mesh, u=u,
                             stress_cells=stress,
-                            energy=final_energy, history=tuple(history))
+                            energy=final_energy, history=tuple(history),
+                            warm_start=start)

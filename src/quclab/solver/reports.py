@@ -9,6 +9,7 @@ centers, living on the half-shifted (n-1)^2 lattice.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import factorial
 
 import numpy as np
 
@@ -194,19 +195,19 @@ def caccioppoli_check(sol: DiscreteSolution, r: float, s: float, big_r: float,
 
 
 def hat_norm_w1p(mesh: BoxMesh, p: float) -> float:
-    """W^{1,p} norm of one interior hat function (all are congruent)."""
-    # Six simplices, on each int phi^p = vol dim!/((p+1)...(p+dim)) and
-    # |Dphi| = sqrt(k)/h: exact in 2-D (k = 1, 1, 2, twice); in 3-D an
-    # approximation with k = 1, 2, 3 twice (the true support is 24 simplices)
-    h = mesh.h
+    """W^{1,p} norm of one interior hat function (all are congruent).
+
+    The hat of node (1, ..., 1) is the barycentric coordinate of its vertex
+    slot k on every simplex of its support: there int phi^p = vol dim! /
+    ((p+1)...(p+dim)) and Dphi is column k of the simplex's gradient table.
+    """
+    node = int(np.sum((mesh.cells + 1) ** np.arange(mesh.dim)))
+    perm, vertex, _ = np.nonzero(mesh._vertex_ids == node)
+    grads = np.linalg.norm(mesh._gmats[perm, :, vertex], axis=1)
     vol = mesh.simplex_volume
-    if mesh.dim == 2:
-        grads = [1.0 / h, 1.0 / h, np.sqrt(2.0) / h] * 2
-        val_int = 6 * vol * 2.0 / ((p + 1.0) * (p + 2.0))
-    else:
-        grads = [np.sqrt(k) / h for k in (1, 2, 3)] * 2
-        val_int = 6 * vol * 6.0 / ((p + 1.0) * (p + 2.0) * (p + 3.0))
-    grad_int = vol * float(np.sum(np.asarray(grads) ** p))
+    val_int = (perm.size * vol * factorial(mesh.dim)
+               / np.prod(p + np.arange(1, mesh.dim + 1)))
+    grad_int = vol * float(np.sum(grads ** p))
     return float((val_int + grad_int) ** (1.0 / p))
 
 

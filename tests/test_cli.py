@@ -166,6 +166,27 @@ class TestSolve:
         assert (out / "stress.txt").exists()
         assert (out / "stages.csv").read_text().startswith("stage,eps,mu")
 
+    def test_report_records_linear_solves_and_warm_start(self, tmp_path):
+        cfg_path = tmp_path / "prob.json"
+        cfg_path.write_text(json.dumps({"version": 1, "problem": {
+            "integrand": {"name": "power", "dim": 2, "params": {"p": 3}},
+            "cells": 16, "boundary": {"kind": "radial_power", "params": {"p": 3}},
+            "source": {"kind": "constant", "params": {"value": 1.0}}}}))
+        code, out = run(tmp_path, "solve", "--config", str(cfg_path))
+        assert code == 0
+        validate(out / "report.json", "solve_report")
+        rep = json.loads((out / "report.json").read_text())
+        assert rep["warm_start"] == "ok"
+        # 16 cells coarsen once, so every Newton step takes a few PCG iterations
+        for stage in rep["stages"]:
+            assert stage["lu_fallbacks"] == 0
+            assert stage["iterations"] < stage["linear_iterations"] \
+                <= 25 * stage["iterations"]
+        lines = (out / "stages.csv").read_text().splitlines()
+        assert lines[0].endswith(",boundary_term,linear_iterations,lu_fallbacks")
+        assert [int(line.split(",")[-2]) for line in lines[1:]] == \
+            [stage["linear_iterations"] for stage in rep["stages"]]
+
     def test_bad_config_exit_2(self, tmp_path):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps({"version": 1, "problem": {
@@ -202,6 +223,15 @@ class TestRadial:
         assert code == 0
         rep = json.loads((out / "report.json").read_text())
         assert rep["stress_check_max_error"] < 1e-10
+
+
+    def test_non_finite_report_fails_the_gate(self, tmp_path):
+        # at N = 100 the flux near r = 0 is 0/0 and the Holder fit reads NaN
+        code, out = run(tmp_path, "radial", "--p", "3", "--N", "100")
+        assert code == 1
+        rep = json.loads((out / "report.json").read_text())
+        assert rep["holder_exponent"] == "nan"
+        assert rep["pass"] is False
 
 
 class TestCpPrimeSweep:

@@ -7,7 +7,7 @@ import pytest
 from scipy import sparse
 from scipy.sparse.linalg import splu, spsolve
 
-from quclab.errors import InputError, PreconditionError
+from quclab.errors import InputError, NumericError, PreconditionError
 from quclab.integrands import gallery
 from quclab.solver import (
     BoxMesh,
@@ -27,6 +27,7 @@ from quclab.solver import (
     w1p_error,
 )
 from quclab.solver.problem import radial_power_gradient
+from quclab.solver.reports import hat_norm_w1p
 
 # the package re-exports the function `minimize`, which shadows the module
 newton = importlib.import_module("quclab.solver.minimize")
@@ -254,6 +255,130 @@ def test_singular_factorization_takes_levenberg_bump(monkeypatch):
     assert np.linalg.norm(bumped @ x - rhs) <= 1e-10 * np.linalg.norm(rhs)
 
 
+def hessian_block(mesh, d2f):
+    return mesh.hessian_pattern.interior_block(mesh.assemble_hessian(d2f).data)
+
+
+class TestMultigridStep:
+    @pytest.mark.parametrize("dim, cells", [(2, 16), (2, 32), (3, 16)])
+    def test_pcg_step_matches_direct_solve(self, rng, dim, cells):
+        mesh = BoxMesh(dim=dim, cells=cells, half_width=1.0)
+        assert mesh.prolongations
+        block = hessian_block(mesh, random_spd_d2f(rng, mesh))
+        rhs = rng.standard_normal(block.shape[0])
+        step, iterations, fell_back = newton._solve_step(mesh, block, rhs)
+        ref = spsolve(block, rhs)
+        assert not fell_back and 1 < iterations <= newton.PCG_MAX_ITER
+        assert np.linalg.norm(step - ref) <= 1e-9 * np.linalg.norm(ref)
+
+    def test_prolongation_is_exact_on_the_kuhn_hierarchy(self):
+        # the Galerkin product of the fine Laplacian block is the coarse
+        # mesh's own Laplacian block, in the coarse level's order
+        from quclab.solver.mesh import _interior_order
+        fine, coarse = (BoxMesh(dim=3, cells=n, half_width=1.0) for n in (16, 8))
+        prol, = fine.prolongations
+        assert prol.shape == (15 ** 3, 7 ** 3)
+
+        def laplacian(mesh):
+            return hessian_block(mesh, np.array(
+                np.broadcast_to(np.eye(3), (mesh.n_simplices, 3, 3))))
+
+        order = _interior_order(3, 8)
+        assert np.array_equal(order, coarse.hessian_pattern.order)
+        galerkin = (prol.T @ laplacian(fine) @ prol).toarray()
+        np.testing.assert_allclose(galerkin, laplacian(coarse).toarray(),
+                                   rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("cells, levels", [(8, 0), (12, 1), (15, 0),
+                                               (64, 3), (100, 2)])
+    def test_coarsening_halves_even_counts_above_8(self, cells, levels):
+        mesh = BoxMesh(dim=2, cells=cells, half_width=1.0)
+        assert len(mesh.prolongations) == levels
+
+    @pytest.mark.parametrize("name, params", [
+        ("power", {"p": 3.0}), ("mixed", {"p": 2.0, "q": 4.0}),
+        ("mixed", {"p": 3.0, "q": 4.0}), ("orthotropic", {"p": 4.0})])
+    def test_iterations_per_step_bounded(self, monkeypatch, name, params):
+        solve_step = newton._solve_step
+        steps = []
+
+        def recorded(*args):
+            out = solve_step(*args)
+            steps.append(out[1:])
+            return out
+
+        monkeypatch.setattr(newton, "_solve_step", recorded)
+        spec = ProblemSpec(integrand=gallery(name, **params), cells=32,
+                           boundary=make_boundary("radial_power", p=3.0),
+                           source=make_source("constant", value=1.0))
+        sol = minimize(spec)
+        assert steps and max(its for its, _ in steps) <= 25
+        assert not any(fell_back for _, fell_back in steps)
+        # the stage records carry the PCG totals of their Newton steps
+        stage_steps = sum(rec.iterations for rec in sol.history)
+        assert sum(rec.linear_iterations for rec in sol.history) == \
+            sum(its for its, _ in steps[-stage_steps:])
+        assert [rec.lu_fallbacks for rec in sol.history] == [0] * 4
+
+    def test_odd_cells_take_one_lu_iteration(self, rng):
+        mesh = BoxMesh(dim=2, cells=15, half_width=1.0)
+        assert mesh.prolongations == ()
+        block = hessian_block(mesh, random_spd_d2f(rng, mesh))
+        rhs = rng.standard_normal(block.shape[0])
+        step, iterations, fell_back = newton._solve_step(mesh, block, rhs)
+        ref = newton._factor_solve(block, rhs)
+        assert (iterations, fell_back) == (1, False)
+        assert np.linalg.norm(step - ref) <= 1e-13 * np.linalg.norm(ref)
+
+    def test_cap_miss_falls_back_to_lu_and_is_counted(self, monkeypatch):
+        # one PCG iteration cannot solve a coarsening mesh's system; the
+        # quadratic energy's single Newton step is then exactly the LU step
+        mesh = BoxMesh(dim=2, cells=16, half_width=1.0)
+        quad = gallery("power", p=2.0)
+        f_nodes = np.ones(mesh.n_nodes)
+        u0 = np.zeros(mesh.n_nodes)
+        monkeypatch.setattr(newton, "PCG_MAX_ITER", 1)
+        result = newton._stage_newton(mesh, quad, f_nodes, u0, tol=1e-8, max_iter=2)
+        assert (result.iterations, result.linear_iterations,
+                result.lu_fallbacks) == (1, 1, 1)
+        _, df, d2f = quad.jet(mesh.simplex_gradients(u0), 2)
+        grad = mesh.scatter_gradient(df) + mesh.node_weights * f_nodes
+        pattern = mesh.hessian_pattern
+        lu_step = np.zeros(mesh.n_nodes)
+        lu_step[pattern.order] = newton._factor_solve(
+            hessian_block(mesh, d2f), grad[pattern.order])
+        np.testing.assert_array_equal(result.u, u0 - lu_step)
+
+
+class TestHatNorm:
+    @pytest.mark.parametrize("cells, half_width", [(4, 1.0), (16, 1.0), (10, 1.3)])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.5])
+    def test_2d_closed_form(self, cells, half_width, p):
+        # six triangles: |Dphi| = 1/h on four, sqrt(2)/h on two
+        mesh = BoxMesh(dim=2, cells=cells, half_width=half_width)
+        h, vol = mesh.h, mesh.simplex_volume
+        grads = np.array([1.0, 1.0, np.sqrt(2.0)] * 2) / h
+        ref = (6 * vol * 2.0 / ((p + 1.0) * (p + 2.0))
+               + vol * np.sum(grads ** p)) ** (1.0 / p)
+        assert hat_norm_w1p(mesh, p) == pytest.approx(ref, rel=1e-15)
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_3d_matches_sum_over_the_24_tetrahedra(self, p):
+        mesh = BoxMesh(dim=3, cells=4, half_width=1.0)
+        node = 2 * (25 + 5 + 1)                          # the center (2, 2, 2)
+        ids, grads = barycentric_gradients(mesh)
+        coords = mesh.node_coords()
+        simplex, slot = np.nonzero(ids == node)
+        assert simplex.size == 24
+        total = 0.0
+        for s, k in zip(simplex, slot):
+            vol = abs(np.linalg.det(coords[ids[s, 1:]] - coords[ids[s, 0]])) / 6.0
+            # int lambda^p over a tetrahedron = vol 3! / ((p+1)(p+2)(p+3))
+            total += vol * 6.0 / ((p + 1.0) * (p + 2.0) * (p + 3.0))
+            total += vol * np.linalg.norm(grads[s][:, k]) ** p
+        assert hat_norm_w1p(mesh, p) == pytest.approx(total ** (1.0 / p), rel=1e-13)
+
+
 class TestEnergyAssembly:
     def test_affine_on_unit_box(self):
         # F = |z|^2/2, w = x1 on [-1,1]^2, f = 0: energy = |Omega|/2 = 2
@@ -366,6 +491,31 @@ class TestMinimize:
             assert [rec.grad_norm <= 1e-10 for rec in sol.history] == [True] * 4
             errs.append(float(np.max(np.abs(sol.u - exact(sol.mesh.node_coords())))))
         assert errs[1] < errs[0] < 1e-2
+
+    def test_p3_3d_cascade_32_matches_radial_oracle(self):
+        # 32^3 coarsens twice (32 -> 16 -> 8): every stage converges with
+        # no LU fallback, and the nodal error falls from 16^3
+        exact = radial_power_solution(3.0, dim=3)
+        errs = []
+        for cells in (16, 32):
+            spec = ProblemSpec(integrand=gallery("power", p=3.0, dim=3), cells=cells,
+                               boundary=make_boundary("radial_power", p=3.0, dim=3),
+                               source=make_source("constant", value=1.0))
+            sol = minimize(spec)
+            assert [rec.grad_norm <= 1e-10 for rec in sol.history] == [True] * 4
+            assert [rec.lu_fallbacks for rec in sol.history] == [0] * 4
+            assert sol.warm_start == "ok"
+            errs.append(float(np.max(np.abs(sol.u - exact(sol.mesh.node_coords())))))
+        assert errs[1] < errs[0] < 1e-2
+
+    def test_failed_warm_start_is_reported(self, monkeypatch):
+        def fail(*args):
+            raise NumericError("line search stalled at iteration 0")
+
+        monkeypatch.setattr(newton, "_harmonic_warm_start", fail)
+        sol = minimize(radial_spec(3.0, 16))
+        assert sol.warm_start == "line search stalled at iteration 0"
+        assert minimize(radial_spec(3.0, 16), warm_start=False).warm_start == "off"
 
     def test_el_residual_small_at_minimizer(self, p3_solution):
         assert euler_lagrange_residual(p3_solution, mode="hat") < 1e-8
