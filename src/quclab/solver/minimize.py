@@ -7,7 +7,8 @@ Stage n minimizes the strictly convex discrete functional
 
 over interior nodes with Dirichlet data, warm-starting from the previous
 stage.  Within a stage the energy decreases along accepted Newton steps
-(Armijo backtracking); across stages the cascade logs the Lipschitz proxy
+(Armijo backtracking, up to round-off once the test has stalled there);
+across stages the cascade logs the Lipschitz proxy
 A_n = max |Dv_n| and the coupling term mu_n^(p-1) A_n^(2-p), which must
 decay for the approximating minimizers to converge to the unregularized
 minimizer, together with the stage energies whose limit is monitored
@@ -21,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import LinearOperator, cg, splu
 
 from ..errors import InputError, NumericError
 from ..integrands import Integrand, mollify
@@ -29,6 +30,8 @@ from .mesh import BoxMesh
 from .problem import ProblemSpec, RegularizationSchedule
 
 ARMIJO = 1e-4
+# Armijo slack in ulps of |e0| once the plain test stalls at round-off
+STALL_SLACK = 64
 # the Newton step's linear solve: weighted Jacobi smoothing with equal pre-
 # and post-sweeps keeps the V-cycle symmetric, as CG needs
 JACOBI_WEIGHT = 0.7
@@ -94,44 +97,28 @@ def _vcycle(block: sparse.csc_matrix, prolongations: tuple):
     return cycle
 
 
-def _pcg(a: sparse.csc_matrix, b: np.ndarray, precondition) -> tuple:
-    """Preconditioned CG from x = 0 to ||b - a x|| <= PCG_RTOL ||b||.
-
-    Returns (x, iterations); x is None when the cap is reached first or the
-    curvature p^T a p stops being positive.
-    """
-    x = np.zeros_like(b)
-    r = b.copy()
-    z = precondition(r)
-    p = z.copy()
-    rz = float(r @ z)
-    stop = PCG_RTOL * np.linalg.norm(b)
-    for iteration in range(1, PCG_MAX_ITER + 1):
-        ap = a @ p
-        curvature = float(p @ ap)
-        if not curvature > 0.0:
-            break
-        alpha = rz / curvature
-        x += alpha * p
-        r -= alpha * ap
-        if np.linalg.norm(r) <= stop:
-            return x, iteration
-        z = precondition(r)
-        rz, rz_old = float(r @ z), rz
-        p = z + (rz / rz_old) * p
-    return None, iteration
-
-
 def _solve_step(mesh: BoxMesh, block: sparse.csc_matrix,
                 rhs: np.ndarray) -> tuple[np.ndarray, int, bool]:
     """Solve the interior block (nested-dissection order) for the Newton step.
 
-    Multigrid-preconditioned CG on the mesh hierarchy; if it misses its
-    tolerance, the LU solve of the block.  Returns (x, PCG iterations,
-    whether the LU fallback was taken).
+    scipy's CG from x = 0 to ||b - A x|| < PCG_RTOL ||b||, preconditioned by
+    one V-cycle on the mesh hierarchy; if it misses, or a zero diagonal entry
+    leaves no Jacobi smoother, the LU solve of the block.  Returns (x, PCG
+    iterations, whether the step was solved by LU instead).
     """
-    x, iterations = _pcg(block, rhs, _vcycle(block, mesh.prolongations))
-    if x is None:
+    if not block.diagonal().all():
+        return _factor_solve(block, rhs), 0, True
+    iterations = 0
+
+    def count(_):
+        nonlocal iterations
+        iterations += 1
+
+    cycle = LinearOperator(block.shape, _vcycle(block, mesh.prolongations),
+                           dtype=float)
+    x, info = cg(block, rhs, rtol=PCG_RTOL, maxiter=PCG_MAX_ITER, M=cycle,
+                 callback=count)
+    if info:
         return _factor_solve(block, rhs), iterations, True
     return x, iterations, False
 
@@ -154,7 +141,9 @@ def _stage_newton(mesh: BoxMesh, f_obj: Integrand, f_nodes: np.ndarray,
     preconditioned with one multigrid V-cycle on the mesh's nested Kuhn
     hierarchy (:func:`_solve_step`); a PCG miss falls back to the block's
     sparse LU and is counted in ``lu_fallbacks``.  Armijo backtracking
-    accepts the step.
+    accepts the step; once it has cut a step whose predicted decrease is
+    below the round-off of the energy, it allows ``STALL_SLACK`` ulps of the
+    energy for the rest of the stage.
     """
     interior = mesh.interior_mask
     pattern = mesh.hessian_pattern
@@ -163,6 +152,7 @@ def _stage_newton(mesh: BoxMesh, f_obj: Integrand, f_nodes: np.ndarray,
     load = mesh.node_weights * f_nodes
     step = np.zeros(mesh.n_nodes)
     linear_iterations = lu_fallbacks = 0
+    slack = 0.0
 
     for iteration in range(max_iter):
         # DF and D2F from one sweep; the line search below needs F only
@@ -196,13 +186,21 @@ def _stage_newton(mesh: BoxMesh, f_obj: Integrand, f_nodes: np.ndarray,
                 e_trial = assemble_energy(mesh, f_obj, trial, f_nodes)
             except NumericError:
                 e_trial = np.inf
-            if e_trial <= e0 + ARMIJO * t * slope:
+            if e_trial <= e0 + ARMIJO * t * slope + slack:
                 break
             t *= 0.5
         else:
             raise NumericError(
                 f"line search stalled at iteration {iteration} "
                 f"(grad norm {grad_norm:.3e})")
+        roundoff = STALL_SLACK * np.finfo(float).eps * abs(e0)
+        if t < 1.0 and -slope <= roundoff:
+            # the test cut a step whose predicted decrease is below the
+            # round-off of e0, where it only sees noise and Newton spins;
+            # from the next step on it allows that round-off (the
+            # approximate Wolfe test of Hager & Zhang, SIAM J. Optim. 16,
+            # 2005, sec. 4)
+            slack = roundoff
         u = trial
         energies.append(e_trial)
     raise NumericError(f"Newton did not reach tol {tol:.1e} in {max_iter} "

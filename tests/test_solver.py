@@ -1,6 +1,7 @@
 """Tests for the simplicial mesh, the Newton cascade, and the norm reports."""
 
 import importlib
+import warnings
 
 import numpy as np
 import pytest
@@ -350,6 +351,32 @@ class TestMultigridStep:
         np.testing.assert_array_equal(result.u, u0 - lu_step)
 
 
+    @pytest.mark.parametrize("cells", [6, 16])
+    def test_zero_diagonal_goes_straight_to_lu(self, monkeypatch, cells):
+        # a zeroed row and column leave no Jacobi smoother: the step is the
+        # bumped LU solve of the block, factored once, with no PCG iteration
+        mesh = BoxMesh(dim=2, cells=cells, half_width=1.0)
+        lap = hessian_block(mesh, np.broadcast_to(np.eye(2), (mesh.n_simplices, 2, 2)))
+        keep = np.ones(lap.shape[0])
+        keep[7] = 0.0
+        block = (sparse.diags(keep) @ lap @ sparse.diags(keep)).tocsc()
+        rhs = np.linspace(1.0, 2.0, lap.shape[0])
+        outcomes = []
+
+        def counted_splu(matrix, **kwargs):
+            outcomes.append(matrix.shape[0])
+            return splu(matrix, **kwargs)
+
+        monkeypatch.setattr(newton, "splu", counted_splu)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            step, iterations, fell_back = newton._solve_step(mesh, block, rhs)
+        # the singular attempt and the bumped factorization, both of the block
+        assert outcomes == [block.shape[0]] * 2
+        assert (iterations, fell_back) == (0, True)
+        np.testing.assert_array_equal(step, newton._factor_solve(block, rhs))
+
+
 class TestHatNorm:
     @pytest.mark.parametrize("cells, half_width", [(4, 1.0), (16, 1.0), (10, 1.3)])
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.5])
@@ -507,6 +534,18 @@ class TestMinimize:
             assert sol.warm_start == "ok"
             errs.append(float(np.max(np.abs(sol.u - exact(sol.mesh.node_coords())))))
         assert errs[1] < errs[0] < 1e-2
+
+    def test_anisotropic_cascade_converges_at_roundoff(self):
+        # stage 1 of this cascade at 48^2 reaches the round-off of its energy
+        # with the gradient norm still above tol; under the plain Armijo test
+        # Newton then takes noise steps of t ~ 1e-6 until max_iter
+        spec = ProblemSpec(integrand=gallery("mixed", p=2.2, q=3.5), cells=48,
+                           boundary=make_boundary("radial_power", p=3.0),
+                           source=make_source("constant", value=1.0))
+        sol = minimize(spec)
+        assert [rec.grad_norm <= 1e-10 for rec in sol.history] == [True] * 4
+        assert [rec.lu_fallbacks for rec in sol.history] == [0] * 4
+        assert sol.energy == pytest.approx(1.947731584731311, rel=1e-12)
 
     def test_failed_warm_start_is_reported(self, monkeypatch):
         def fail(*args):
