@@ -176,7 +176,7 @@ class QuinticBump:
         # column by column: numpy loops over a short last axis (broadcast or
         # reduced) are several times slower than over the point axis
         x = np.asarray(x, float)
-        d = np.empty(np.broadcast_shapes(x.shape, self.center.shape))
+        d = np.empty_like(x)  # keeps a column-major x's contiguous columns
         for i in range(self.dim):
             np.subtract(x[..., i], self.center[i], out=d[..., i])
         sq = d[..., 0] * d[..., 0]

@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cantorfn import CantorProfile
+from .cantorfn import cantor_profile
 from .errors import InputError
 from .bumps import QuinticBump
 from .matrixcore import radial_hessian
@@ -114,14 +114,14 @@ def fd_second_derivative(fprime: Callable, h: float = 1e-6) -> Callable:
 
 def cantor_stress_field(level: int) -> Callable[[np.ndarray], np.ndarray]:
     """Batched evaluator of V_L(z) = z_perp/|z|^2 + h_L(1/|z|) z_perp/|z|."""
-    profile = CantorProfile(level)
+    profile = cantor_profile(level)
 
     def field(z):
         z = _check_half_plane(z)
         x, y = z[..., 0], z[..., 1]
         r = np.sqrt(x * x + y * y)
         scalar = 1.0 / (r * r) + profile.h(1.0 / r) / r
-        out = np.empty(z.shape)
+        out = np.empty_like(z)
         np.multiply(scalar, -y, out=out[..., 0])
         np.multiply(scalar, x, out=out[..., 1])
         return out

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..cantorfn import CantorProfile
+from ..cantorfn import cantor_profile
 from ..errors import InputError
 from ..matrixcore import radial_hessian
 from .base import Integrand
@@ -217,7 +217,7 @@ def cantor(level: int = 12, dim: int = 2) -> Integrand:
     second derivative jumps on the Cantor set's scale 3^-L, so it does not
     set ``radial`` and its mollification keeps the kernel sweep.
     """
-    profile = CantorProfile(level)
+    profile = cantor_profile(level)
 
     def jet(z, order):
         return _radial_jet(z, order, lambda r: 0.5 * r * r + profile.H(r),

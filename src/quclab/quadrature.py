@@ -7,6 +7,12 @@ in one call, so it sees large point arrays while its temporaries stay
 bounded.  The integrand must be pointwise; the block size then does not
 change any sum.  Refinement is bounded by a depth cap and a global cell
 budget, and the achieved error estimate is returned alongside the value.
+
+Point layout: ``fn`` receives an (M, 2) float array whose rows are the
+points, cell by cell and node by node within a cell.  It is the transpose
+of a C-contiguous (2, M) block, so ``pts[:, 0]`` and ``pts[:, 1]`` are
+contiguous and ``np.empty_like(pts)`` keeps that layout for outputs.  An
+integrand that needs C order may copy; the values are the same either way.
 """
 
 from __future__ import annotations
@@ -65,11 +71,11 @@ def adaptive_quad_2d(fn, box, tol_cell: float = 1e-12, max_depth: int = 10,
             c, h = centers[blk], halves[blk]
             # center + half * node, one coordinate at a time: broadcasting
             # over a last axis of length 2 is several times slower
-            pts = np.empty((len(c), len(_NODES), 2))
+            pts = np.empty((2, len(c), len(_NODES)))
             for k in range(2):
-                np.multiply(h[:, k, None], _NODES[:, k], out=pts[..., k])
-                pts[..., k] += c[:, k, None]
-            f = np.asarray(fn(pts.reshape(-1, 2)), float).reshape(len(c), -1)
+                np.multiply(h[:, k, None], _NODES[:, k], out=pts[k])
+                pts[k] += c[:, k, None]
+            f = np.asarray(fn(pts.reshape(2, -1).T), float).reshape(len(c), -1)
             f3[blk] = f[:, :_N3]
             f5[blk] = f[:, _N3:]
         i3 = (f3 @ _W3) * area_w

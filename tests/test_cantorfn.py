@@ -1,10 +1,14 @@
 """Tests for the finite-level Cantor function tables."""
 
+import inspect
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from quclab import cantorfn
 from quclab.cantorfn import CantorProfile, cantor_h
+from quclab.counterexamples import cantor_stress_field
 from quclab.errors import InputError
 
 
@@ -36,6 +40,11 @@ class TestValues:
     def test_negative_rejected(self):
         with pytest.raises(InputError):
             cantor_h(4, -0.5)
+        prof = CantorProfile(4)
+        for name in ("h", "h_prime", "H"):
+            for t in (-0.5, np.array([0.5, -1e-300])):
+                with pytest.raises(InputError):
+                    getattr(prof, name)(t)
 
 
 class TestInvariants:
@@ -111,13 +120,40 @@ class _ClippedProfile(CantorProfile):
 
 
 class TestPieceLookup:
-    @pytest.mark.parametrize("level", [1, 4, 12])
+    @pytest.mark.parametrize("level", [1, 4, 12, 13, 14, 15])
     def test_unclipped_lookup_matches_clipped_reference(self, level):
         prof, ref = CantorProfile(level), _ClippedProfile(level)
+        # the cell table stops at level 14, where uint16 still holds every
+        # piece index; level 15 runs the binary search, also near t = 1
+        assert (prof._tab is not None) == (level <= 14)
         b = prof._breaks
-        t = np.concatenate([b, np.nextafter(b, 2.0), np.nextafter(b[1:], 0.0),
-                            b + 3.0, [np.nextafter(1.0, 0.0)],
-                            np.arange(0.0, 8.0), [1e6]])
-        for name in ("h", "h_prime", "H"):
-            got, want = getattr(prof, name)(t), getattr(ref, name)(t)
-            assert np.array_equal(got, want), name
+        edges = np.concatenate([b, np.nextafter(b, 2.0), np.nextafter(b[1:], 0.0)])
+        near_one = 1.0 - np.random.default_rng(level).random(100_000) * 3.0 ** -level
+        t = np.concatenate([np.random.default_rng(0).uniform(0.0, 4.0, 1_000_000),
+                            edges, edges + 1.0, edges + 7.0, near_one, near_one + 2.0,
+                            [np.nextafter(1.0, 0.0)], np.arange(0.0, 8.0),
+                            [1e6, np.nan, np.inf]])
+        with np.errstate(invalid="ignore"):  # inf - floor(inf) is NaN
+            for name in ("h", "h_prime", "H"):
+                got, want = getattr(prof, name)(t), getattr(ref, name)(t)
+                assert got.tobytes() == want.tobytes(), name
+            assert np.isnan(prof.h(np.inf)) and np.isnan(prof.h(np.nan))
+
+    def test_cell_table_layout(self):
+        # one uint16 entry per cell of width 3^-L, each naming the piece that
+        # holds the cell, plus a last entry (for NaN) naming the sentinel
+        prof = CantorProfile(3)
+        tab = prof._tab
+        assert tab.dtype == np.uint16 and len(tab) == 3 ** 3 + 1
+        mid = (np.arange(3 ** 3) + 0.5) / 3 ** 3
+        assert np.array_equal(tab[:-1], np.searchsorted(prof._breaks, mid, side="right") - 1)
+        assert tab[-1] == len(prof._breaks) - 1
+
+    def test_one_profile_per_level(self):
+        def profile_of(field):
+            return inspect.getclosurevars(field).nonlocals["profile"]
+
+        a, b = profile_of(cantor_stress_field(13)), profile_of(cantor_stress_field(13))
+        assert a is b and a._tab is b._tab
+        assert cantorfn.cantor_profile(13) is a
+        assert profile_of(cantor_stress_field(12)) is not a

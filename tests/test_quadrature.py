@@ -29,3 +29,22 @@ def test_blocked_evaluation_matches_one_block(monkeypatch):
     whole = adaptive_quad_2d(_integrand, **kw)
     assert isinstance(blocked, QuadResult) and blocked == whole
     assert np.isfinite(whole.value)
+
+
+def test_column_major_points_match_a_c_contiguous_copy():
+    layouts = []
+
+    def direct(pts):
+        layouts.append((pts.ndim, pts.shape[-1], pts.dtype.name,
+                        pts[:, 0].flags.c_contiguous, pts[:, 1].flags.c_contiguous))
+        return _integrand(pts)
+
+    kw = dict(box=(0.0, 1.0, 0.0, 1.0), tol_cell=1e-15, max_depth=6)
+    viewed = adaptive_quad_2d(direct, **kw)
+    copied = adaptive_quad_2d(lambda pts: _integrand(np.ascontiguousarray(pts)), **kw)
+    assert viewed == copied
+    assert np.float64(viewed.value).tobytes() == np.float64(copied.value).tobytes()
+    assert np.float64(viewed.error_estimate).tobytes() == \
+        np.float64(copied.error_estimate).tobytes()
+    # (M, 2) float points whose two columns are each contiguous
+    assert set(layouts) == {(2, 2, "float64", True, True)}
