@@ -3,7 +3,8 @@
 Every subcommand writes machine-first reports (JSON/CSV) plus a manifest
 with run metadata into --out.  Fixed seeds give byte-identical report files
 (the manifest records wall time and is exempt).  Exit codes: 0 when all
-checked invariants pass, 1 on a failed check, 2 on usage or input errors.
+checked invariants pass, 1 on a failed check (a report that holds a NaN or
+inf fails), 2 on usage or input errors.
 """
 
 from __future__ import annotations
@@ -66,6 +67,27 @@ def _parse_params(tokens) -> dict:
     return out
 
 
+def _all_finite(obj) -> bool:
+    """Is every number in a (nested) report payload finite?"""
+    if isinstance(obj, dict):
+        return all(_all_finite(v) for v in obj.values())
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return all(_all_finite(v) for v in obj)
+    if isinstance(obj, (float, np.floating)):
+        return bool(np.isfinite(obj))
+    return True
+
+
+def _write_report(path: Path, payload: dict, passed) -> tuple[dict, bool]:
+    """Write a JSON report with its ``pass`` field and return (payload, pass).
+
+    The gate fails closed: a NaN or inf anywhere in the payload fails it.
+    """
+    payload["pass"] = bool(passed) and _all_finite(payload)
+    write_json(path, payload)
+    return payload, payload["pass"]
+
+
 # -- subcommand handlers (each returns the report payload and a pass flag) ------
 
 def cmd_matrix_check(args, out_dir: Path, manifest: Manifest):
@@ -85,9 +107,8 @@ def cmd_matrix_check(args, out_dir: Path, manifest: Manifest):
         "trials_per_dim": args.trials, "rel_slack": 1e-10,
         "dims": rows,
         "extremal": {"lhs": ext.lhs, "rhs": ext.rhs, "rel_gap": rel_gap, "dim": 2},
-        "pass": passed,
     }
-    write_json(manifest.add(out_dir / "report.json"), payload)
+    payload, passed = _write_report(manifest.add(out_dir / "report.json"), payload, passed)
     if args.format == "csv":
         write_csv(manifest.add(out_dir / "report.csv"),
                   ["dim", "worst_slack", "violations", "holds"],
@@ -119,9 +140,8 @@ def cmd_integrand(args, out_dir: Path, manifest: Manifest):
         "declared_K": f.declared_K, "estimated_K": est,
         "annulus": [args.r_min, args.r_max], "samples": sampler.count,
         "seed": args.seed, "growth": growth, "uhlenbeck_indices": indices,
-        "pass": passed,
     }
-    write_json(manifest.add(out_dir / "report.json"), payload)
+    payload, passed = _write_report(manifest.add(out_dir / "report.json"), payload, passed)
     if args.format == "csv":
         write_csv(manifest.add(out_dir / "report.csv"),
                   ["name", "declared_K", "estimated_K", "growth_holds"],
@@ -138,10 +158,8 @@ def cmd_cordes(args, out_dir: Path, manifest: Manifest):
         "window": list(args.window),
         "admissible_by_K0": rep.admissible_by_K0,
         "admissible_by_delta0": rep.admissible_by_delta0,
-        "pass": True,
     }
-    write_json(manifest.add(out_dir / "report.json"), payload)
-    return payload, True
+    return _write_report(manifest.add(out_dir / "report.json"), payload, True)
 
 
 def cmd_riesz_check(args, out_dir: Path, manifest: Manifest):
@@ -180,10 +198,9 @@ def cmd_riesz_check(args, out_dir: Path, manifest: Manifest):
         "worst_identity_residual": worst_ident,
         "worst_roundtrip_error": worst_round,
         "worst_lm_ratio": worst_ratio,
-        "t_norm_probe_m2": t2, "pass": passed,
+        "t_norm_probe_m2": t2,
     }
-    write_json(manifest.add(out_dir / "summary.json"), payload)
-    return payload, passed
+    return _write_report(manifest.add(out_dir / "summary.json"), payload, passed)
 
 
 def cmd_solve(args, out_dir: Path, manifest: Manifest):
@@ -220,21 +237,9 @@ def cmd_solve(args, out_dir: Path, manifest: Manifest):
         "config": {"path": str(args.config)},
         "energy": sol.energy, "el_residual_hat": el_res,
         "warm_start": sol.warm_start, "stages": stages,
-        "regularity": regularity, "pass": passed,
+        "regularity": regularity,
     }
-    write_json(manifest.add(out_dir / "report.json"), payload)
-    return payload, passed
-
-
-def _all_finite(obj) -> bool:
-    """Is every number in a (nested) report payload finite?"""
-    if isinstance(obj, dict):
-        return all(_all_finite(v) for v in obj.values())
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        return all(_all_finite(v) for v in obj)
-    if isinstance(obj, (float, np.floating)):
-        return bool(np.isfinite(obj))
-    return True
+    return _write_report(manifest.add(out_dir / "report.json"), payload, passed)
 
 
 def _radial_source(kind: str, value: float):
@@ -278,12 +283,8 @@ def cmd_radial(args, out_dir: Path, manifest: Manifest):
         "holder_exponent": fit.exponent, "holder_ci95": fit.ci95,
         "w1m_norms": norms,
     }
-    # a NaN or inf anywhere in the report fails the gate instead of passing it
-    passed = defect < 1e-10 and (stress_err is None or stress_err < 1e-10) \
-        and _all_finite(payload)
-    payload["pass"] = passed
-    write_json(manifest.add(out_dir / "report.json"), payload)
-    return payload, passed
+    passed = defect < 1e-10 and (stress_err is None or stress_err < 1e-10)
+    return _write_report(manifest.add(out_dir / "report.json"), payload, passed)
 
 
 def cmd_cpprime_sweep(args, out_dir: Path, manifest: Manifest):
@@ -308,9 +309,8 @@ def cmd_cpprime_sweep(args, out_dir: Path, manifest: Manifest):
                                  "meets_target")] for row in rows])
     passed = all(r.meets_target for r in reports)
     payload = {"subcommand": "cpprime-sweep", "dim": args.N, "m": args.m,
-               "rows": rows, "pass": passed}
-    write_json(manifest.add(out_dir / "report.json"), payload)
-    return payload, passed
+               "rows": rows}
+    return _write_report(manifest.add(out_dir / "report.json"), payload, passed)
 
 
 def cmd_cantor(args, out_dir: Path, manifest: Manifest):
@@ -341,9 +341,8 @@ def cmd_cantor(args, out_dir: Path, manifest: Manifest):
                "ball_radius": counterexamples.DEFAULT_BALL[1],
                "n_bumps": args.bumps, "n_grid": args.n_grid,
                "worst_residual": worst,
-               "residual_below_threshold": passed, "pass": passed}
-    write_json(manifest.add(out_dir / "report.json"), payload)
-    return payload, passed
+               "residual_below_threshold": passed}
+    return _write_report(manifest.add(out_dir / "report.json"), payload, passed)
 
 
 def cmd_report(args, out_dir: Path, manifest: Manifest):
@@ -368,9 +367,8 @@ def cmd_report(args, out_dir: Path, manifest: Manifest):
         source=lambda r: np.ones_like(np.asarray(r, float)), r_max=1.0))
     checks["radial_flux_identity"] = radial.flux_identity_defect(sol) < 1e-10
     passed = all(checks.values())
-    payload = {"subcommand": "report", "checks": checks, "pass": passed}
-    write_json(manifest.add(out_dir / "report.json"), payload)
-    return payload, passed
+    payload = {"subcommand": "report", "checks": checks}
+    return _write_report(manifest.add(out_dir / "report.json"), payload, passed)
 
 
 # -- argument wiring -------------------------------------------------------------

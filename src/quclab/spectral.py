@@ -9,6 +9,14 @@ Riesz convention and all div-curl data is required to be mean-free.
 Conventions: (DV)_{k h} = d_h V_k and (curl V)_{k j} = d_j V_k - d_k V_j,
 so curl V = DV - DV^t.  Matrix norms are Frobenius norms; skew fields store
 the N(N-1)/2 independent upper-triangle components.
+
+Band: a field may carry the largest max_j |xi_j| of its nonzero
+coefficients.  random_band_limited sets it to kmax, and scaled, divergence,
+curl and divcurl_reconstruct pass it on; fields built from coefficients or
+from grid values carry None, the whole spectrum.  With a band, spectral
+products are formed on the (2 band + 1)^(N-1) x (band + 1) box only, and
+the transforms skip only lines that hold nothing but zeros, so every array
+is bit-identical to the whole-spectrum path.
 """
 
 from __future__ import annotations
@@ -72,10 +80,33 @@ class PeriodicGrid:
         k.setflags(write=False)
         return k
 
+    def box(self, band: int | None, half: bool = False) -> tuple:
+        """Index of the wavenumbers with max_j |xi_j| <= band in a
+        (ncomp, n, ..., n) stack, of all of them when band is None; ``half``
+        keeps xi >= 0 on the last axis.  Along a box axis of m positions,
+        position p holds xi = p mod m in the symmetric range."""
+        lines = np.arange(self.n) if band is None else \
+            np.r_[0:band + 1, self.n - band:self.n]
+        last = lines[:len(lines) // 2 + 1] if half else lines
+        return (slice(None),) + np.ix_(*[lines] * (self.dim - 1), last)
+
+    def irfft_box(self, half: np.ndarray, band: int | None) -> np.ndarray:
+        """Real grid values of a (ncomp, box...) half spectrum on
+        box(band, half=True): irfftn of the zero-padded spectrum, whose ifft
+        along each leading axis, in irfftn's order, runs only on the nonzero
+        last-axis columns; irfft pads those columns with zeros."""
+        lines = np.zeros(half.shape[:1] + self.shape[:-1] + half.shape[-1:], complex)
+        lines[self.box(band, half=True)] = half
+        for axis in self.fft_axes[:-1]:
+            lines = np.fft.ifft(lines, axis=axis)
+        return np.fft.irfft(lines, n=self.n, axis=-1)
+
     def _at_minus_xi(self, c: np.ndarray, last: slice) -> np.ndarray:
-        """c(-xi mod n) of a (ncomp, n, ..., m) stack, for the wavenumbers xi
-        whose last-axis indices are ``last``; c must hold the entries read."""
-        neg = -np.arange(self.n) % self.n
+        """c(-xi) of a stack in box coordinates (m positions per leading
+        axis, -xi at -p mod m), for the xi whose last-axis positions are
+        ``last``; c must hold the entries read."""
+        m = c.shape[1]
+        neg = -np.arange(m) % m
         return c[(slice(None),) + np.ix_(*([neg] * (self.dim - 1) + [neg[last]]))]
 
 
@@ -89,12 +120,15 @@ class SpectralField:
 
     ``coeffs`` has shape (ncomp, n, ..., n) even for scalars (ncomp = 1).
     Real-valuedness is maintained by construction from real grid data.
-    Fields are immutable: ``values`` and ``derivatives`` are formed once.
+    ``band`` bounds max_j |xi_j| over the nonzero coefficients (None: no
+    bound is known).  Fields are immutable: ``values``, ``derivatives`` and
+    ``magnitudes`` are formed once.
     """
 
     grid: PeriodicGrid
     kind: str
     coeffs: np.ndarray
+    band: int | None = None
 
     def __post_init__(self):
         if self.kind not in _NCOMP:
@@ -104,6 +138,8 @@ class SpectralField:
             raise InputError(
                 f"coefficient block for {self.kind} must have shape "
                 f"{(want,) + self.grid.shape}, got {self.coeffs.shape}")
+        if self.band is not None and not 0 <= self.band < self.grid.n // 2:
+            raise InputError(f"band must lie in [0, n/2), got {self.band}")
 
     @classmethod
     def from_physical(cls, grid: PeriodicGrid, values: np.ndarray, kind: str) -> "SpectralField":
@@ -112,6 +148,14 @@ class SpectralField:
             values = values[None]
         coeffs = np.fft.fftn(values, axes=grid.fft_axes)
         return cls(grid=grid, kind=kind, coeffs=coeffs)
+
+    @classmethod
+    def on_box(cls, grid: PeriodicGrid, kind: str, block: np.ndarray,
+               band: int | None) -> "SpectralField":
+        """Field whose coefficients are ``block`` on grid.box(band), zero elsewhere."""
+        coeffs = np.zeros(block.shape[:1] + grid.shape, complex)
+        coeffs[grid.box(band)] = block
+        return cls(grid, kind, coeffs, band)
 
     def physical(self) -> np.ndarray:
         """Real part of the full complex inverse transform (the reference path)."""
@@ -127,11 +171,12 @@ class SpectralField:
         random_band_limited stores the values it forms anyway.
         """
         grid = self.grid
-        h = grid.n // 2 + 1
-        herm = np.conj(grid._at_minus_xi(self.coeffs, slice(0, h)))
-        herm += self.coeffs[..., :h]
+        c = self.coeffs[grid.box(self.band)]
+        cols = c.shape[-1] // 2 + 1
+        herm = np.conj(grid._at_minus_xi(c, slice(0, cols)))
+        herm += c[..., :cols]
         herm *= 0.5
-        return np.fft.irfftn(herm, s=grid.shape, axes=grid.fft_axes)
+        return grid.irfft_box(herm, self.band)
 
     @cached_property
     def derivatives(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -147,14 +192,22 @@ class SpectralField:
             raise InputError("derivatives are formed for vector fields")
         grid = self.grid
         d = grid.dim
-        h = grid.n // 2 + 1
-        k = grid.wavenumbers()[..., :h]
+        half = grid.box(self.band, half=True)
+        k = grid.wavenumbers()[half]
         k = np.where(k == -(grid.n // 2), 0.0, k)
-        blocks = 1j * k[None] * self.coeffs[:, None, ..., :h]
-        dv = np.fft.irfftn(blocks.reshape((d * d,) + blocks.shape[2:]), s=grid.shape,
-                           axes=grid.fft_axes).reshape((d, d) + grid.shape)
+        blocks = 1j * k[None] * self.coeffs[half][:, None]
+        dv = grid.irfft_box(blocks.reshape((d * d,) + blocks.shape[2:]),
+                            self.band).reshape((d, d) + grid.shape)
         curl_v = np.stack([dv[a, b] - dv[b, a] for a, b in skew_pairs(d)])
         return dv, np.trace(dv), curl_v
+
+    @cached_property
+    def magnitudes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(|DV|, |Div V|, |curl V|) pointwise, formed once from derivatives;
+        |curl V| is the Frobenius norm over both triangles."""
+        dv, div, cg = self.derivatives
+        return (np.sqrt(np.sum(dv ** 2, axis=(0, 1))), np.abs(div),
+                np.sqrt(2.0 * np.sum(cg * cg, axis=0)))
 
     def hermitian_error(self) -> float:
         """Departure from real-valuedness after inverse transform."""
@@ -167,7 +220,9 @@ class SpectralField:
         return np.real(self.coeffs[zero]) / self.grid.n ** self.grid.dim
 
     def scaled(self, factor: float) -> "SpectralField":
-        return SpectralField(self.grid, self.kind, factor * self.coeffs)
+        box = self.grid.box(self.band)
+        return SpectralField.on_box(self.grid, self.kind, factor * self.coeffs[box],
+                                    self.band)
 
     @classmethod
     def random_band_limited(cls, grid: PeriodicGrid, kind: str, kmax: int,
@@ -176,20 +231,22 @@ class SpectralField:
         """White noise filtered to max_j |xi_j| <= kmax (well below Nyquist)."""
         if kmax < 1 or kmax > grid.n // 4:
             raise InputError("kmax must lie in [1, n/4] to keep products alias-free")
-        h = grid.n // 2 + 1
         noise = rng.standard_normal((_NCOMP[kind](grid.dim),) + grid.shape)
-        half = np.fft.rfftn(noise, axes=grid.fft_axes)
-        half *= np.all(np.abs(grid.wavenumbers()[..., :h]) <= kmax, axis=0)
+        # rfftn's passes, the leading-axis ffts on the kept columns only
+        lines = np.fft.rfft(noise, axis=-1)[..., :kmax + 1]
+        for axis in reversed(grid.fft_axes[:-1]):
+            lines = np.fft.fft(lines, axis=axis)
+        half = lines[grid.box(kmax, half=True)]
         if mean_zero:
             half[(slice(None),) + (0,) * grid.dim] = 0.0
-        # real noise has a Hermitian spectrum: irfftn is exact, and the other
-        # half of the coefficients is the conjugate mirror
-        values = np.fft.irfftn(half, s=grid.shape, axes=grid.fft_axes)
+        # real noise has a Hermitian spectrum: the inverse real FFT is exact,
+        # and the xi_last < 0 coefficients are the conjugate mirror
+        values = grid.irfft_box(half, kmax)
         factor = amplitude / (np.max(np.abs(values)) or 1.0)
         half *= factor
         values *= factor
-        mirror = np.conj(grid._at_minus_xi(half, slice(h, None)))
-        field = cls(grid, kind, np.concatenate([half, mirror], axis=-1))
+        mirror = np.conj(grid._at_minus_xi(half, slice(kmax + 1, None)))
+        field = cls.on_box(grid, kind, np.concatenate([half, mirror], axis=-1), kmax)
         field.__dict__["values"] = values
         return field
 
@@ -224,20 +281,20 @@ def gradient_tensor(v: SpectralField) -> SpectralField:
 def divergence(v: SpectralField) -> SpectralField:
     if v.kind != "vector":
         raise InputError("divergence acts on vector fields")
-    k = v.grid.wavenumbers()
-    coeffs = np.sum(1j * k * v.coeffs, axis=0, keepdims=True)
-    return SpectralField(v.grid, "scalar", coeffs)
+    box = v.grid.box(v.band)
+    k = v.grid.wavenumbers()[box]
+    coeffs = np.sum(1j * k * v.coeffs[box], axis=0, keepdims=True)
+    return SpectralField.on_box(v.grid, "scalar", coeffs, v.band)
 
 
 def curl(v: SpectralField) -> SpectralField:
     """Skew field (curl V)_{k j} = d_j V_k - d_k V_j, upper-triangle storage."""
     if v.kind != "vector":
         raise InputError("curl acts on vector fields")
-    k = v.grid.wavenumbers()
-    comps = []
-    for (a, b) in skew_pairs(v.grid.dim):
-        comps.append(1j * (k[b] * v.coeffs[a] - k[a] * v.coeffs[b]))
-    return SpectralField(v.grid, "skew", np.stack(comps))
+    box = v.grid.box(v.band)
+    k, c = v.grid.wavenumbers()[box], v.coeffs[box]
+    comps = [1j * (k[b] * c[a] - k[a] * c[b]) for a, b in skew_pairs(v.grid.dim)]
+    return SpectralField.on_box(v.grid, "skew", np.stack(comps), v.band)
 
 
 def matrix_physical(m: SpectralField) -> np.ndarray:
@@ -261,17 +318,20 @@ def divcurl_reconstruct(f: SpectralField, g: SpectralField) -> SpectralField:
         raise InputError("incompatible grids")
     grid = f.grid
     d = grid.dim
-    k = grid.wavenumbers()
+    # the larger band covers both fields; an unbanded one takes the whole spectrum
+    band = None if None in (f.band, g.band) else max(f.band, g.band)
+    box = grid.box(band)
+    k, g_hat = grid.wavenumbers()[box], g.coeffs[box]
     mag2 = np.sum(k * k, axis=0)
     mag2[(0,) * d] = 1.0  # the numerators vanish at the zero mode
     # q_k = (xi_k f^ + sum_j xi_j G^_{k j}) / |xi|^2, then (DV)_{k h} = xi_h q_k
-    q = k * f.coeffs
+    q = k * f.coeffs[box]
     for idx, (a, b) in enumerate(skew_pairs(d)):
-        q[a] += k[b] * g.coeffs[idx]
-        q[b] -= k[a] * g.coeffs[idx]
+        q[a] += k[b] * g_hat[idx]
+        q[b] -= k[a] * g_hat[idx]
     q /= mag2
     coeffs = k[None] * q[:, None]
-    return SpectralField(grid, "matrix", coeffs.reshape((-1,) + grid.shape))
+    return SpectralField.on_box(grid, "matrix", coeffs.reshape((d * d,) + k.shape[1:]), band)
 
 
 # -- integral norms on the grid (midpoint rule; spectrally accurate) ----------
@@ -374,10 +434,9 @@ def verify_lm_bound(v: SpectralField, m: float) -> LmBoundReport:
     """Check  ||DV||_m <= N^2 (mhat - 1) (||Div V||_m + ||curl V||_m)."""
     grid = v.grid
     vol = grid.cell_volume
-    dv, div, cg = v.derivatives
-    lhs = lm_matrix_norm(dv, m, vol)
-    div_norm = lm_scalar_norm(div, m, vol)
-    curl_mag = np.sqrt(2.0 * np.sum(cg * cg, axis=0))
+    dv_mag, div_mag, curl_mag = v.magnitudes
+    lhs = lm_scalar_norm(dv_mag, m, vol)
+    div_norm = lm_scalar_norm(div_mag, m, vol)
     curl_norm = lm_scalar_norm(curl_mag, m, vol)
     rhs = grid.dim ** 2 * (mhat(m) - 1.0) * (div_norm + curl_norm)
     return LmBoundReport(m=m, lhs=lhs, rhs=rhs, holds=bool(lhs <= rhs * (1.0 + 1e-12)),

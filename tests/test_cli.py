@@ -1,5 +1,6 @@
 """CLI tests: exit codes, determinism, schema conformance of reports."""
 
+import dataclasses
 import json
 import tempfile
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from quclab import cordes
 from quclab.cli import main
 from quclab.integrands import (
     bounded_power_profile,
@@ -91,6 +93,46 @@ class TestDeterminism:
             outputs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())
                             if f.name != "manifest.json"})
         assert outputs[0] and outputs[0] == outputs[1]
+
+
+_NON_FINITE = ("nan", "inf", "-inf")
+
+
+class TestFailClosed:
+    @pytest.mark.parametrize("subcommand", list(_SUBCOMMANDS))
+    def test_passing_report_holds_only_finite_numbers(self, tmp_path, subcommand):
+        (tmp_path / "config.json").write_text(json.dumps(_SOLVE_16))
+        argv = [subcommand] + [a.format(tmp=tmp_path) for a in _SUBCOMMANDS[subcommand]]
+        code, out = run(tmp_path, *argv)
+        [report] = [f for f in out.glob("*.json") if f.name != "manifest.json"]
+        payload = json.loads(report.read_text())
+        assert payload["pass"] is (code == 0)
+        if code == 0:
+            # write_json spells a non-finite float as a string, csv as its repr
+            assert not [v for v in _json_values(payload) if v in _NON_FINITE]
+            for table in out.glob("*.csv"):
+                cells = table.read_text().replace("\n", ",").split(",")
+                assert not [c for c in cells if c in _NON_FINITE], table.name
+
+    def test_non_finite_number_fails_any_gate(self, tmp_path, monkeypatch):
+        # cordes has no numeric gate of its own: only the finiteness check can fail it
+        rep = cordes.cordes_report(2, 2.0, K=1.1)
+        monkeypatch.setattr(cordes, "cordes_report",
+                            lambda *a, **k: dataclasses.replace(rep, delta0=float("nan")))
+        code, out = run(tmp_path, "cordes", "--N", "2", "--m", "2", "--K", "1.1")
+        assert code == 1
+        payload = json.loads((out / "report.json").read_text())
+        assert payload["delta0"] == "nan" and payload["pass"] is False
+
+
+def _json_values(node):
+    if isinstance(node, dict):
+        node = list(node.values())
+    if isinstance(node, list):
+        for value in node:
+            yield from _json_values(value)
+    else:
+        yield node
 
 
 class TestCordes:

@@ -343,3 +343,97 @@ def test_riesz_check_fft_budget_per_field(tmp_path, monkeypatch):
 
     # the T-norm probe runs max(10, fields) trials either way
     assert run(2) - run(1) <= 12
+
+
+class TestBand:
+    """A banded field (random_band_limited's) works on the kmax box; the same
+    coefficients without a band take the whole spectrum.  Both must give the
+    same bits, since the box path skips only all-zero lines."""
+
+    CASES = [(2, 32, 1), (2, 32, 8), (3, 16, 1), (3, 16, 4)]
+
+    @staticmethod
+    def unbanded(field):
+        return sp.SpectralField(field.grid, field.kind, field.coeffs)
+
+    @staticmethod
+    def assert_same(a, b):
+        assert a.shape == b.shape and np.array_equal(a, b)
+
+    @pytest.mark.parametrize("dim,n,kmax", CASES)
+    def test_draw_matches_whole_spectrum_transforms(self, dim, n, kmax):
+        grid = sp.PeriodicGrid(dim=dim, n=n)
+        v = sp.SpectralField.random_band_limited(grid, "vector", kmax,
+                                                 np.random.default_rng(5))
+        # the same draw through rfftn/irfftn of the whole half spectrum
+        noise = np.random.default_rng(5).standard_normal((dim,) + grid.shape)
+        h = n // 2 + 1
+        half = np.fft.rfftn(noise, axes=grid.fft_axes)
+        half *= np.all(np.abs(grid.wavenumbers()[..., :h]) <= kmax, axis=0)
+        half[(slice(None),) + (0,) * dim] = 0.0
+        values = np.fft.irfftn(half, s=grid.shape, axes=grid.fft_axes)
+        factor = 1.0 / np.max(np.abs(values))
+        half *= factor
+        neg = -np.arange(n) % n
+        mirror = np.conj(half[(slice(None),) + np.ix_(*[neg] * (dim - 1), neg[h:])])
+        self.assert_same(v.values, values * factor)
+        self.assert_same(v.coeffs, np.concatenate([half, mirror], axis=-1))
+
+    @pytest.mark.parametrize("dim,n,kmax", CASES)
+    def test_box_path_is_bit_identical(self, dim, n, kmax):
+        grid = sp.PeriodicGrid(dim=dim, n=n)
+        rng = np.random.default_rng(11)
+        v, f, g = (sp.SpectralField.random_band_limited(grid, kind, kmax, rng)
+                   for kind in ("vector", "scalar", "skew"))
+        half = v.coeffs[..., :n // 2 + 1]
+        want = np.fft.irfftn(half, s=grid.shape, axes=grid.fft_axes)
+        self.assert_same(grid.irfft_box(half[grid.box(kmax, half=True)], kmax), want)
+        self.assert_same(grid.irfft_box(half, None), want)
+        # a fresh banded field forms its values instead of reading the stored ones
+        banded = sp.SpectralField(grid, "vector", v.coeffs, kmax)
+        full = self.unbanded(v)
+        self.assert_same(banded.values, full.values)
+        for got, want in zip(banded.derivatives, full.derivatives):
+            self.assert_same(got, want)
+        for op in (sp.divergence, sp.curl, lambda u: u.scaled(-1.7)):
+            self.assert_same(op(banded).coeffs, op(full).coeffs)
+            self.assert_same(op(banded).values, op(full).values)
+        rec = sp.divcurl_reconstruct(sp.divergence(banded), sp.curl(banded))
+        rec_full = sp.divcurl_reconstruct(sp.divergence(full), sp.curl(full))
+        self.assert_same(rec.coeffs, rec_full.coeffs)
+        self.assert_same(rec.values, rec_full.values)
+        self.assert_same(apply_T(f, g), apply_T(self.unbanded(f), self.unbanded(g)))
+
+    def test_band_propagates(self, rng):
+        v = sp.SpectralField.random_band_limited(grid2(32), "vector", 4, rng)
+        assert v.band == 4
+        assert v.scaled(2.0).band == 4
+        div, cg = sp.divergence(v), sp.curl(v)
+        assert div.band == cg.band == 4
+        assert sp.divcurl_reconstruct(div, cg).band == 4
+        # the larger band covers both fields
+        f = sp.SpectralField.random_band_limited(grid2(32), "scalar", 2, rng)
+        assert sp.divcurl_reconstruct(f, cg).band == 4
+
+    def test_fields_from_data_carry_no_band(self, rng):
+        grid = grid2(16)
+        u = sp.SpectralField.from_physical(grid, rng.standard_normal(grid.shape), "scalar")
+        assert u.band is None
+        assert sp.SpectralField(grid, "scalar", u.coeffs).band is None
+        assert u.scaled(2.0).band is None
+
+    def test_banded_with_unbanded_takes_whole_spectrum(self, rng):
+        grid = grid2(32)
+        f = sp.SpectralField.random_band_limited(grid, "scalar", 4, rng)
+        g = sp.SpectralField.random_band_limited(grid, "skew", 4, rng)
+        rec = sp.divcurl_reconstruct(f, self.unbanded(g))
+        assert rec.band is None
+        want = sp.divcurl_reconstruct(self.unbanded(f), self.unbanded(g))
+        self.assert_same(rec.coeffs, want.coeffs)
+        self.assert_same(rec.values, want.values)
+
+    @pytest.mark.parametrize("band", [-1, 8])
+    def test_band_out_of_range_rejected(self, band, rng):
+        u = sp.SpectralField.random_band_limited(grid2(16), "scalar", 2, rng)
+        with pytest.raises(InputError):
+            sp.SpectralField(u.grid, "scalar", u.coeffs, band)
