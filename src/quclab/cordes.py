@@ -59,6 +59,14 @@ def _theta_for(eta_max: float, t_bound: float) -> float:
     return float(np.log1p(eta_max) / np.log(t_bound))
 
 
+def _check_window(window: tuple[float, float]) -> tuple[float, float]:
+    """(m_lo, m_hi); InputError unless 1 < m_lo < 2 < m_hi."""
+    m_lo, m_hi = window
+    if not (1.0 < m_lo < 2.0 < m_hi):
+        raise InputError("window must satisfy 1 < m_lo < 2 < m_hi")
+    return m_lo, m_hi
+
+
 def cordes_delta0(K: float, dim: int, window: tuple[float, float] = (4.0 / 3.0, 4.0),
                   t_bound=None, probe_trials: int = 40, probe_seed: int = 0) -> float:
     """Largest delta with (1 + eta(m)) (1 - 1/K) < 1 for all |m - 2| <= delta.
@@ -72,9 +80,7 @@ def cordes_delta0(K: float, dim: int, window: tuple[float, float] = (4.0 / 3.0, 
     """
     if K < 1.0:
         raise InputError("K must be >= 1")
-    m_lo, m_hi = window
-    if not (1.0 < m_lo < 2.0 < m_hi):
-        raise InputError("window must satisfy 1 < m_lo < 2 < m_hi")
+    m_lo, m_hi = _check_window(window)
     half_lo, half_hi = 2.0 - m_lo, m_hi - 2.0
     if K == 1.0:
         return min(half_lo, half_hi)
@@ -104,6 +110,7 @@ def cordes_delta0(K: float, dim: int, window: tuple[float, float] = (4.0 / 3.0, 
 
 def cordes_report(dim: int, m: float, K: float | None = None,
                   window: tuple[float, float] = (4.0 / 3.0, 4.0)) -> CordesThresholds:
+    _check_window(window)
     k0 = cordes_K0(dim, m)
     delta0 = None
     adm_k0 = adm_d0 = None

@@ -219,10 +219,10 @@ class BlowupRow:
 
 
 def check_levels(levels) -> list[int]:
-    """The levels as ints; InputError unless they strictly increase."""
+    """The levels as ints; InputError unless non-empty and strictly increasing."""
     levels = [int(l) for l in levels]
-    if any(b <= a for a, b in zip(levels, levels[1:])):
-        raise InputError("levels must be strictly increasing")
+    if not levels or any(b <= a for a, b in zip(levels, levels[1:])):
+        raise InputError("levels must be non-empty and strictly increasing")
     return levels
 
 

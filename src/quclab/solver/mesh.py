@@ -15,16 +15,21 @@ through kron(G, G), and centroids are vertex means.  Cell-centered
 gradients (the per-cell average, in 2-D the bilinear mid-cell gradient)
 feed the stress-field reports.
 
-The Hessian's sparsity depends on the mesh only, so it is built once per
-mesh, on first use (:attr:`BoxMesh.hessian_pattern`): the CSC pattern of the
-full-node Hessian, the slot of every local (simplex, a, b) entry in it, and
-the interior block in a geometric nested-dissection order (George, SIAM J.
-Numer. Anal. 10, 1973).  That order bisects the longest axis of the interior
-grid, orders both halves recursively and numbers the separator plane last;
-on the (2N+1)-point stencil it is near-optimal for the fill of a sparse LU,
-so an LU of the interior block (the coarsest multigrid level below, or the
-fallback of a Newton step) needs no further column permutation.  Assembly
-is then one ``np.bincount`` into the fixed pattern.
+Newton steps use only the Hessian's interior block.  Its sparsity depends
+on the mesh alone, so one CSC pattern is built per mesh, on first use
+(:attr:`BoxMesh.hessian_pattern`), with the slot of every local (simplex,
+a, b) entry in it; an entry that touches a boundary node goes to a spare
+bin past the end, and assembly is one ``np.bincount`` that drops that bin.
+Rows and columns follow a geometric nested-dissection order (George, SIAM
+J. Numer. Anal. 10, 1973): bisect the longest axis of the interior grid,
+order both halves recursively, number the separator plane last.  An LU of
+the block (the coarsest multigrid level below, or a Newton step's fallback)
+then needs no column permutation, and the order stays because on a mesh
+that does not coarsen ``splu`` (``SymmetricMode``, p-Laplacian block) is
+1.9-2.8 times slower in scipy's own orders: 0.25 s (fill 4.6M) against
+0.48 s for MMD_AT_PLUS_A (5.2M) and 0.72 s for COLAMD (8.8M) at 255^2, and
+0.34 s against 0.97 s and 1.83 s at 25^3.  Only the 25^2 coarsest level of
+100 -> 50 -> 25 barely cares (1.1 ms against 1.5 ms).
 
 Kuhn meshes nest: halving the cell count coarsens the triangulation, and
 on the coarse mesh's edges (the 0/1 steps s) the P1 prolongation is exact,
@@ -55,42 +60,25 @@ from ..errors import InputError
 
 @dataclass(frozen=True, eq=False)
 class HessianPattern:
-    """Sparsity of the Hessian of a :class:`BoxMesh`, fixed by the mesh alone.
+    """Sparsity of a :class:`BoxMesh`'s interior Hessian block.
 
-    ``indices``/``indptr`` are the CSC pattern of the full-node Hessian and
-    ``slot[k]`` is the position in its data array of the k-th local entry in
-    :meth:`BoxMesh.assemble_hessian`'s (permutation, cell, a, b) order.
-    ``order`` lists the interior node ids in nested-dissection order;
-    ``block_gather`` reads the interior block, rows and columns in that
-    order, out of the full data array into the CSC pattern
-    ``block_indices``/``block_indptr``.
+    ``order`` lists the interior node ids in nested-dissection order, the
+    order of the block's rows and columns, and ``indices``/``indptr`` are
+    the block's CSC pattern.  ``slot[k]`` is the position in its data array
+    of the k-th local entry in :meth:`BoxMesh.assemble_hessian`'s
+    (permutation, cell, a, b) order; an entry that touches a boundary node
+    goes to the spare bin ``indptr[-1]`` past the end.
     """
 
+    order: np.ndarray
     indices: np.ndarray
     indptr: np.ndarray
     slot: np.ndarray
-    order: np.ndarray
-    block_gather: np.ndarray
-    block_indices: np.ndarray
-    block_indptr: np.ndarray
 
     def __post_init__(self):
         # every assembled Hessian shares these arrays
         for array in vars(self).values():
             array.setflags(write=False)
-
-    def interior_block(self, data: np.ndarray) -> sparse.csc_matrix:
-        """The interior block, in nested-dissection order, of a full data array."""
-        n = self.order.size
-        return sparse.csc_matrix((data[self.block_gather], self.block_indices,
-                                  self.block_indptr), shape=(n, n))
-
-
-def _csc_pattern(rows: np.ndarray, cols: np.ndarray, n: int):
-    """Sorted CSC pattern of the (row, col) pairs and each pair's slot in it."""
-    keys, slot = np.unique(cols * n + rows, return_inverse=True)
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // n, minlength=n))])
-    return (keys % n).astype(np.int32), indptr.astype(np.int32), slot
 
 
 def _nested_dissection(ids: np.ndarray) -> np.ndarray:
@@ -245,27 +233,22 @@ class BoxMesh:
 
     @cached_property
     def hessian_pattern(self) -> HessianPattern:
-        """The Hessian's sparsity and interior elimination order, built on first use."""
-        n, d = self.n_nodes, self.dim
-        vertex = self._vertex_ids.transpose(0, 2, 1)     # (perm, cell, a)
-        rows = np.repeat(vertex, d + 1, axis=2)          # vertex a of entry (a, b)
-        cols = np.tile(vertex, d + 1)                    # vertex b of entry (a, b)
-        indices, indptr, slot = _csc_pattern(rows.ravel(), cols.ravel(), n)
-
-        order = _interior_order(d, self.cells)
-        position = np.full(n, -1)
-        position[order] = np.arange(order.size)
-        entry_rows = position[indices]
-        entry_cols = position[np.repeat(np.arange(n), np.diff(indptr))]
-        inside = np.flatnonzero((entry_rows >= 0) & (entry_cols >= 0))
-        block_indices, block_indptr, block_slot = _csc_pattern(
-            entry_rows[inside], entry_cols[inside], order.size)
-        block_gather = np.empty_like(inside)
-        block_gather[block_slot] = inside
-        return HessianPattern(indices=indices, indptr=indptr, slot=slot,
-                              order=order, block_gather=block_gather,
-                              block_indices=block_indices,
-                              block_indptr=block_indptr)
+        """The interior block's sparsity and elimination order, built on first use."""
+        order = _interior_order(self.dim, self.cells)
+        d, n = self.dim, order.size
+        position = np.full(self.n_nodes, -1)
+        position[order] = np.arange(n)
+        vertex = position[self._vertex_ids.transpose(0, 2, 1)]   # (perm, cell, a)
+        rows = np.repeat(vertex, d + 1, axis=2).ravel()          # vertex a of entry (a, b)
+        cols = np.tile(vertex, d + 1).ravel()                    # vertex b of entry (a, b)
+        inside = (rows >= 0) & (cols >= 0)
+        keys, block_slot = np.unique(cols[inside] * n + rows[inside],
+                                     return_inverse=True)
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // n, minlength=n))])
+        slot = np.full(rows.size, keys.size)                     # the spare bin
+        slot[inside] = block_slot
+        return HessianPattern(order=order, indices=(keys % n).astype(np.int32),
+                              indptr=indptr.astype(np.int32), slot=slot)
 
     @cached_property
     def prolongations(self) -> tuple:
@@ -280,7 +263,8 @@ class BoxMesh:
         return tuple(out)
 
     def assemble_hessian(self, d2f: np.ndarray) -> sparse.csc_matrix:
-        """Sparse Hessian of the gradient energy given D2F per simplex."""
+        """Interior block of the Hessian of the gradient energy given D2F per
+        simplex, rows and columns in ``hessian_pattern.order``."""
         d, g = self.dim, self._gmats
         # local[s, a, b] = vol * sum_ij G[i, a] D2F_s[i, j] G[j, b]: one batched
         # product with kron(G, G) per permutation
@@ -288,8 +272,8 @@ class BoxMesh:
         local = np.matmul(d2f.reshape(len(g), self.n_cells, d * d), kron)
         local *= self.simplex_volume
         pattern = self.hessian_pattern
-        n = self.n_nodes
+        n = pattern.order.size
         data = np.bincount(pattern.slot, weights=local.ravel(),
-                           minlength=pattern.indices.size)
+                           minlength=pattern.indices.size + 1)[:-1]
         return sparse.csc_matrix((data, pattern.indices, pattern.indptr),
                                  shape=(n, n))

@@ -64,11 +64,6 @@ def _factorize(block: sparse.csc_matrix):
         return splu(bumped, permc_spec="NATURAL", options=options)
 
 
-def _factor_solve(block: sparse.csc_matrix, rhs: np.ndarray) -> np.ndarray:
-    """Solve block x = rhs by sparse LU (see :func:`_factorize`)."""
-    return _factorize(block).solve(rhs)
-
-
 def _vcycle(block: sparse.csc_matrix, prolongations: tuple):
     """One multigrid V-cycle for block, as a map from residual to correction.
 
@@ -106,20 +101,19 @@ def _solve_step(mesh: BoxMesh, block: sparse.csc_matrix,
     leaves no Jacobi smoother, the LU solve of the block.  Returns (x, PCG
     iterations, whether the step was solved by LU instead).
     """
-    if not block.diagonal().all():
-        return _factor_solve(block, rhs), 0, True
-    iterations = 0
+    iterations, info = 0, -1    # a skipped CG counts as a miss
 
     def count(_):
         nonlocal iterations
         iterations += 1
 
-    cycle = LinearOperator(block.shape, _vcycle(block, mesh.prolongations),
-                           dtype=float)
-    x, info = cg(block, rhs, rtol=PCG_RTOL, maxiter=PCG_MAX_ITER, M=cycle,
-                 callback=count)
+    if block.diagonal().all():
+        cycle = LinearOperator(block.shape, _vcycle(block, mesh.prolongations),
+                               dtype=float)
+        x, info = cg(block, rhs, rtol=PCG_RTOL, maxiter=PCG_MAX_ITER, M=cycle,
+                     callback=count)
     if info:
-        return _factor_solve(block, rhs), iterations, True
+        return _factorize(block).solve(rhs), iterations, True
     return x, iterations, False
 
 
@@ -146,7 +140,7 @@ def _stage_newton(mesh: BoxMesh, f_obj: Integrand, f_nodes: np.ndarray,
     energy for the rest of the stage.
     """
     interior = mesh.interior_mask
-    pattern = mesh.hessian_pattern
+    order = mesh.hessian_pattern.order
     energies = [assemble_energy(mesh, f_obj, u, f_nodes)]
     grad_norm = np.inf
     load = mesh.node_weights * f_nodes
@@ -164,10 +158,9 @@ def _stage_newton(mesh: BoxMesh, f_obj: Integrand, f_nodes: np.ndarray,
             return StageResult(u, iteration, grad_norm, energies,
                                linear_iterations, lu_fallbacks)
 
-        hess = mesh.assemble_hessian(np.asarray(d2f, float))
-        block = pattern.interior_block(hess.data)
-        step[pattern.order], pcg_iterations, fell_back = _solve_step(
-            mesh, block, grad_full[pattern.order])
+        block = mesh.assemble_hessian(np.asarray(d2f, float))
+        step[order], pcg_iterations, fell_back = _solve_step(
+            mesh, block, grad_full[order])
         linear_iterations += pcg_iterations
         lu_fallbacks += fell_back
         direction = -step[interior]

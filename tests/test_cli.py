@@ -338,6 +338,7 @@ class TestUsage:
         ({}, None, ["riesz-check", "--n", "32", "--fields", "-3"], "--fields"),
         ({}, None, ["cantor", "--levels", "4..5", "--bumps", "0"], "--bumps"),
         ({}, None, ["cantor", "--levels", ","], "--levels"),
+        ({}, None, ["cantor", "--levels", "12..11"], "levels must be non-empty"),
         ({}, None, ["radial", "--p", "3", "--r-max", "inf"], "finite"),
         ({}, None, ["radial", "--p", "3", "--r-max", "1e-300"], "sample point"),
         ({}, None, ["cordes", "--N", "2", "--m", "nan"], "--m must be finite"),
@@ -345,6 +346,8 @@ class TestUsage:
         ({}, None, ["cordes", "--N", "2", "--m", "2", "--K", "inf"], "--K must be finite"),
         ({}, None, ["cordes", "--N", "2", "--m", "2", "--window", "nan", "4"],
          "--window must be finite"),
+        ({}, None, ["cordes", "--N", "2", "--m", "3", "--window", "2", "1"],
+         "window must satisfy"),
         ({}, None, ["radial", "--p", "3", "--m", "nan"], "--m must be finite"),
         ({}, None, ["radial", "--p", "3", "--m", "inf"], "--m must be finite"),
         ({}, None, ["cpprime-sweep", "--p-grid", "3", "--m", "nan"], "--m must be finite"),
@@ -363,9 +366,10 @@ class TestUsage:
             "config-stage", "config-list", "config-boundary", "config-tol",
             "p-grid-empty", "p-grid-token", "dims-token", "dims-zero", "dims-one",
             "fields-zero",
-            "fields-negative", "bumps-zero", "levels-empty", "r-max-inf",
-            "r-max-tiny", "cordes-m-nan", "cordes-m-inf", "cordes-k-inf",
-            "cordes-window-nan", "radial-m-nan", "radial-m-inf", "cpprime-m-nan",
+            "fields-negative", "bumps-zero", "levels-empty", "levels-reversed",
+            "r-max-inf", "r-max-tiny", "cordes-m-nan", "cordes-m-inf", "cordes-k-inf",
+            "cordes-window-nan", "cordes-window-order", "radial-m-nan", "radial-m-inf",
+            "cpprime-m-nan",
             "integrand-r-max-overflow", "riesz-seed-negative", "matrix-seed-negative",
             "n-grid-zero", "n-grid-negative", "n-grid-one", "n-grid-three",
             "param-token", "config-cells-inf"])
