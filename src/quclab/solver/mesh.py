@@ -15,70 +15,45 @@ through kron(G, G), and centroids are vertex means.  Cell-centered
 gradients (the per-cell average, in 2-D the bilinear mid-cell gradient)
 feed the stress-field reports.
 
-Newton steps use only the Hessian's interior block.  Its sparsity depends
-on the mesh alone, so one CSC pattern is built per mesh, on first use
-(:attr:`BoxMesh.hessian_pattern`), with the slot of every local (simplex,
-a, b) entry in it; an entry that touches a boundary node goes to a spare
-bin past the end, and assembly is one ``np.bincount`` that drops that bin.
-Rows and columns follow a geometric nested-dissection order (George, SIAM
-J. Numer. Anal. 10, 1973): bisect the longest axis of the interior grid,
-order both halves recursively, number the separator plane last.  An LU of
-the block (the coarsest multigrid level below, or a Newton step's fallback)
-then needs no column permutation, and the order stays because on a mesh
-that does not coarsen ``splu`` (``SymmetricMode``, p-Laplacian block) is
-1.9-2.8 times slower in scipy's own orders: 0.25 s (fill 4.6M) against
-0.48 s for MMD_AT_PLUS_A (5.2M) and 0.72 s for COLAMD (8.8M) at 255^2, and
-0.34 s against 0.97 s and 1.83 s at 25^3.  Only the 25^2 coarsest level of
-100 -> 50 -> 25 barely cares (1.1 ms against 1.5 ms).
+Newton steps use only the Hessian's interior block, in natural (row-major)
+order.  On a Kuhn mesh node x couples only with x +- e_S, S a nonempty set
+of axes, so the block is a ``dia_matrix`` of 7 stencil diagonals in 2-D
+and 15 in 3-D.  The diagonal of a local (simplex, a, b) entry is fixed per
+Kuhn permutation, so assembly is one ``np.bincount`` into slot
+diagonal * n + column; an entry that touches a boundary node goes to a
+spare bin past the end.
 
-Kuhn meshes nest: halving the cell count coarsens the triangulation, and
-on the coarse mesh's edges (the 0/1 steps s) the P1 prolongation is exact,
-with fine node 2c + s the mean of coarse nodes c and c + s.
-:attr:`BoxMesh.prolongations` holds these maps between interior nodes, each
-level in nested-dissection order, halving while the cell count is even and
-above 8.  Each Newton step solves the interior block by conjugate
-gradients preconditioned with one multigrid V-cycle on that hierarchy
-(Hackbusch, Multi-Grid Methods and Applications, 1985; Bramble, Pasciak &
-Xu, Math. Comp. 55, 1990), whose coarse operators are the Galerkin
-products P^T A P and whose coarsest level is a sparse LU.  A mesh that does
-not coarsen (odd, or 8 cells or fewer) is that one level: its V-cycle is
-the LU solve itself.
+Kuhn meshes nest: halving the cell count makes each coarse simplex the
+union of 2^N fine ones, and the P1 prolongation P is exact, fine node
+2c + s (s in {0,1}^N) being the mean of coarse nodes c and c + s.  A
+coarse hat is affine on each of those children, so the Galerkin product
+P^T A P is the coarse mesh's own assembly with each coarse simplex's D2F
+the mean over its children (Hackbusch, Multi-Grid Methods and
+Applications, 1985, sec. 3.7).  Each Newton step solves the block by
+conjugate gradients preconditioned with one multigrid V-cycle on these
+levels (Bramble, Pasciak & Xu, Math. Comp. 55, 1990), halving while the
+cell count is even and above 8, with a sparse LU on the coarsest; a mesh
+that does not coarsen is that LU alone.  Every LU first permutes its block
+into a geometric nested-dissection order (George, SIAM J. Numer. Anal. 10,
+1973: bisect the longest axis, separator plane last), built only for the
+meshes where one runs.  On a mesh that does not coarsen (``SymmetricMode``,
+p-Laplacian block) ``splu`` is 1.9-2.8 times slower in scipy's own orders:
+0.25 s (fill 4.6M) against 0.48 s for MMD_AT_PLUS_A (5.2M) and 0.72 s for
+COLAMD (8.8M) at 255^2, and 0.34 s against 0.97 s and 1.83 s at 25^3; only
+the 25^2 coarsest level of 100 -> 50 -> 25 barely cares (1.1 ms vs 1.5 ms).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import permutations
-from math import factorial
+from itertools import permutations, product
+from math import factorial, inf
 
 import numpy as np
 from scipy import sparse
 
 from ..errors import InputError
-
-
-@dataclass(frozen=True, eq=False)
-class HessianPattern:
-    """Sparsity of a :class:`BoxMesh`'s interior Hessian block.
-
-    ``order`` lists the interior node ids in nested-dissection order, the
-    order of the block's rows and columns, and ``indices``/``indptr`` are
-    the block's CSC pattern.  ``slot[k]`` is the position in its data array
-    of the k-th local entry in :meth:`BoxMesh.assemble_hessian`'s
-    (permutation, cell, a, b) order; an entry that touches a boundary node
-    goes to the spare bin ``indptr[-1]`` past the end.
-    """
-
-    order: np.ndarray
-    indices: np.ndarray
-    indptr: np.ndarray
-    slot: np.ndarray
-
-    def __post_init__(self):
-        # every assembled Hessian shares these arrays
-        for array in vars(self).values():
-            array.setflags(write=False)
 
 
 def _nested_dissection(ids: np.ndarray) -> np.ndarray:
@@ -91,31 +66,24 @@ def _nested_dissection(ids: np.ndarray) -> np.ndarray:
                            _nested_dissection(ids[mid + 1:]), ids[mid].ravel()])
 
 
-def _interior_order(dim: int, cells: int) -> np.ndarray:
-    """Interior node ids of the (cells + 1)^dim grid in nested-dissection order."""
-    ids = np.arange((cells + 1) ** dim).reshape((cells + 1,) * dim)
-    return _nested_dissection(ids[(slice(1, -1),) * dim])
-
-
-def _prolongation(dim: int, cells: int, fine: np.ndarray,
-                  coarse: np.ndarray) -> sparse.csr_matrix:
+def _prolongation(fine: BoxMesh, coarse: BoxMesh) -> sparse.csr_matrix:
     """P1 prolongation from the Kuhn mesh of cells/2 to that of cells.
 
-    Row i is the interior node fine[i], column j the coarse interior node
-    coarse[j]: fine node 2c + s, s in {0,1}^dim, is the mean of coarse nodes
-    c and c + s; coarse boundary nodes carry no correction and are dropped.
+    Row i is fine interior node i, column j coarse interior node j (natural
+    order): fine node 2c + s, s in {0,1}^dim, is the mean of coarse nodes c
+    and c + s; coarse boundary nodes carry no correction and are dropped.
     """
-    c, s = np.divmod(np.indices((cells + 1,) * dim).reshape(dim, -1)[:, fine], 2)
-    position = np.full((cells // 2 + 1) ** dim, -1)
-    position[coarse] = np.arange(coarse.size)
-    strides = (cells // 2 + 1) ** np.arange(dim - 1, -1, -1)
-    cols = position[strides @ np.stack([c, c + s])]
-    rows = np.broadcast_to(np.arange(fine.size), cols.shape)
+    dim = fine.dim
+    grid = np.indices((fine.cells + 1,) * dim).reshape(dim, -1)[:, fine.interior_mask]
+    c, s = np.divmod(grid, 2)
+    strides = (coarse.cells + 1) ** np.arange(dim - 1, -1, -1)
+    cols = coarse._interior_index[strides @ np.stack([c, c + s])]
+    rows = np.broadcast_to(np.arange(fine.n_interior), cols.shape)
     keep = cols >= 0
     # s = 0 lists coarse node c twice, and the duplicates add up to 1
     return sparse.csr_matrix((np.full(np.count_nonzero(keep), 0.5),
                               (rows[keep], cols[keep])),
-                             shape=(fine.size, coarse.size))
+                             shape=(fine.n_interior, coarse.n_interior))
 
 
 @dataclass(frozen=True)
@@ -129,6 +97,8 @@ class BoxMesh:
             raise InputError("mesh dimension must be 2 or 3")
         if self.cells < 4:
             raise InputError("need at least 4 cells per axis")
+        if not (0.0 < self.h < inf and 1.0 / float(self.h) < inf):
+            raise InputError("half_width must be finite and > 0, with a finite 1/h")
 
     # -- the P1 gradient operator ----------------------------------------------
 
@@ -170,6 +140,10 @@ class BoxMesh:
         return (self.cells + 1) ** self.dim
 
     @property
+    def n_interior(self) -> int:
+        return (self.cells - 1) ** self.dim
+
+    @property
     def n_cells(self) -> int:
         return self.cells ** self.dim
 
@@ -188,6 +162,11 @@ class BoxMesh:
     @property
     def interior_mask(self) -> np.ndarray:
         return ~self.boundary_mask
+
+    @cached_property
+    def _interior_index(self) -> np.ndarray:
+        """Each node's position in the natural interior order, -1 on the boundary."""
+        return np.where(self.interior_mask, np.cumsum(self.interior_mask) - 1, -1)
 
     @cached_property
     def node_weights(self) -> np.ndarray:
@@ -232,48 +211,79 @@ class BoxMesh:
                            minlength=self.n_nodes)
 
     @cached_property
-    def hessian_pattern(self) -> HessianPattern:
-        """The interior block's sparsity and elimination order, built on first use."""
-        order = _interior_order(self.dim, self.cells)
-        d, n = self.dim, order.size
-        position = np.full(self.n_nodes, -1)
-        position[order] = np.arange(n)
-        vertex = position[self._vertex_ids.transpose(0, 2, 1)]   # (perm, cell, a)
-        rows = np.repeat(vertex, d + 1, axis=2).ravel()          # vertex a of entry (a, b)
-        cols = np.tile(vertex, d + 1).ravel()                    # vertex b of entry (a, b)
-        inside = (rows >= 0) & (cols >= 0)
-        keys, block_slot = np.unique(cols[inside] * n + rows[inside],
-                                     return_inverse=True)
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // n, minlength=n))])
-        slot = np.full(rows.size, keys.size)                     # the spare bin
-        slot[inside] = block_slot
-        return HessianPattern(order=order, indices=(keys % n).astype(np.int32),
-                              indptr=indptr.astype(np.int32), slot=slot)
+    def _stencil(self) -> tuple[np.ndarray, np.ndarray]:
+        """Diagonal offsets of the interior block and, per local (permutation,
+        cell, a, b) entry, its slot diagonal * n_interior + column in the DIA
+        data; an entry that touches a boundary node gets the spare slot past
+        the end.  Built on first use."""
+        d, n = self.dim, self.n_interior
+        strides = (self.cells - 1) ** np.arange(d - 1, -1, -1)
+        path = np.cumsum(strides[self._perms], axis=1)
+        steps = np.hstack([np.zeros((len(path), 1), path.dtype), path])
+        # vertex b minus vertex a in interior positions, fixed per permutation
+        offsets, diagonal = np.unique(steps[:, None, :] - steps[:, :, None],
+                                      return_inverse=True)
+        column = self._interior_index[self._vertex_ids.transpose(0, 2, 1)]
+        slot = diagonal.reshape(len(path), 1, d + 1, d + 1) * n + column[:, :, None, :]
+        inside = (column[:, :, :, None] >= 0) & (column[:, :, None, :] >= 0)
+        return offsets, np.where(inside, slot, offsets.size * n).ravel()
 
-    @cached_property
-    def prolongations(self) -> tuple:
-        """P1 prolongations down the halving hierarchy, finest first, built on
-        first use; the first one's rows follow ``hessian_pattern.order``."""
-        out = []
-        cells, fine = self.cells, self.hessian_pattern.order
-        while cells % 2 == 0 and cells > 8:
-            coarse = _interior_order(self.dim, cells // 2)
-            out.append(_prolongation(self.dim, cells, fine, coarse))
-            cells, fine = cells // 2, coarse
-        return tuple(out)
-
-    def assemble_hessian(self, d2f: np.ndarray) -> sparse.csc_matrix:
+    def assemble_hessian(self, d2f: np.ndarray) -> sparse.dia_matrix:
         """Interior block of the Hessian of the gradient energy given D2F per
-        simplex, rows and columns in ``hessian_pattern.order``."""
+        simplex, as stencil diagonals in natural interior order."""
         d, g = self.dim, self._gmats
         # local[s, a, b] = vol * sum_ij G[i, a] D2F_s[i, j] G[j, b]: one batched
         # product with kron(G, G) per permutation
         kron = np.einsum("pia,pjb->pijab", g, g).reshape(len(g), d * d, -1)
         local = np.matmul(d2f.reshape(len(g), self.n_cells, d * d), kron)
         local *= self.simplex_volume
-        pattern = self.hessian_pattern
-        n = pattern.order.size
-        data = np.bincount(pattern.slot, weights=local.ravel(),
-                           minlength=pattern.indices.size + 1)[:-1]
-        return sparse.csc_matrix((data, pattern.indices, pattern.indptr),
+        (offsets, slot), n = self._stencil, self.n_interior
+        data = np.bincount(slot, weights=local.ravel(),
+                           minlength=offsets.size * n + 1)[:-1]
+        return sparse.dia_matrix((data.reshape(offsets.size, n), offsets),
                                  shape=(n, n))
+
+    # -- the multigrid hierarchy -----------------------------------------------
+
+    @cached_property
+    def levels(self) -> tuple:
+        """(coarse mesh, P, P^T) down the halving hierarchy, finest first,
+        built on first use; P maps the coarse interior nodes to the fine ones,
+        both in natural order, and P and P^T are CSR matrices."""
+        out, fine = [], self
+        while fine.cells % 2 == 0 and fine.cells > 8:
+            coarse = BoxMesh(self.dim, fine.cells // 2, self.half_width)
+            prolong = _prolongation(fine, coarse)
+            out.append((coarse, prolong, prolong.T.tocsr()))
+            fine = coarse
+        return tuple(out)
+
+    @cached_property
+    def _children(self) -> list:
+        """(coarse permutation, fine permutation, child cell s) of the 2^dim
+        fine simplices in each Kuhn simplex of the mesh of cells/2: fine
+        simplex q of child cell 2c + s lies in the coarse simplex that orders
+        the axes as its centroid's coordinates s + t_q, largest first."""
+        d, perms = self.dim, self._perms
+        lookup = {tuple(p): i for i, p in enumerate(perms)}
+        centroid = (d - np.argsort(perms, axis=1)) / (d + 1)     # t_q per axis
+        return [(lookup[tuple(np.argsort(-(s + centroid[q])))], q, s)
+                for s in product((0, 1), repeat=d) for q in range(len(perms))]
+
+    def child_mean(self, d2f: np.ndarray) -> np.ndarray:
+        """D2F per simplex of the mesh of cells/2, the mean over each coarse
+        simplex's 2^dim children.  The coarse mesh's :meth:`assemble_hessian`
+        of it is the Galerkin product P^T A P of this mesh's block A."""
+        d, perms = self.dim, len(self._perms)
+        fine = d2f.reshape((perms,) + (self.cells // 2, 2) * d + (d, d))
+        out = np.zeros((perms,) + (self.cells // 2,) * d + (d, d))
+        for p, q, s in self._children:
+            out[p] += fine[(q,) + sum(((slice(None), k) for k in s), ())]
+        return out.reshape(-1, d, d) / 2 ** d
+
+    @cached_property
+    def nd_order(self) -> np.ndarray:
+        """Natural interior positions in nested-dissection order, the order of
+        every LU of the block; built on first use."""
+        grid = np.arange(self.n_interior).reshape((self.cells - 1,) * self.dim)
+        return _nested_dissection(grid)

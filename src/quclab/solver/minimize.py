@@ -18,6 +18,7 @@ against the final energy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -51,56 +52,67 @@ def assemble_energy(mesh: BoxMesh, f_obj: Integrand, u: np.ndarray,
                  + np.sum(mesh.node_weights * f_nodes * u))
 
 
-def _factorize(block: sparse.csc_matrix):
-    """Sparse LU of block in the block's own (nested-dissection) order; a
-    singular factorization gets a Levenberg bump, the documented fallback."""
+def _factorize(mesh: BoxMesh, block: sparse.spmatrix):
+    """Sparse LU of the mesh's interior block, permuted into its nested-
+    dissection order, as a solve in natural order; a singular factorization
+    gets a Levenberg bump, the documented fallback."""
+    order = mesh.nd_order
+    permuted = sparse.csr_matrix(block)[order][:, order].tocsc()
     options = dict(SymmetricMode=True)
     try:
-        return splu(block, permc_spec="NATURAL", options=options)
+        lu = splu(permuted, permc_spec="NATURAL", options=options)
     except RuntimeError:
-        diag_scale = max(float(np.abs(block.diagonal()).max()), 1.0)
-        bumped = block + 1e-12 * diag_scale * sparse.identity(block.shape[0],
-                                                              format="csc")
-        return splu(bumped, permc_spec="NATURAL", options=options)
+        diag_scale = max(float(np.abs(permuted.diagonal()).max()), 1.0)
+        bumped = permuted + 1e-12 * diag_scale * sparse.identity(order.size,
+                                                                 format="csc")
+        lu = splu(bumped, permc_spec="NATURAL", options=options)
+    rank = np.argsort(order)
+    return lambda rhs: lu.solve(rhs[order])[rank]
 
 
-def _vcycle(block: sparse.csc_matrix, prolongations: tuple):
-    """One multigrid V-cycle for block, as a map from residual to correction.
+def _cycle(levels: tuple, r: np.ndarray) -> np.ndarray:
+    """One V-cycle on levels[0]: (block, Jacobi weights, P^T, P) per level
+    down the hierarchy, and the coarsest level's LU solve last."""
+    if len(levels) == 1:
+        return levels[0](r)
+    a, w, restrict, prolong = levels[0]
+    x = w * r
+    for _ in range(SWEEPS - 1):
+        x += w * (r - a @ x)
+    x += prolong @ _cycle(levels[1:], restrict @ (r - a @ x))
+    for _ in range(SWEEPS):
+        x += w * (r - a @ x)
+    return x
 
-    The coarse operators are the Galerkin products P^T A P down the mesh
-    hierarchy, smoothed by weighted Jacobi, and the coarsest is factored
-    once; with no prolongation the cycle is that LU solve of block itself.
+
+def _vcycle(mesh: BoxMesh, d2f: np.ndarray, block: sparse.dia_matrix) -> partial:
+    """One multigrid V-cycle for block, the mesh's assembly of d2f, as a map
+    from residual to correction.
+
+    Each coarse operator is the coarse mesh's assembly of the child-averaged
+    D2F, equal to the Galerkin product P^T A P; the coarsest is factored
+    once, and with no coarse level the cycle is the LU solve of block.  It
+    holds no reference to itself, so it dies with its last reference.
     """
-    ops = [block]
-    for prol in prolongations:
-        ops.append((prol.T @ ops[-1] @ prol).tocsc())
-    coarsest = _factorize(ops[-1])
-    weights = [JACOBI_WEIGHT / a.diagonal() for a in ops[:-1]]
-
-    def cycle(r: np.ndarray, level: int = 0) -> np.ndarray:
-        if level == len(prolongations):
-            return coarsest.solve(r)
-        a, w, prol = ops[level], weights[level], prolongations[level]
-        x = w * r
-        for _ in range(SWEEPS - 1):
-            x += w * (r - a @ x)
-        x += prol @ cycle(prol.T @ (r - a @ x), level + 1)
-        for _ in range(SWEEPS):
-            x += w * (r - a @ x)
-        return x
-
-    return cycle
+    levels = []
+    for coarse, prolong, restrict in mesh.levels:
+        levels.append((block, JACOBI_WEIGHT / block.diagonal(), restrict, prolong))
+        d2f = mesh.child_mean(d2f)
+        mesh, block = coarse, coarse.assemble_hessian(d2f)
+    levels.append(_factorize(mesh, block))
+    return partial(_cycle, tuple(levels))
 
 
-def _solve_step(mesh: BoxMesh, block: sparse.csc_matrix,
+def _solve_step(mesh: BoxMesh, d2f: np.ndarray,
                 rhs: np.ndarray) -> tuple[np.ndarray, int, bool]:
-    """Solve the interior block (nested-dissection order) for the Newton step.
+    """Solve the mesh's interior block for d2f (natural order): the Newton step.
 
     scipy's CG from x = 0 to ||b - A x|| < PCG_RTOL ||b||, preconditioned by
     one V-cycle on the mesh hierarchy; if it misses, or a zero diagonal entry
     leaves no Jacobi smoother, the LU solve of the block.  Returns (x, PCG
     iterations, whether the step was solved by LU instead).
     """
+    block = mesh.assemble_hessian(d2f)
     iterations, info = 0, -1    # a skipped CG counts as a miss
 
     def count(_):
@@ -108,12 +120,11 @@ def _solve_step(mesh: BoxMesh, block: sparse.csc_matrix,
         iterations += 1
 
     if block.diagonal().all():
-        cycle = LinearOperator(block.shape, _vcycle(block, mesh.prolongations),
-                               dtype=float)
+        cycle = LinearOperator(block.shape, _vcycle(mesh, d2f, block), dtype=float)
         x, info = cg(block, rhs, rtol=PCG_RTOL, maxiter=PCG_MAX_ITER, M=cycle,
                      callback=count)
     if info:
-        return _factorize(block).solve(rhs), iterations, True
+        return _factorize(mesh, block)(rhs), iterations, True
     return x, iterations, False
 
 
@@ -140,11 +151,9 @@ def _stage_newton(mesh: BoxMesh, f_obj: Integrand, f_nodes: np.ndarray,
     energy for the rest of the stage.
     """
     interior = mesh.interior_mask
-    order = mesh.hessian_pattern.order
     energies = [assemble_energy(mesh, f_obj, u, f_nodes)]
     grad_norm = np.inf
     load = mesh.node_weights * f_nodes
-    step = np.zeros(mesh.n_nodes)
     linear_iterations = lu_fallbacks = 0
     slack = 0.0
 
@@ -158,12 +167,11 @@ def _stage_newton(mesh: BoxMesh, f_obj: Integrand, f_nodes: np.ndarray,
             return StageResult(u, iteration, grad_norm, energies,
                                linear_iterations, lu_fallbacks)
 
-        block = mesh.assemble_hessian(np.asarray(d2f, float))
-        step[order], pcg_iterations, fell_back = _solve_step(
-            mesh, block, grad_full[order])
+        step, pcg_iterations, fell_back = _solve_step(
+            mesh, np.asarray(d2f, float), grad)
         linear_iterations += pcg_iterations
         lu_fallbacks += fell_back
-        direction = -step[interior]
+        direction = -step
 
         slope = float(grad @ direction)
         if slope >= 0.0:  # not a descent direction; steepest descent fallback

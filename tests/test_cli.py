@@ -362,6 +362,8 @@ class TestUsage:
         ({}, None, ["integrand", "--name", "power", "--param", "p=x"], "malformed"),
         ({}, {**_CONFIG, "problem": {**_CONFIG["problem"], "cells": float("inf")}},
          ["solve", "--config", "{tmp}/config.json"], "cells"),
+        ({}, {**_CONFIG, "problem": {**_CONFIG["problem"], "half_width": 0.0}},
+         ["solve", "--config", "{tmp}/config.json"], "half_width"),
     ], ids=["quc-threads", "levels", "missing-config", "config-cells",
             "config-stage", "config-list", "config-boundary", "config-tol",
             "p-grid-empty", "p-grid-token", "dims-token", "dims-zero", "dims-one",
@@ -372,7 +374,7 @@ class TestUsage:
             "cpprime-m-nan",
             "integrand-r-max-overflow", "riesz-seed-negative", "matrix-seed-negative",
             "n-grid-zero", "n-grid-negative", "n-grid-one", "n-grid-three",
-            "param-token", "config-cells-inf"])
+            "param-token", "config-cells-inf", "config-half-width-zero"])
     def test_malformed_input_exit_2(self, tmp_path, monkeypatch, capsys, env, config,
                                     argv, message):
         for key, value in env.items():

@@ -1,7 +1,9 @@
 """Tests for the simplicial mesh, the Newton cascade, and the norm reports."""
 
+import gc
 import importlib
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -108,9 +110,9 @@ class TestMesh:
         m = 7
         d2f = np.broadcast_to(np.eye(2), (mesh.n_simplices, 2, 2))
         block = mesh.assemble_hessian(np.array(d2f)).toarray()
-        # node id -> position in the block's order, -1 on the boundary
+        # node id -> position in the block's natural order, -1 on the boundary
         position = np.full(mesh.n_nodes, -1)
-        position[mesh.hessian_pattern.order] = np.arange(block.shape[0])
+        position[mesh.interior_mask] = np.arange(block.shape[0])
         idx = position.reshape(m, m)
         for i, j in ((2, 3), (3, 3), (1, 1)):
             row = block[idx[i, j]]
@@ -208,29 +210,38 @@ class TestHessianPattern:
         mesh = BoxMesh(dim=dim, cells=cells, half_width=1.0)
         a = rng.standard_normal((mesh.n_simplices, dim, dim))
         d2f = a + a.transpose(0, 2, 1)
-        order = mesh.hessian_pattern.order
-        ref = dense_hessian(mesh, d2f)[np.ix_(order, order)]
+        interior = mesh.interior_mask
+        ref = dense_hessian(mesh, d2f)[np.ix_(interior, interior)]
         block = mesh.assemble_hessian(d2f)
+        assert isinstance(block, sparse.dia_matrix)
         np.testing.assert_allclose(block.toarray(), ref, rtol=1e-13,
                                    atol=1e-13 * np.abs(ref).max())
 
+    def test_stencil_has_7_diagonals_in_2d_and_15_in_3d(self, dim, cells):
+        # node x couples with x +- e_S for the nonempty sets S of axes
+        mesh = BoxMesh(dim=dim, cells=cells, half_width=1.0)
+        strides = (cells - 1) ** np.arange(dim - 1, -1, -1)
+        sums = [strides @ np.array(s) for s in np.ndindex((2,) * dim)]
+        offsets = mesh.assemble_hessian(random_spd_d2f(np.random.default_rng(0),
+                                                       mesh)).offsets
+        assert len(offsets) == {2: 7, 3: 15}[dim]
+        assert sorted(offsets) == sorted({sign * v for v in sums for sign in (1, -1)})
+
     def test_order_is_permutation_of_interior(self, dim, cells):
         mesh = BoxMesh(dim=dim, cells=cells, half_width=1.0)
-        order = mesh.hessian_pattern.order
-        assert np.array_equal(np.sort(order), np.flatnonzero(mesh.interior_mask))
+        assert np.array_equal(np.sort(mesh.nd_order), np.arange(mesh.n_interior))
 
     def test_newton_step_matches_direct_solve(self, rng, dim, cells):
+        # the LU of the block permuted into nested-dissection order, solved
+        # in natural order
         mesh = BoxMesh(dim=dim, cells=cells, half_width=1.0)
         d2f = random_spd_d2f(rng, mesh)
         grad = rng.standard_normal(mesh.n_nodes)
-        order = mesh.hessian_pattern.order
-        step = np.zeros(mesh.n_nodes)
-        step[order] = newton._factorize(mesh.assemble_hessian(d2f)).solve(grad[order])
         interior = mesh.interior_mask
+        step = newton._factorize(mesh, mesh.assemble_hessian(d2f))(grad[interior])
         ref = np.linalg.solve(dense_hessian(mesh, d2f)[np.ix_(interior, interior)],
                               grad[interior])
-        assert (np.linalg.norm(step[interior] - ref)
-                <= 1e-10 * np.linalg.norm(ref))
+        assert np.linalg.norm(step - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
 def test_singular_factorization_takes_levenberg_bump(monkeypatch):
@@ -255,7 +266,7 @@ def test_singular_factorization_takes_levenberg_bump(monkeypatch):
 
     monkeypatch.setattr(newton, "splu", counted_splu)
     rhs = np.linspace(1.0, 2.0, lap.shape[0])
-    x = newton._factorize(block).solve(rhs)
+    x = newton._factorize(mesh, block)(rhs)
     assert outcomes == ["singular", "factored"]
     assert np.all(np.isfinite(x))
     # the bump is 1e-12 times the largest diagonal entry, 4 for this stencil
@@ -267,37 +278,35 @@ class TestMultigridStep:
     @pytest.mark.parametrize("dim, cells", [(2, 16), (2, 32), (3, 16)])
     def test_pcg_step_matches_direct_solve(self, rng, dim, cells):
         mesh = BoxMesh(dim=dim, cells=cells, half_width=1.0)
-        assert mesh.prolongations
-        block = mesh.assemble_hessian(random_spd_d2f(rng, mesh))
+        assert mesh.levels
+        d2f = random_spd_d2f(rng, mesh)
+        block = mesh.assemble_hessian(d2f)
         rhs = rng.standard_normal(block.shape[0])
-        step, iterations, fell_back = newton._solve_step(mesh, block, rhs)
-        ref = spsolve(block, rhs)
+        step, iterations, fell_back = newton._solve_step(mesh, d2f, rhs)
+        ref = spsolve(block.tocsc(), rhs)
         assert not fell_back and 1 < iterations <= newton.PCG_MAX_ITER
         assert np.linalg.norm(step - ref) <= 1e-9 * np.linalg.norm(ref)
 
-    def test_prolongation_is_exact_on_the_kuhn_hierarchy(self):
-        # the Galerkin product of the fine Laplacian block is the coarse
-        # mesh's own Laplacian block, in the coarse level's order
-        from quclab.solver.mesh import _interior_order
-        fine, coarse = (BoxMesh(dim=3, cells=n, half_width=1.0) for n in (16, 8))
-        prol, = fine.prolongations
-        assert prol.shape == (15 ** 3, 7 ** 3)
-
-        def laplacian(mesh):
-            return mesh.assemble_hessian(np.array(
-                np.broadcast_to(np.eye(3), (mesh.n_simplices, 3, 3))))
-
-        order = _interior_order(3, 8)
-        assert np.array_equal(order, coarse.hessian_pattern.order)
-        galerkin = (prol.T @ laplacian(fine) @ prol).toarray()
-        np.testing.assert_allclose(galerkin, laplacian(coarse).toarray(),
-                                   rtol=0, atol=1e-13)
+    def test_prolongation_is_exact_on_the_kuhn_hierarchy(self, rng):
+        # the Galerkin product of a fine block is the coarse mesh's own
+        # assembly of the child-averaged D2F, for any SPD D2F
+        for dim, cells in ((2, 32), (3, 16)):
+            fine = BoxMesh(dim=dim, cells=cells, half_width=1.0)
+            (coarse, prol, restrict), *_ = fine.levels
+            assert coarse.cells == cells // 2
+            assert prol.shape == ((cells - 1) ** dim, (cells // 2 - 1) ** dim)
+            assert (restrict != prol.T).nnz == 0
+            d2f = random_spd_d2f(rng, fine)
+            galerkin = (restrict @ fine.assemble_hessian(d2f) @ prol).toarray()
+            child = coarse.assemble_hessian(fine.child_mean(d2f)).toarray()
+            np.testing.assert_allclose(child, galerkin, rtol=0,
+                                       atol=1e-13 * np.abs(galerkin).max())
 
     @pytest.mark.parametrize("cells, levels", [(8, 0), (12, 1), (15, 0),
                                                (64, 3), (100, 2)])
     def test_coarsening_halves_even_counts_above_8(self, cells, levels):
         mesh = BoxMesh(dim=2, cells=cells, half_width=1.0)
-        assert len(mesh.prolongations) == levels
+        assert len(mesh.levels) == levels
 
     @pytest.mark.parametrize("name, params", [
         ("power", {"p": 3.0}), ("mixed", {"p": 2.0, "q": 4.0}),
@@ -326,11 +335,11 @@ class TestMultigridStep:
 
     def test_odd_cells_take_one_lu_iteration(self, rng):
         mesh = BoxMesh(dim=2, cells=15, half_width=1.0)
-        assert mesh.prolongations == ()
-        block = mesh.assemble_hessian(random_spd_d2f(rng, mesh))
-        rhs = rng.standard_normal(block.shape[0])
-        step, iterations, fell_back = newton._solve_step(mesh, block, rhs)
-        ref = newton._factorize(block).solve(rhs)
+        assert mesh.levels == ()
+        d2f = random_spd_d2f(rng, mesh)
+        rhs = rng.standard_normal(mesh.n_interior)
+        step, iterations, fell_back = newton._solve_step(mesh, d2f, rhs)
+        ref = newton._factorize(mesh, mesh.assemble_hessian(d2f))(rhs)
         assert (iterations, fell_back) == (1, False)
         assert np.linalg.norm(step - ref) <= 1e-13 * np.linalg.norm(ref)
 
@@ -347,22 +356,25 @@ class TestMultigridStep:
                 result.lu_fallbacks) == (1, 1, 1)
         _, df, d2f = quad.jet(mesh.simplex_gradients(u0), 2)
         grad = mesh.scatter_gradient(df) + mesh.node_weights * f_nodes
-        order = mesh.hessian_pattern.order
+        interior = mesh.interior_mask
         lu_step = np.zeros(mesh.n_nodes)
-        lu_step[order] = newton._factorize(mesh.assemble_hessian(d2f)).solve(grad[order])
+        lu_step[interior] = newton._factorize(mesh, mesh.assemble_hessian(d2f))(
+            grad[interior])
         np.testing.assert_array_equal(result.u, u0 - lu_step)
 
 
     @pytest.mark.parametrize("cells", [6, 16])
     def test_zero_diagonal_goes_straight_to_lu(self, monkeypatch, cells):
-        # a zeroed row and column leave no Jacobi smoother: the step is the
-        # bumped LU solve of the block, factored once, with no PCG iteration
+        # D2F zeroed on the simplices around one node zeroes its row and
+        # column, which leaves no Jacobi smoother: the step is the bumped LU
+        # solve of the block, factored once, with no PCG iteration
         mesh = BoxMesh(dim=2, cells=cells, half_width=1.0)
-        lap = mesh.assemble_hessian(np.broadcast_to(np.eye(2), (mesh.n_simplices, 2, 2)))
-        keep = np.ones(lap.shape[0])
-        keep[7] = 0.0
-        block = (sparse.diags(keep) @ lap @ sparse.diags(keep)).tocsc()
-        rhs = np.linspace(1.0, 2.0, lap.shape[0])
+        node = 2 * (cells + 1) + 3                       # the interior node (2, 3)
+        d2f = np.array(np.broadcast_to(np.eye(2), (mesh.n_simplices, 2, 2)))
+        d2f[(mesh._vertex_ids == node).any(axis=1).ravel()] = 0.0
+        block = mesh.assemble_hessian(d2f)
+        assert np.count_nonzero(block.diagonal() == 0.0) == 1
+        rhs = np.linspace(1.0, 2.0, block.shape[0])
         outcomes = []
 
         def counted_splu(matrix, **kwargs):
@@ -372,11 +384,26 @@ class TestMultigridStep:
         monkeypatch.setattr(newton, "splu", counted_splu)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            step, iterations, fell_back = newton._solve_step(mesh, block, rhs)
+            step, iterations, fell_back = newton._solve_step(mesh, d2f, rhs)
         # the singular attempt and the bumped factorization, both of the block
         assert outcomes == [block.shape[0]] * 2
         assert (iterations, fell_back) == (0, True)
-        np.testing.assert_array_equal(step, newton._factorize(block).solve(rhs))
+        np.testing.assert_array_equal(step, newton._factorize(mesh, block)(rhs))
+
+    def test_vcycle_is_freed_without_the_cycle_collector(self, rng):
+        # the cycle holds its levels (blocks, smoothers, coarsest LU) by
+        # reference only, so dropping it frees every Newton step's operators
+        mesh = BoxMesh(dim=2, cells=32, half_width=1.0)
+        d2f = random_spd_d2f(rng, mesh)
+        gc.disable()
+        try:
+            cycle = newton._vcycle(mesh, d2f, mesh.assemble_hessian(d2f))
+            ref = weakref.ref(cycle)
+            assert cycle(np.ones(mesh.n_interior)).shape == (mesh.n_interior,)
+            del cycle
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestHatNorm:
