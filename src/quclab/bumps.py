@@ -84,16 +84,6 @@ class SmoothBump:
         return (4.0 / self.radius ** 4) * d2g[..., None, None] * outer \
             + (2.0 / self.radius ** 2) * dg[..., None, None] * eye
 
-    def grad_sq(self, x):
-        """Gradient of value^2."""
-        return 2.0 * self.value(x)[..., None] * self.gradient(x)
-
-    def hess_sq(self, x):
-        """Hessian of value^2."""
-        g = self.gradient(x)
-        return 2.0 * (g[..., :, None] * g[..., None, :]
-                      + self.value(x)[..., None, None] * self.hessian(x))
-
 
 @dataclass(frozen=True)
 class PlateauBump:
@@ -141,14 +131,6 @@ class PlateauBump:
         _, dv, d2v = self._profile(r)
         rs = np.maximum(r, 1e-300)
         return radial_hessian(d / rs[..., None], d2v, dv / rs)
-
-    def grad_sq(self, x):
-        return 2.0 * self.value(x)[..., None] * self.gradient(x)
-
-    def hess_sq(self, x):
-        g = self.gradient(x)
-        return 2.0 * (g[..., :, None] * g[..., None, :]
-                      + self.value(x)[..., None, None] * self.hessian(x))
 
 
 @dataclass(frozen=True)

@@ -181,8 +181,3 @@ class CantorProfile:
 def cantor_profile(level: int) -> CantorProfile:
     """The level-L profile, built once and shared (it is immutable)."""
     return CantorProfile(level)
-
-
-def cantor_h(level: int, t):
-    """Level-L Cantor function value(s); thin wrapper over CantorProfile."""
-    return cantor_profile(level).h(t)

@@ -129,18 +129,6 @@ def cantor_stress_field(level: int) -> Callable[[np.ndarray], np.ndarray]:
     return field
 
 
-def cantor_stress(z, level: int) -> np.ndarray:
-    return cantor_stress_field(level)(z)
-
-
-def smooth_control_field(z) -> np.ndarray:
-    """The harmonic-stream part z_perp/|z|^2 alone (level-independent)."""
-    z = np.asarray(z, float)
-    r2 = np.sum(z * z, axis=-1)
-    perp = np.stack([-z[..., 1], z[..., 0]], axis=-1)
-    return perp / r2[..., None]
-
-
 DEFAULT_BALL = ((1.5, 0.0), 0.4)
 
 
@@ -295,7 +283,7 @@ def sobolev_blowup_diagnostic(levels, ball_center=DEFAULT_BALL[0],
             l15 = max(l15, float((np.sum(diff ** 1.5) * area) ** (1.0 / 1.5)))
         return w11, sup_q, l15
 
-    control_w11 = quotients(smooth_control_field)[0]
+    control_w11 = quotients(arctan_gradient)[0]  # z_perp/|z|^2 alone
     rows = []
     for level in levels:
         w11, sup_q, l15 = quotients(cantor_stress_field(level))

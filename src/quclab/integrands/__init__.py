@@ -1,6 +1,6 @@
 """Convex integrands: gallery, convexity diagnostics and regularization tools."""
 
-from .base import Integrand, eigen_ratio_at, eigen_ratio_batch, validate_integrand
+from .base import Integrand, eigen_ratio_batch, validate_integrand
 from .gallery import gallery, integrand_from_config, integrand_to_config
 from .profiles import (
     UhlenbeckProfile,
@@ -27,7 +27,6 @@ __all__ = [
     "UhlenbeckProfile",
     "bounded_power_profile",
     "constant_profile",
-    "eigen_ratio_at",
     "eigen_ratio_batch",
     "estimate_K",
     "extend_local",

@@ -129,17 +129,6 @@ class Integrand:
         )
 
 
-def eigen_ratio_at(f: Integrand, z) -> float:
-    """lambda_max/lambda_min of D2F(z); inf when the Hessian is degenerate."""
-    z = np.asarray(z, dtype=float)
-    if z.ndim != 1:
-        raise InputError("eigen_ratio_at takes a single point; use eigen_ratio_batch")
-    hess = np.asarray(f.hessian(z), dtype=float)
-    if not np.all(np.isfinite(hess)):
-        return float("inf")
-    return matrixcore.eigen_summary(hess).ratio
-
-
 def eigen_ratio_batch(f: Integrand, z: np.ndarray) -> np.ndarray:
     """Vectorized eigenvalue ratios at a batch of points (LAPACK path).
 
@@ -164,8 +153,8 @@ def validate_integrand(f: Integrand, rng: np.random.Generator, samples: int = 64
                        radius: float = 2.0, check_minimizer: bool = True) -> None:
     """Consistency checks: midpoint convexity, DF(z0) ~ 0, DF matches FD of F.
 
-    Raises :class:`NumericError` on violation; used by the test-suite and the
-    CLI integrand verifier, not at construction time.
+    Raises :class:`NumericError` on violation; used by the test-suite, not at
+    construction time.
     """
     z1 = f.minimizer + radius * rng.standard_normal((samples, f.dim))
     z2 = f.minimizer + radius * rng.standard_normal((samples, f.dim))

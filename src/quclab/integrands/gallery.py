@@ -19,13 +19,14 @@ import numpy as np
 from ..cantorfn import cantor_profile
 from ..errors import InputError
 from ..matrixcore import radial_hessian
+from ..utils import strict_int
 from .base import Integrand
 from .profiles import (
     UhlenbeckProfile,
     bounded_power_profile,
     constant_profile,
-    indices_to_K,
     power_profile,
+    uhlenbeck_indices,
 )
 
 _SAFE_MIN = 1e-300
@@ -155,9 +156,7 @@ def mixed(p: float, q: float, dim: int = 2) -> Integrand:
 
 def uhlenbeck(profile: UhlenbeckProfile, dim: int = 2) -> Integrand:
     """F(z) = int_0^{|z|} t a(t) dt; requires an admissible profile."""
-    i_a, s_a = profile.indices()
-    if i_a <= -1.0:
-        raise InputError(f"profile {profile.name} inadmissible (i_a = {i_a:.4f})")
+    indices = uhlenbeck_indices(profile)
     if profile.primitive is None:
         raise InputError("profile must carry a primitive of t a(t) for F evaluation")
 
@@ -165,10 +164,10 @@ def uhlenbeck(profile: UhlenbeckProfile, dim: int = 2) -> Integrand:
         return _radial_jet(z, order, profile.primitive, profile.a,
                            lambda rs, a: a + rs * profile.da(rs))
 
-    singular = ((0.0,) * dim,) if (i_a, s_a) != (0.0, 0.0) else ()
+    singular = ((0.0,) * dim,) if (indices["i_a"], indices["s_a"]) != (0.0, 0.0) else ()
     return Integrand(
         name=f"uhlenbeck[{profile.name}]", dim=dim, jet_fn=jet,
-        declared_K=indices_to_K(i_a, s_a), minimizer=np.zeros(dim),
+        declared_K=indices["K"], minimizer=np.zeros(dim),
         singular_points=singular,
         params={"profile": profile.name.split("[", 1)[0], **(profile.params or {})},
         radial=True,
@@ -272,7 +271,7 @@ def gallery(name: str, **params) -> Integrand:
     InputError (fail-closed).
     """
     try:
-        dim = int(params.pop("dim", 2))
+        dim = strict_int(params.pop("dim", 2), "dim")
         if name == "power":
             out = power(params.pop("p"), dim=dim, center=params.pop("center", None))
         elif name == "two_center":
@@ -289,7 +288,7 @@ def gallery(name: str, **params) -> Integrand:
         elif name == "gh":
             out = gh(params.pop("p"), params.pop("matrix"), dim=dim)
         elif name == "cantor":
-            out = cantor(int(params.pop("level", 12)), dim=dim)
+            out = cantor(strict_int(params.pop("level", 12), "level"), dim=dim)
         elif name == "orthotropic":
             out = orthotropic(params.pop("p"), dim=dim)
         else:
@@ -318,5 +317,5 @@ def integrand_from_config(cfg: dict) -> Integrand:
     if "name" not in cfg:
         raise InputError("integrand config requires a 'name'")
     kwargs = dict(cfg.get("params", {}))
-    kwargs["dim"] = int(cfg.get("dim", 2))
+    kwargs["dim"] = strict_int(cfg.get("dim", 2), "dim")
     return gallery(cfg["name"], **kwargs)

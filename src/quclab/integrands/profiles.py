@@ -111,19 +111,10 @@ def indices_to_p(i_a: float, s_a: float) -> float:
     return min(2.0 + i_a, (2.0 + s_a) / (1.0 + s_a))
 
 
-def uhlenbeck_indices(profile: UhlenbeckProfile,
-                      t_min: float = 1e-6, t_max: float = 1e6,
-                      num: int = 1000) -> dict:
-    """Grid estimate of (i_a, s_a) and the induced K and coercivity exponent p.
-
-    The inf/sup over all t > 0 is approximated on a log-spaced grid; built-in
-    profiles carrying exact indices bypass the grid.
-    """
-    t = np.logspace(np.log10(t_min), np.log10(t_max), num)
-    field = profile.index_field(t)
-    if not np.all(np.isfinite(field)):
-        raise InputError(f"profile {profile.name}: non-finite t a'/a samples")
-    i_a, s_a = float(field.min()), float(field.max())
+def uhlenbeck_indices(profile: UhlenbeckProfile) -> dict:
+    """(i_a, s_a) of :meth:`UhlenbeckProfile.indices` and the induced K and
+    coercivity exponent p; InputError unless the profile is admissible."""
+    i_a, s_a = profile.indices()
     if i_a <= -1.0:
         raise InputError(f"profile {profile.name} is inadmissible: i_a = {i_a:.4f} <= -1")
     return {

@@ -225,17 +225,15 @@ class _RadialTable:
         return out
 
 
-def mollify(f: Integrand, eps: float, rule: MollifierRule | None = None) -> Integrand:
+def mollify(f: Integrand, eps: float) -> Integrand:
     """Convolution F * phi_eps realized by a positive quadrature rule.
 
     A radial integrand (``f.radial``: ``power`` about the origin,
-    ``uhlenbeck`` and their tilts) mollifies to a radial g(|z|).  Without an
-    explicit ``rule`` its jet comes from a 1-D table of g, g', g'' built
-    once per call of ``mollify`` with the fine 8 x 64 rule
-    (:class:`_RadialTable`).  Every other integrand, and any call with an
-    explicit ``rule``, sums the translated jets over the rule's nodes
-    (``rule`` defaults to the 64 / 512-node kernel rule) at every
-    evaluation.
+    ``uhlenbeck`` and their tilts) mollifies to a radial g(|z|).  Its jet
+    comes from a 1-D table of g, g', g'' built once per call of ``mollify``
+    with the fine 8 x 64 rule (:class:`_RadialTable`).  Every other
+    integrand sums the translated jets over the nodes of the 64 / 512-node
+    kernel rule at every evaluation.
 
     The kernel sweep preserves any declared eigenvalue-ratio bound exactly
     (a convex combination of translated Hessians).  The table's knot values
@@ -247,10 +245,10 @@ def mollify(f: Integrand, eps: float, rule: MollifierRule | None = None) -> Inte
     """
     if eps <= 0.0:
         raise InputError("eps must be > 0")
-    if f.radial and rule is None:
+    if f.radial:
         jet = _RadialTable(f, eps).jet
     else:
-        jet = _sweep_jet(f, eps, rule or _rule(f.dim))
+        jet = _sweep_jet(f, eps, _rule(f.dim))
 
     return Integrand(
         name=f"mollified[{f.name},eps={eps:g}]",

@@ -7,9 +7,9 @@ part of X is controlled by
     phi(t) = (1 - t)^2 / (1 + t^2),
 
 where lmin, lmax are the extreme eigenvalues of P.  This module provides
-the scalar ingredients (phi, skew defect, eigenvalue summaries via a Jacobi
-solver), a per-pair verifier, the K-dependent reabsorption factors, and a
-vectorized mass-trial driver used by the randomized certification run.
+the scalar ingredients (phi, skew defect, eigenvalue summaries), a per-pair
+verifier, the K-dependent reabsorption factors, and a vectorized mass-trial
+driver used by the randomized certification run.
 
 All matrix norms are Frobenius norms.
 """
@@ -54,45 +54,6 @@ def check_symmetric(a: np.ndarray, atol: float = SYMMETRY_ATOL) -> np.ndarray:
     return 0.5 * (a + a.T)
 
 
-def jacobi_eigenvalues(a: np.ndarray, tol: float = 1e-14, max_sweeps: int = 64) -> np.ndarray:
-    """All eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
-
-    Unconditionally convergent for symmetric input; intended for the small
-    dimensions (N <= 16) this package works with.  Returns eigenvalues in
-    ascending order.
-    """
-    a = check_symmetric(a).copy()
-    n = a.shape[0]
-    if n == 1:
-        return a[0].copy()
-    scale = frobenius(a)
-    if scale == 0.0:
-        return np.zeros(n)
-    for _ in range(max_sweeps):
-        off = np.sqrt(max(np.sum(a * a) - np.sum(np.diag(a) ** 2), 0.0))
-        if off <= tol * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.sign(theta) / (abs(theta) + np.hypot(theta, 1.0))
-                if theta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                rot_p = c * a[:, p] - s * a[:, q]
-                rot_q = s * a[:, p] + c * a[:, q]
-                a[:, p], a[:, q] = rot_p, rot_q
-                rot_p = c * a[p, :] - s * a[q, :]
-                rot_q = s * a[p, :] + c * a[q, :]
-                a[p, :], a[q, :] = rot_p, rot_q
-                a[p, q] = a[q, p] = 0.0
-    return np.sort(np.diag(a))
-
-
 @dataclass(frozen=True)
 class EigenSummary:
     """Extreme eigenvalues of a symmetric matrix and their ratio.
@@ -109,8 +70,8 @@ class EigenSummary:
 
 
 def eigen_summary(p: np.ndarray) -> EigenSummary:
-    """Extreme eigenvalues of a symmetric matrix via the Jacobi solver."""
-    eig = jacobi_eigenvalues(p)
+    """Extreme eigenvalues of a symmetric matrix (LAPACK ``eigvalsh``)."""
+    eig = np.linalg.eigvalsh(check_symmetric(p))
     lmin, lmax = float(eig[0]), float(eig[-1])
     definite = lmin > SPD_RTOL * max(lmax, 0.0) and lmin > 0.0
     ratio = lmax / lmin if definite else float("inf")
@@ -230,8 +191,8 @@ def batch_skew_check(rng: np.random.Generator, trials: int, dim: int,
                      rel_slack: float = 1e-10, chunk: int = 20000) -> MassTrialReport:
     """Vectorized mass trial of the skew-defect bound.
 
-    Uses the batched LAPACK symmetric eigensolver for throughput; the Jacobi
-    path in :func:`eigen_summary` is cross-checked against it in the tests.
+    Uses the batched LAPACK symmetric eigensolver, as :func:`eigen_summary`
+    does for one matrix.
     """
     if trials < 1:
         raise InputError("trials must be >= 1")

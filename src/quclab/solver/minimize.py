@@ -174,9 +174,10 @@ def _stage_newton(mesh: BoxMesh, f_obj: Integrand, f_nodes: np.ndarray,
         direction = -step
 
         slope = float(grad @ direction)
-        if slope >= 0.0:  # not a descent direction; steepest descent fallback
-            direction = -grad
-            slope = -grad_norm ** 2
+        if slope >= 0.0:
+            raise NumericError(
+                f"Newton step is not a descent direction at iteration "
+                f"{iteration} (grad norm {grad_norm:.3e})")
 
         t = 1.0
         e0 = energies[-1]
@@ -233,7 +234,7 @@ class DiscreteSolution:
     stress_cells: np.ndarray    # V = DF(Du) at cell centers
     energy: float               # unregularized energy at the final iterate
     history: tuple
-    warm_start: str             # "ok", "off", or why the harmonic start failed
+    warm_start: str             # "ok", or why the harmonic start failed
 
     @property
     def f_nodes(self) -> np.ndarray:
@@ -248,8 +249,7 @@ def _harmonic_warm_start(mesh: BoxMesh, u0: np.ndarray, f_nodes: np.ndarray) -> 
 
 
 def minimize(spec: ProblemSpec, schedule: RegularizationSchedule | None = None,
-             tol: float = 1e-10, max_iter: int = 60,
-             warm_start: bool = True) -> DiscreteSolution:
+             tol: float = 1e-10, max_iter: int = 60) -> DiscreteSolution:
     """Run the regularization cascade and return the final-stage solution.
 
     Raises :class:`NumericError` with stage diagnostics when a stage fails
@@ -270,13 +270,11 @@ def minimize(spec: ProblemSpec, schedule: RegularizationSchedule | None = None,
     if not np.all(np.isfinite(u[bmask])):
         raise InputError("boundary data has non-finite values")
 
-    start = "off"
-    if warm_start:
-        try:
-            u = _harmonic_warm_start(mesh, u, f_nodes_raw)
-            start = "ok"
-        except NumericError as exc:  # the flat extension stays, and is reported
-            start = str(exc)
+    try:
+        u = _harmonic_warm_start(mesh, u, f_nodes_raw)
+        start = "ok"
+    except NumericError as exc:  # the flat extension stays, and is reported
+        start = str(exc)
     boundary_grad_sq = float(np.sum(mesh.simplex_gradients(u) ** 2)
                              * mesh.simplex_volume)
 

@@ -11,6 +11,7 @@ import numpy as np
 
 from ..errors import InputError
 from ..integrands import Integrand, integrand_from_config, integrand_to_config
+from ..utils import strict_int
 
 CONFIG_VERSION = 1
 
@@ -61,8 +62,7 @@ def make_boundary(kind: str, **params) -> Callable[[np.ndarray], np.ndarray]:
             maker = lambda x: scale * inner(x)
     elif kind == "radial_power":
         p = float(params.pop("p"))
-        dim = int(params.pop("dim", 2))
-        maker = radial_power_solution(p, dim)
+        maker = radial_power_solution(p, strict_int(params.pop("dim", 2), "dim"))
     else:
         raise InputError(f"unknown boundary kind {kind!r} (known: {_BOUNDARY_KINDS})")
     if params:
@@ -142,7 +142,7 @@ class RegularizationSchedule:
 _TOP_KEYS = {"version", "problem", "schedule", "solver", "report"}
 _PROBLEM_KEYS = {"integrand", "cells", "half_width", "boundary", "source",
                  "source_exponent"}
-_SOLVER_TYPES = {"tol": float, "max_iter": int}
+_SOLVER_TYPES = {"tol": float, "max_iter": lambda v: strict_int(v, "max_iter")}
 _REPORT_TYPES = {"ball_center": lambda v: [float(x) for x in v], "ball_radius": float,
                  "m": float, "theta": lambda v: None if v is None else float(v)}
 
@@ -205,7 +205,7 @@ def load_problem_config(cfg: dict | str | Path):
     spec = ProblemSpec(
         integrand=_parse("integrand", integrand_from_config,
                          _section(prob, "integrand", None)),
-        cells=_parse("cells", int, prob.get("cells", 64)),
+        cells=_parse("cells", strict_int, prob.get("cells", 64), "cells"),
         half_width=_parse("half_width", float, prob.get("half_width", 1.0)),
         boundary=_parse("boundary", make_boundary, bdesc.get("kind"),
                         **_section(bdesc, "params", None)),

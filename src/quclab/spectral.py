@@ -386,8 +386,9 @@ def cutoff_identity_check(v: SpectralField, cutoff) -> IdentityReport:
         int phi^2 |DV|^2 = 1/2 int phi^2 |curl V|^2 + int phi^2 (Div V)^2
                         + int [ 2 (D phi^2, V) Div V + (D^2 phi^2, V (x) V) ].
 
-    The cutoff object must provide value/grad_sq/hess_sq with analytic
-    derivatives; quadrature is the grid midpoint rule.
+    The cutoff object (a bump of :mod:`quclab.bumps`) must provide
+    value/gradient/hessian with analytic derivatives, from which D phi^2 and
+    D^2 phi^2 are formed; quadrature is the grid midpoint rule.
     """
     grid = v.grid
     pts = np.stack(grid.mesh(), axis=-1)
@@ -405,8 +406,10 @@ def cutoff_identity_check(v: SpectralField, cutoff) -> IdentityReport:
     t_curl = 0.5 * np.sum(phi2 * 2.0 * np.sum(cg * cg, axis=0)) * vol
     t_div = np.sum(phi2 * div * div) * vol
 
-    dphi2 = np.moveaxis(cutoff.grad_sq(pts), -1, 0)
-    d2phi2 = np.moveaxis(cutoff.hess_sq(pts), (-2, -1), (0, 1))
+    dphi = np.moveaxis(cutoff.gradient(pts), -1, 0)
+    dphi2 = 2.0 * phi * dphi
+    d2phi2 = 2.0 * (dphi[:, None] * dphi[None]
+                    + phi * np.moveaxis(cutoff.hessian(pts), (-2, -1), (0, 1)))
     cross = 2.0 * np.sum(np.sum(dphi2 * vphys, axis=0) * div) * vol
     outer = vphys[None] * vphys[:, None]
     quadratic = np.sum(d2phi2 * outer) * vol

@@ -1,4 +1,5 @@
-"""Shared plumbing: worker caps, deterministic report writing, manifests."""
+"""Shared plumbing: worker caps, integer inputs, deterministic report writing,
+manifests."""
 
 from __future__ import annotations
 
@@ -26,6 +27,16 @@ def worker_count(tasks: int | None = None) -> int:
     if tasks is not None:
         cap = min(cap, max(1, tasks))
     return cap
+
+
+def strict_int(value, what: str) -> int:
+    """An int, or a float with an integral value, as an int; InputError for
+    anything else (a fractional or non-finite number, a bool, a string)."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    raise InputError(f"{what} must be an integer, got {value!r}")
 
 
 def _jsonable(obj):

@@ -7,21 +7,21 @@ import pytest
 from scipy.integrate import quad
 
 from quclab import cantorfn
-from quclab.cantorfn import CantorProfile, cantor_h
+from quclab.cantorfn import CantorProfile, cantor_profile
 from quclab.counterexamples import cantor_stress_field
 from quclab.errors import InputError
 
 
 class TestValues:
     def test_endpoints(self):
-        assert cantor_h(8, 0.0) == 0.0
-        assert cantor_h(8, 1.0) == 1.0
+        assert cantor_profile(8).h(0.0) == 0.0
+        assert cantor_profile(8).h(1.0) == 1.0
 
     def test_middle_plateau(self):
-        assert cantor_h(8, 0.5) == pytest.approx(0.5, abs=1e-14)
+        assert cantor_profile(8).h(0.5) == pytest.approx(0.5, abs=1e-14)
 
     def test_first_removed_interval_edge(self):
-        assert cantor_h(8, 1.0 / 3.0) == pytest.approx(0.5, abs=1e-12)
+        assert cantor_profile(8).h(1.0 / 3.0) == pytest.approx(0.5, abs=1e-12)
 
     def test_self_similarity(self):
         # h(t/3) = h(t)/2 for the exact function; at level L the left copy
@@ -39,7 +39,7 @@ class TestValues:
 
     def test_negative_rejected(self):
         with pytest.raises(InputError):
-            cantor_h(4, -0.5)
+            cantor_profile(4).h(-0.5)
         prof = CantorProfile(4)
         for name in ("h", "h_prime", "H"):
             for t in (-0.5, np.array([0.5, -1e-300])):
@@ -56,7 +56,7 @@ class TestInvariants:
     def test_level_convergence(self):
         t = np.linspace(0.0, 1.0, 10_000)
         for level in (4, 6, 8):
-            gap = np.max(np.abs(cantor_h(level, t) - cantor_h(level + 4, t)))
+            gap = np.max(np.abs(cantor_profile(level).h(t) - cantor_profile(level + 4).h(t)))
             assert gap <= 2.0 ** -level
 
     def test_range(self):

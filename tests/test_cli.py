@@ -364,6 +364,18 @@ class TestUsage:
          ["solve", "--config", "{tmp}/config.json"], "cells"),
         ({}, {**_CONFIG, "problem": {**_CONFIG["problem"], "half_width": 0.0}},
          ["solve", "--config", "{tmp}/config.json"], "half_width"),
+        ({}, {**_CONFIG, "problem": {**_CONFIG["problem"], "cells": 8.7}},
+         ["solve", "--config", "{tmp}/config.json"], "cells must be an integer"),
+        ({}, {**_CONFIG, "problem": {**_CONFIG["problem"], "integrand": {
+            "name": "power", "dim": 2.7, "params": {"p": 3.0}}}},
+         ["solve", "--config", "{tmp}/config.json"], "dim must be an integer"),
+        ({}, None, ["integrand", "--name", "cantor", "--param", "level=12.5"],
+         "level must be an integer"),
+        ({}, {**_CONFIG, "solver": {"max_iter": 20.5}},
+         ["solve", "--config", "{tmp}/config.json"], "max_iter must be an integer"),
+        ({}, {**_CONFIG, "problem": {**_CONFIG["problem"], "boundary": {
+            "kind": "radial_power", "params": {"p": 3.0, "dim": 2.5}}}},
+         ["solve", "--config", "{tmp}/config.json"], "dim must be an integer"),
     ], ids=["quc-threads", "levels", "missing-config", "config-cells",
             "config-stage", "config-list", "config-boundary", "config-tol",
             "p-grid-empty", "p-grid-token", "dims-token", "dims-zero", "dims-one",
@@ -374,7 +386,9 @@ class TestUsage:
             "cpprime-m-nan",
             "integrand-r-max-overflow", "riesz-seed-negative", "matrix-seed-negative",
             "n-grid-zero", "n-grid-negative", "n-grid-one", "n-grid-three",
-            "param-token", "config-cells-inf", "config-half-width-zero"])
+            "param-token", "config-cells-inf", "config-half-width-zero",
+            "config-cells-fraction", "config-dim-fraction", "param-level-fraction",
+            "config-max-iter-fraction", "config-boundary-dim-fraction"])
     def test_malformed_input_exit_2(self, tmp_path, monkeypatch, capsys, env, config,
                                     argv, message):
         for key, value in env.items():

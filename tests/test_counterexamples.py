@@ -78,35 +78,35 @@ class TestTraceCheck:
 class TestCantorStress:
     def test_point_on_unit_circle(self):
         # coefficient 1/|z| + h(1/|z|) = 1 + h(1) = 2 at z = (1, 0)
-        v = ce.cantor_stress(np.array([1.0, 0.0]), 8)
+        v = ce.cantor_stress_field(8)(np.array([1.0, 0.0]))
         assert np.allclose(v, [0.0, 2.0], atol=1e-12)
 
     def test_point_at_radius_two(self):
         # coefficient 1/2 + h(1/2) = 1: V = (0, 1).  (Plugging into
         # F'(t) = t + h(t): |Du| = 1/2, unit direction z_perp/|z|.)
-        v = ce.cantor_stress(np.array([2.0, 0.0]), 8)
+        v = ce.cantor_stress_field(8)(np.array([2.0, 0.0]))
         assert np.allclose(v, [0.0, 1.0], atol=1e-12)
 
     def test_decay_along_axis(self):
         radii = np.array([5.0, 50.0, 500.0, 5000.0])
         pts = np.stack([radii, np.zeros_like(radii)], axis=1)
-        mags = np.linalg.norm(ce.cantor_stress(pts, 8), axis=1)
+        mags = np.linalg.norm(ce.cantor_stress_field(8)(pts), axis=1)
         assert np.all(np.diff(mags) < 0.0)
         assert mags[-1] < 1e-2
 
     def test_left_half_plane_rejected(self):
         with pytest.raises(InputError):
-            ce.cantor_stress(np.array([-1.0, 0.0]), 6)
+            ce.cantor_stress_field(6)(np.array([-1.0, 0.0]))
 
     def test_tangential_structure(self, half_plane_points):
-        v = ce.cantor_stress(half_plane_points, 10)
+        v = ce.cantor_stress_field(10)(half_plane_points)
         radial_component = np.sum(v * half_plane_points, axis=1)
         assert np.max(np.abs(radial_component)) < 1e-12
 
 
 class TestWeakDivergence:
     def test_harmonic_stream_exact(self):
-        res = ce.weak_divergence_residual(ce.smooth_control_field, n_bumps=8, seed=3)
+        res = ce.weak_divergence_residual(ce.arctan_gradient, n_bumps=8, seed=3)
         assert res < 1e-9
 
     def test_cantor_level12_below_threshold(self):

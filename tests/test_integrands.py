@@ -6,7 +6,6 @@ import pytest
 from quclab.errors import InputError
 from quclab.integrands import (
     AnnulusSampler,
-    eigen_ratio_at,
     eigen_ratio_batch,
     estimate_K,
     extend_local,
@@ -68,7 +67,7 @@ class TestGalleryConstruction:
         f = gallery("two_center", p=2, z0=[0.3, -0.7])
         z = rng.standard_normal((8, 2))
         assert np.allclose(f.hessian(z), 4.0 * np.eye(2), atol=1e-13)
-        assert eigen_ratio_at(f, np.array([1.0, 2.0])) == pytest.approx(1.0)
+        assert eigen_ratio_batch(f, np.array([1.0, 2.0])) == pytest.approx(1.0)
 
     def test_mixed_eigen_bounds(self):
         p, q = 3.0, 4.0
@@ -143,24 +142,24 @@ class TestEigenRatio:
     def test_isotropic_quadratic(self, rng):
         f = gallery("power", p=2)
         z = rng.standard_normal(2)
-        assert eigen_ratio_at(f, z) == pytest.approx(1.0, abs=1e-12)
+        assert eigen_ratio_batch(f, z) == pytest.approx(1.0, abs=1e-12)
 
     def test_quartic_ratio_three(self, rng):
         # D2(|z|^4/4) = |z|^2 (I + 2 unit unit^t): eigenvalues {r^2, 3 r^2}
         f = gallery("power", p=4)
         for _ in range(10):
             z = rng.standard_normal(2)
-            assert eigen_ratio_at(f, z) == pytest.approx(3.0, rel=1e-10)
+            assert eigen_ratio_batch(f, z) == pytest.approx(3.0, rel=1e-10)
 
     def test_orthotropic_divergence(self):
         f = gallery("orthotropic", p=4)
         t = 1e-3
-        ratio = eigen_ratio_at(f, np.array([1.0, t]))
+        ratio = eigen_ratio_batch(f, np.array([1.0, t]))
         assert ratio == pytest.approx(t ** -2, rel=1e-8)
 
     def test_degenerate_flagged(self):
         f = gallery("power", p=4)
-        assert eigen_ratio_at(f, np.zeros(2)) == np.inf
+        assert eigen_ratio_batch(f, np.zeros(2)) == np.inf
 
 
 class TestEstimateK:

@@ -9,29 +9,6 @@ from quclab import matrixcore as mc
 from quclab.errors import InputError, PreconditionError
 
 
-def eig2_closed_form(a):
-    """Eigenvalues of a symmetric 2x2 matrix from the quadratic formula."""
-    mean = 0.5 * (a[0, 0] + a[1, 1])
-    disc = np.hypot(0.5 * (a[0, 0] - a[1, 1]), a[0, 1])
-    return np.array([mean - disc, mean + disc])
-
-
-def eig3_closed_form(a):
-    """Eigenvalues of a symmetric 3x3 matrix via the trigonometric cubic."""
-    p1 = a[0, 1] ** 2 + a[0, 2] ** 2 + a[1, 2] ** 2
-    q = np.trace(a) / 3.0
-    if p1 == 0.0:
-        return np.sort(np.diag(a))
-    p2 = sum((a[i, i] - q) ** 2 for i in range(3)) + 2.0 * p1
-    p = np.sqrt(p2 / 6.0)
-    b = (a - q * np.eye(3)) / p
-    r = np.clip(np.linalg.det(b) / 2.0, -1.0, 1.0)
-    ang = np.arccos(r) / 3.0
-    e1 = q + 2.0 * p * np.cos(ang)
-    e3 = q + 2.0 * p * np.cos(ang + 2.0 * np.pi / 3.0)
-    return np.sort([e1, 3.0 * q - e1 - e3, e3])
-
-
 class TestEigenSummary:
     def test_identity(self):
         s = mc.eigen_summary(np.eye(3))
@@ -43,25 +20,11 @@ class TestEigenSummary:
         s = mc.eigen_summary(np.diag([1.0, 4.0]))
         assert (s.lambda_min, s.lambda_max, s.ratio) == (1.0, 4.0, 4.0)
 
-    def test_jacobi_matches_closed_forms(self, rng):
-        for _ in range(200):
-            a = rng.standard_normal((2, 2))
-            a = a + a.T
-            assert np.allclose(mc.jacobi_eigenvalues(a), eig2_closed_form(a),
-                               atol=1e-12, rtol=1e-12)
-        for _ in range(200):
-            a = rng.standard_normal((3, 3))
-            a = a + a.T
-            assert np.allclose(mc.jacobi_eigenvalues(a), eig3_closed_form(a),
-                               atol=1e-10, rtol=1e-10)
-
-    def test_jacobi_matches_lapack_up_to_8(self, rng):
-        for n in range(2, 9):
-            for _ in range(30):
-                a = rng.standard_normal((n, n))
-                a = a + a.T
-                assert np.allclose(mc.jacobi_eigenvalues(a), np.linalg.eigvalsh(a),
-                                   atol=1e-11, rtol=1e-11)
+    def test_extremal_pairs_exact(self):
+        # the diagonal P of the equality pair gives its extremes bit for bit
+        for dim in range(2, 9):
+            s = mc.eigen_summary(mc.extremal_pair(dim)[0])
+            assert (s.lambda_min, s.lambda_max, s.ratio) == (1.0, 4.0, 4.0)
 
     def test_random_spd_5x5(self, rng):
         p = mc.random_spd_batch(rng, 1, 5)[0]
@@ -145,7 +108,7 @@ class TestVerifySkewBound:
         with pytest.raises(PreconditionError):
             mc.verify_skew_bound(np.diag([-1.0, 1.0]), np.eye(2))
 
-    def test_randomized_jacobi_route(self, rng):
+    def test_randomized_single_pairs(self, rng):
         for n in (2, 3, 5):
             for _ in range(150):
                 p = mc.random_spd_batch(rng, 1, n)[0]

@@ -583,7 +583,19 @@ class TestMinimize:
         monkeypatch.setattr(newton, "_harmonic_warm_start", fail)
         sol = minimize(radial_spec(3.0, 16))
         assert sol.warm_start == "line search stalled at iteration 0"
-        assert minimize(radial_spec(3.0, 16), warm_start=False).warm_start == "off"
+
+    def test_ascent_step_raises(self, monkeypatch):
+        # a step that does not descend ends the solve with its iteration and grad norm
+        solve = newton._solve_step
+
+        def negated(*args):
+            step, iterations, fell_back = solve(*args)
+            return -step, iterations, fell_back
+
+        monkeypatch.setattr(newton, "_solve_step", negated)
+        with pytest.raises(NumericError, match=r"stage 0 .*not a descent direction "
+                                               r"at iteration 0 \(grad norm"):
+            minimize(radial_spec(3.0, 16))
 
     def test_el_residual_small_at_minimizer(self, p3_solution):
         assert euler_lagrange_residual(p3_solution, mode="hat") < 1e-8

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from quclab.bumps import PlateauBump, SmoothBump
+from quclab.bumps import PlateauBump, QuinticBump, SmoothBump
 from quclab.cli import main
 from quclab.cordes import apply_T
 from quclab.errors import InputError
@@ -186,6 +186,19 @@ class TestCutoffIdentity:
             residuals.append(rep.residual)
         assert residuals[2] < residuals[0]
         assert residuals[2] < 1e-6
+
+    def test_quintic_bump_cutoff(self):
+        # the C^2 polynomial bump of the weak-residual bank is a cutoff too:
+        # its D(phi^2), D^2(phi^2) carry the identity, and the midpoint rule
+        # converges on it
+        residuals = []
+        for n in (64, 128):
+            v = sp.SpectralField.random_band_limited(sp.PeriodicGrid(dim=2, n=n), "vector",
+                                                     4, np.random.default_rng(7))
+            rep = sp.cutoff_identity_check(v, QuinticBump(center=[np.pi, np.pi], radius=2.5))
+            residuals.append(rep.residual)
+        assert abs(rep.terms["commutator"]) > 1e-3 * rep.lhs
+        assert residuals[1] < residuals[0] and residuals[1] < 1e-8
 
     def test_support_violation_rejected(self, rng):
         grid = grid2(32)
