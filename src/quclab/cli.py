@@ -93,11 +93,9 @@ def _write_report(path: Path, payload: dict, passed) -> tuple[dict, bool]:
 def cmd_matrix_check(args, out_dir: Path, manifest: Manifest):
     rng = np.random.default_rng(args.seed)
     dims = _parse_list(args.dims, int, "--dims")
-    rows = []
-    for dim in dims:
-        rep = matrixcore.batch_skew_check(rng, args.trials, dim)
-        rows.append({"dim": dim, "worst_slack": rep.worst_slack,
-                     "violations": rep.violations, "holds": rep.holds})
+    columns = ["dim", "worst_slack", "violations", "holds"]
+    reports = [matrixcore.batch_skew_check(rng, args.trials, dim) for dim in dims]
+    rows = [{key: getattr(r, key) for key in columns} for r in reports]
     p_ext, s_ext = matrixcore.extremal_pair(2, 1.0, 4.0)
     ext = matrixcore.verify_skew_bound(p_ext, s_ext)
     rel_gap = abs(ext.lhs - ext.rhs) / ext.rhs
@@ -110,10 +108,8 @@ def cmd_matrix_check(args, out_dir: Path, manifest: Manifest):
     }
     payload, passed = _write_report(manifest.add(out_dir / "report.json"), payload, passed)
     if args.format == "csv":
-        write_csv(manifest.add(out_dir / "report.csv"),
-                  ["dim", "worst_slack", "violations", "holds"],
-                  [[r["dim"], r["worst_slack"], r["violations"], r["holds"]]
-                   for r in rows])
+        write_csv(manifest.add(out_dir / "report.csv"), columns,
+                  [[r[key] for key in columns] for r in rows])
     return payload, passed
 
 
@@ -296,17 +292,11 @@ def cmd_cpprime_sweep(args, out_dir: Path, manifest: Manifest):
 
     with ThreadPoolExecutor(max_workers=worker_count(len(ps))) as pool:
         reports = list(pool.map(one, ps))
-    rows = [{"p": r.p, "p_prime": r.p_prime,
-             "gradient_exponent": r.gradient_exponent,
-             "solution_exponent": r.solution_exponent,
-             "stress_w1m": r.stress_w1m, "ratio": r.ratio,
-             "meets_target": r.meets_target} for r in reports]
-    write_csv(manifest.add(out_dir / "sweep.csv"),
-              ["p", "p_prime", "gradient_exponent", "solution_exponent",
-               "stress_w1m", "ratio", "meets_target"],
-              [[row[k] for k in ("p", "p_prime", "gradient_exponent",
-                                 "solution_exponent", "stress_w1m", "ratio",
-                                 "meets_target")] for row in rows])
+    columns = ["p", "p_prime", "gradient_exponent", "solution_exponent",
+               "stress_w1m", "ratio", "meets_target"]
+    rows = [{key: getattr(r, key) for key in columns} for r in reports]
+    write_csv(manifest.add(out_dir / "sweep.csv"), columns,
+              [[row[key] for key in columns] for row in rows])
     passed = all(r.meets_target for r in reports)
     payload = {"subcommand": "cpprime-sweep", "dim": args.N, "m": args.m,
                "rows": rows}

@@ -33,6 +33,7 @@ from .errors import InputError
 from .bumps import QuinticBump
 from .matrixcore import radial_hessian
 from .quadrature import adaptive_quad_2d
+from .utils import strict_int
 
 
 # -- the arctan solution -------------------------------------------------------
@@ -207,22 +208,22 @@ class BlowupRow:
 
 
 def check_levels(levels) -> list[int]:
-    """The levels as ints; InputError unless non-empty and strictly increasing."""
-    levels = [int(l) for l in levels]
+    """Integral levels as ints; InputError unless non-empty and increasing."""
+    levels = [strict_int(l, "level") for l in levels]
     if not levels or any(b <= a for a, b in zip(levels, levels[1:])):
         raise InputError("levels must be non-empty and strictly increasing")
     return levels
 
 
 def check_n_grid(n_grid) -> int:
-    """n_grid as an int; InputError unless its grid meets the table's ball.
+    """Integral n_grid as an int; InputError unless its grid meets the ball.
 
     The table keeps the grid points within R - 2 delta of the center, with
     delta = 2R/n_grid.  The nearest grid point lies at 0 (odd n_grid) or at
     delta/sqrt(2) (even n_grid), so for every R some point is kept exactly
     when n_grid >= 5.
     """
-    n_grid = int(n_grid)
+    n_grid = strict_int(n_grid, "n_grid")
     if n_grid < 5:
         raise InputError(f"n_grid must be >= 5 to put a grid point in the ball, "
                          f"got {n_grid}")

@@ -139,13 +139,7 @@ def eigen_ratio_batch(f: Integrand, z: np.ndarray) -> np.ndarray:
     flat = hess.reshape(-1, f.dim, f.dim)
     ratios = np.full(flat.shape[0], np.inf)
     finite = np.all(np.isfinite(flat), axis=(1, 2))
-    if np.any(finite):
-        eig = np.linalg.eigvalsh(flat[finite])
-        lmin, lmax = eig[:, 0], eig[:, -1]
-        ok = lmin > matrixcore.SPD_RTOL * np.maximum(lmax, 0.0)
-        vals = np.full(lmin.shape, np.inf)
-        vals[ok] = lmax[ok] / lmin[ok]
-        ratios[finite] = vals
+    ratios[finite] = matrixcore.eigen_ratios(flat[finite])[2]
     return ratios.reshape(z.shape[:-1])
 
 

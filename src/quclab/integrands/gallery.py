@@ -19,7 +19,7 @@ import numpy as np
 from ..cantorfn import cantor_profile
 from ..errors import InputError
 from ..matrixcore import radial_hessian
-from ..utils import strict_int
+from ..utils import check_p, strict_int
 from .base import Integrand
 from .profiles import (
     UhlenbeckProfile,
@@ -46,11 +46,6 @@ def _norm(z):
 
 def _power_K(p: float) -> float:
     return max(p - 1.0, 1.0 / (p - 1.0))
-
-
-def _check_p(p: float):
-    if not np.isfinite(p) or p <= 1.0:
-        raise InputError(f"growth exponent must satisfy p > 1, got {p}")
 
 
 def _radial_jet(w, order, value, slope, second):
@@ -94,7 +89,7 @@ def _power_jet(w, order, p):
 
 
 def power(p: float, dim: int = 2, center=None) -> Integrand:
-    _check_p(p)
+    check_p(p)
     c = np.zeros(dim) if center is None else np.asarray(center, float)
     return Integrand(
         name=f"power[p={p:g}]", dim=dim,
@@ -107,7 +102,7 @@ def power(p: float, dim: int = 2, center=None) -> Integrand:
 
 
 def two_center(p: float, z0, dim: int = 2) -> Integrand:
-    _check_p(p)
+    check_p(p)
     z0 = np.asarray(z0, float)
     if z0.shape != (dim,):
         raise InputError(f"z0 must have shape ({dim},)")
@@ -131,8 +126,8 @@ def two_center(p: float, z0, dim: int = 2) -> Integrand:
 
 def mixed(p: float, q: float, dim: int = 2) -> Integrand:
     """|z|^p/p + |z_1|^q/q.  Globally of (p, q)-growth but not ratio-bounded."""
-    _check_p(p)
-    _check_p(q)
+    check_p(p)
+    check_p(q)
 
     def jet(z, order):
         out = list(_power_jet(z, order, p))
@@ -180,7 +175,7 @@ def gh(p: float, matrix, dim: int = 2) -> Integrand:
     The ratio bound cond(B)^2 * max{p-1, 1/(p-1)} is declared (an upper
     bound, not necessarily attained).
     """
-    _check_p(p)
+    check_p(p)
     b = np.asarray(matrix, float)
     if b.shape != (dim, dim):
         raise InputError(f"matrix must have shape ({dim},{dim})")
@@ -233,7 +228,7 @@ def cantor(level: int = 12, dim: int = 2) -> Integrand:
 
 def orthotropic(p: float, dim: int = 2) -> Integrand:
     """sum_i |z_i|^p: the control case whose eigenvalue ratio diverges."""
-    _check_p(p)
+    check_p(p)
 
     def jet(z, order):
         az = np.abs(z)

@@ -17,6 +17,7 @@ from typing import Callable
 import numpy as np
 
 from ..errors import InputError
+from ..utils import check_p
 
 
 @dataclass(frozen=True)
@@ -49,8 +50,7 @@ class UhlenbeckProfile:
 
 def power_profile(p: float) -> UhlenbeckProfile:
     """a(t) = t^(p-2); the induced integrand is |z|^p / p."""
-    if p <= 1.0:
-        raise InputError("p must be > 1")
+    check_p(p)
     return UhlenbeckProfile(
         name=f"power[p={p:g}]",
         a=lambda t: np.asarray(t, float) ** (p - 2.0),
@@ -77,8 +77,7 @@ def constant_profile() -> UhlenbeckProfile:
 
 def bounded_power_profile(p: float) -> UhlenbeckProfile:
     """a(t) = (1+t^2)^((p-2)/2); index field (p-2) t^2/(1+t^2) in (0, p-2)."""
-    if p <= 1.0:
-        raise InputError("p must be > 1")
+    check_p(p)
 
     def a(t):
         t = np.asarray(t, float)
@@ -115,8 +114,8 @@ def uhlenbeck_indices(profile: UhlenbeckProfile) -> dict:
     """(i_a, s_a) of :meth:`UhlenbeckProfile.indices` and the induced K and
     coercivity exponent p; InputError unless the profile is admissible."""
     i_a, s_a = profile.indices()
-    if i_a <= -1.0:
-        raise InputError(f"profile {profile.name} is inadmissible: i_a = {i_a:.4f} <= -1")
+    if i_a <= -1.0 or not np.isfinite(s_a):
+        raise InputError(f"profile {profile.name} is inadmissible: (i_a, s_a) = ({i_a}, {s_a})")
     return {
         "i_a": i_a,
         "s_a": s_a,

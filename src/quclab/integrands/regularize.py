@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import beta as beta_fn, roots_jacobi
 
-from ..bumps import smoothstep
+from ..bumps import PlateauBump
 from ..errors import InputError, NumericError, PreconditionError
 from ..matrixcore import radial_hessian
 from .base import Integrand
@@ -371,25 +371,13 @@ def moreau_yosida(f: Integrand, delta: float) -> Integrand:
     )
 
 
-def _radial_cut(r, lo, hi):
-    """eta = 1 below lo, 0 above hi, quintic in between; returns eta, eta', eta''."""
-    t = (r - lo) / (hi - lo)
-    s, ds, d2s = smoothstep(t)
-    inside = r <= lo
-    outside = r >= hi
-    eta = np.where(inside, 1.0, np.where(outside, 0.0, 1.0 - s))
-    deta = np.where(inside | outside, 0.0, -ds / (hi - lo))
-    d2eta = np.where(inside | outside, 0.0, -d2s / (hi - lo) ** 2)
-    return eta, deta, d2eta
-
-
 def extend_local(f: Integrand, R: float, sigma: float, eps_floor: float,
                  sample_shells: int = 48, sample_dirs: int = 48,
                  seed: int = 11) -> Integrand:
     """Extend F from the ball B_R to a globally quadratic-growth integrand.
 
-    Construction: with tau = (1+sigma)/2 and a radial C^2 cutoff eta that is
-    1 on B_{tau R} and 0 outside B_R,
+    Construction: with tau = (1+sigma)/2 and the radial C^2 cutoff
+    eta = PlateauBump(0, tau R, R), 1 on B_{tau R} and 0 outside B_R,
 
         F~(z) = eta F + (1 - eta) |z|^2/2 + C (|z| - sigma R)_+^2,
 
@@ -427,27 +415,18 @@ def extend_local(f: Integrand, R: float, sigma: float, eps_floor: float,
             f"strict convexity floor {eps_floor:g} fails on the annulus "
             f"(min sampled eigenvalue {np.nanmin(lam_min):.3e})")
 
-    def _cut_parts(z):
+    cutoff = PlateauBump(np.zeros(dim), tau * R, R)
+
+    def _m_matrix(z, fv, df):
+        eta, deta, d2eta = cutoff.value(z), cutoff.gradient(z), cutoff.hessian(z)
         r = np.linalg.norm(z, axis=-1)
-        eta, deta_r, d2eta_r = _radial_cut(r, tau * R, R)
-        rs = np.maximum(r, 1e-300)
-        unit = z / rs[..., None]
-        deta = deta_r[..., None] * unit
-        d2eta = radial_hessian(unit, d2eta_r, deta_r / rs)
-        return r, rs, unit, eta, deta, d2eta
+        return ((1.0 - eta)[..., None, None] * eye
+                + deta[..., :, None] * df[..., None, :]
+                + df[..., :, None] * deta[..., None, :]
+                - 2.0 * deta[..., :, None] * z[..., None, :]
+                + (fv - 0.5 * r * r)[..., None, None] * d2eta)
 
-    def _m_matrix(z, cut, fv, df):
-        r, _, _, eta, deta, d2eta = cut
-        quad = 0.5 * r * r
-        m = ((1.0 - eta)[..., None, None] * eye
-             + deta[..., :, None] * df[..., None, :]
-             + df[..., :, None] * deta[..., None, :]
-             - 2.0 * deta[..., :, None] * z[..., None, :]
-             + (fv - quad)[..., None, None] * d2eta)
-        return m
-
-    m_norms = np.sqrt(np.sum(_m_matrix(pts, _cut_parts(pts), fv_pts, df_pts) ** 2,
-                             axis=(-2, -1)))
+    m_norms = np.sqrt(np.sum(_m_matrix(pts, fv_pts, df_pts) ** 2, axis=(-2, -1)))
     c_const = float(m_norms.max()) / (1.0 - sigma / tau)
 
     def _finite(term):
@@ -456,8 +435,10 @@ def extend_local(f: Integrand, R: float, sigma: float, eps_floor: float,
         return np.where(np.isfinite(term), term, 0.0)
 
     def jet(z, order):
-        cut = _cut_parts(z)
-        r, rs, unit, eta, deta, _ = cut
+        r = np.linalg.norm(z, axis=-1)
+        rs = np.maximum(r, 1e-300)
+        unit = z / rs[..., None]
+        eta = cutoff.value(z)
         inner = [_finite(np.asarray(t, float)) for t in f.jet_fn(z, order)]
         fv = inner[0]
         # hinge (|z| - sigma R)_+^2, radial with slope 2 plus / r
@@ -466,12 +447,12 @@ def extend_local(f: Integrand, R: float, sigma: float, eps_floor: float,
         if order >= 1:
             df = inner[1]
             out += (eta[..., None] * df + (1.0 - eta)[..., None] * z
-                    + (fv - 0.5 * r * r)[..., None] * deta
+                    + (fv - 0.5 * r * r)[..., None] * cutoff.gradient(z)
                     + c_const * ((2.0 * plus)[..., None] * unit),)
         if order == 2:
             active = (r > sigma * R).astype(float)
             hinge_hess = radial_hessian(unit, 2.0 * active, 2.0 * plus / rs)
-            out += (eta[..., None, None] * inner[2] + _m_matrix(z, cut, fv, df)
+            out += (eta[..., None, None] * inner[2] + _m_matrix(z, fv, df)
                     + c_const * hinge_hess,)
         return out
 

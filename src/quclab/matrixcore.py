@@ -69,13 +69,22 @@ class EigenSummary:
     definite: bool
 
 
+def eigen_ratios(p: np.ndarray):
+    """(lambda_min, lambda_max, ratio, definite) of a batch (..., n, n) of
+    symmetric matrices by the batched LAPACK ``eigvalsh``; see
+    :class:`EigenSummary` for the ratio and the definiteness test."""
+    eig = np.linalg.eigvalsh(p)
+    lmin, lmax = eig[..., 0], eig[..., -1]
+    definite = lmin > SPD_RTOL * np.maximum(lmax, 0.0)
+    ratio = np.divide(lmax, lmin, out=np.full(lmin.shape, np.inf), where=definite)
+    return lmin, lmax, ratio, definite
+
+
 def eigen_summary(p: np.ndarray) -> EigenSummary:
-    """Extreme eigenvalues of a symmetric matrix (LAPACK ``eigvalsh``)."""
-    eig = np.linalg.eigvalsh(check_symmetric(p))
-    lmin, lmax = float(eig[0]), float(eig[-1])
-    definite = lmin > SPD_RTOL * max(lmax, 0.0) and lmin > 0.0
-    ratio = lmax / lmin if definite else float("inf")
-    return EigenSummary(lambda_min=lmin, lambda_max=lmax, ratio=ratio, definite=definite)
+    """Extreme eigenvalues of one symmetric matrix and their ratio."""
+    lmin, lmax, ratio, definite = eigen_ratios(check_symmetric(p))
+    return EigenSummary(lambda_min=float(lmin), lambda_max=float(lmax),
+                        ratio=float(ratio), definite=bool(definite))
 
 
 def radial_hessian(unit, second, slope):
@@ -209,8 +218,7 @@ def batch_skew_check(rng: np.random.Generator, trials: int, dim: int,
         x = p @ s
         lhs = np.sum((x - np.transpose(x, (0, 2, 1))) ** 2, axis=(1, 2))
         eig = np.linalg.eigvalsh(p)
-        t = eig[:, 0] / eig[:, -1]
-        rhs = 2.0 * (1.0 - t) ** 2 / (1.0 + t * t) * np.sum(x * x, axis=(1, 2))
+        rhs = 2.0 * phi(eig[:, 0] / eig[:, -1]) * np.sum(x * x, axis=(1, 2))
         slack = lhs / rhs - 1.0
         worst = max(worst, float(np.max(slack)))
         violations += int(np.count_nonzero(lhs > rhs * (1.0 + rel_slack)))

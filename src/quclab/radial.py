@@ -25,8 +25,9 @@ import numpy as np
 from scipy import integrate, stats
 
 from .errors import InputError, ModelError, NumericError, PreconditionError
-from .integrands.profiles import UhlenbeckProfile, power_profile
+from .integrands.profiles import UhlenbeckProfile, power_profile, uhlenbeck_indices
 from .matrixcore import radial_hessian
+from .utils import check_p
 
 _SPHERE_AREA = {1: 2.0, 2: 2.0 * np.pi, 3: 4.0 * np.pi}
 
@@ -58,9 +59,7 @@ class RadialProblem:
             raise InputError("need 0 <= r_min < r_max < inf and finite flux_c, boundary_value")
         if self.r_min == 0.0 and self.flux_c != 0.0:
             raise InputError("the homogeneous flux mode needs r_min > 0")
-        i_a, s_a = self.profile.indices()
-        if i_a <= -1.0 or not np.isfinite(s_a):
-            raise InputError(f"profile {self.profile.name} inadmissible")
+        uhlenbeck_indices(self.profile)
 
 
 @dataclass(frozen=True)
@@ -223,8 +222,7 @@ def stress_of(sol: RadialSolution, points: np.ndarray) -> StressGrid:
 
 def psi_map(y, p: float):
     """Psi(y) = |y|^((2-p)/(p-1)) y with Psi(0) = 0; inverts z -> |z|^(p-2) z."""
-    if p <= 1.0:
-        raise InputError("p must be > 1")
+    check_p(p)
     y = np.asarray(y, dtype=float)
     mag = np.linalg.norm(y, axis=-1, keepdims=True)
     expo = (2.0 - p) / (p - 1.0)
@@ -379,8 +377,7 @@ def alpha_p(dim: int, p: float) -> AlphaPReport:
     """
     if dim < 2:
         raise InputError("dim must be >= 2")
-    if p <= 1.0:
-        raise InputError("p must be > 1")
+    check_p(p)
     gap = abs(p - 2.0)
     admissible = gap < 1.0 / (2.0 * dim ** 3)
     m_p = np.inf if gap == 0.0 else 1.0 / (2.0 * dim ** 2 * gap)

@@ -11,15 +11,14 @@ import numpy as np
 
 from ..errors import InputError
 from ..integrands import Integrand, integrand_from_config, integrand_to_config
-from ..utils import strict_int
+from ..utils import check_p, strict_float, strict_int
 
 CONFIG_VERSION = 1
 
 
 def radial_power_solution(p: float, dim: int = 2) -> Callable[[np.ndarray], np.ndarray]:
     """u(x) = (p-1)/p N^(-1/(p-1)) |x|^(p/(p-1)), solving Div(|Du|^(p-2) Du) = 1."""
-    if p <= 1.0:
-        raise InputError("p must be > 1")
+    check_p(p)
     coef = (p - 1.0) / p * dim ** (-1.0 / (p - 1.0))
 
     def u(x):
@@ -47,40 +46,35 @@ _SOURCE_KINDS = ("zero", "constant")
 def make_boundary(kind: str, **params) -> Callable[[np.ndarray], np.ndarray]:
     """Trace functions for the JSON config; evaluated at boundary nodes."""
     if kind == "zero":
-        return lambda x: np.zeros(np.asarray(x, float).shape[:-1])
-    if kind == "constant":
-        value = float(params.pop("value"))
+        maker = lambda x: np.zeros(np.asarray(x, float).shape[:-1])
+    elif kind == "constant":
+        value = strict_float(params.pop("value"), "value")
         maker = lambda x: np.full(np.asarray(x, float).shape[:-1], value)
     elif kind == "affine":
-        slope = np.asarray(params.pop("slope"), float)
+        slope = np.array([strict_float(v, "slope") for v in params.pop("slope")])
         maker = lambda x: np.asarray(x, float) @ slope
     elif kind == "quadratic":
         maker = lambda x: np.sum(np.asarray(x, float) ** 2, axis=-1)
-        scale = float(params.pop("scale", 1.0))
+        scale = strict_float(params.pop("scale", 1.0), "scale")
         if scale != 1.0:
             inner = maker
             maker = lambda x: scale * inner(x)
     elif kind == "radial_power":
-        p = float(params.pop("p"))
+        p = strict_float(params.pop("p"), "p")
         maker = radial_power_solution(p, strict_int(params.pop("dim", 2), "dim"))
     else:
         raise InputError(f"unknown boundary kind {kind!r} (known: {_BOUNDARY_KINDS})")
     if params:
-        raise InputError(f"boundary kind {kind!r}: unknown parameters {sorted(params)}")
+        raise InputError(f"kind {kind!r}: unknown parameters {sorted(params)}")
     return maker
 
 
 def make_source(kind: str, **params) -> Callable[[np.ndarray], np.ndarray]:
-    if kind == "zero":
-        maker = lambda x: np.zeros(np.asarray(x, float).shape[:-1])
-    elif kind == "constant":
-        value = float(params.pop("value"))
-        maker = lambda x: np.full(np.asarray(x, float).shape[:-1], value)
-    else:
+    """Source functions for the JSON config: the zero and constant kinds of
+    :func:`make_boundary`."""
+    if kind not in _SOURCE_KINDS:
         raise InputError(f"unknown source kind {kind!r} (known: {_SOURCE_KINDS})")
-    if params:
-        raise InputError(f"source kind {kind!r}: unknown parameters {sorted(params)}")
-    return maker
+    return make_boundary(kind, **params)
 
 
 @dataclass(frozen=True)
@@ -125,7 +119,8 @@ class RegularizationSchedule:
     stages: tuple = ((0.08, 1e-2), (0.02, 1e-4), (0.005, 1e-7), (0.0, 0.0))
 
     def __post_init__(self):
-        stages = tuple((float(e), float(m)) for e, m in self.stages)
+        stages = tuple((strict_float(e, "eps"), strict_float(m, "mu"))
+                       for e, m in self.stages)
         if not stages:
             raise InputError("schedule needs at least one stage")
         eps = [s[0] for s in stages]
@@ -142,9 +137,10 @@ class RegularizationSchedule:
 _TOP_KEYS = {"version", "problem", "schedule", "solver", "report"}
 _PROBLEM_KEYS = {"integrand", "cells", "half_width", "boundary", "source",
                  "source_exponent"}
-_SOLVER_TYPES = {"tol": float, "max_iter": lambda v: strict_int(v, "max_iter")}
-_REPORT_TYPES = {"ball_center": lambda v: [float(x) for x in v], "ball_radius": float,
-                 "m": float, "theta": lambda v: None if v is None else float(v)}
+_SOLVER_TYPES = {"tol": strict_float, "max_iter": strict_int}
+_REPORT_TYPES = {"ball_center": lambda v, what: [strict_float(x, what) for x in v],
+                 "ball_radius": strict_float, "m": strict_float,
+                 "theta": lambda v, what: None if v is None else strict_float(v, what)}
 
 
 def _check_keys(d: dict, allowed: set, where: str):
@@ -206,7 +202,8 @@ def load_problem_config(cfg: dict | str | Path):
         integrand=_parse("integrand", integrand_from_config,
                          _section(prob, "integrand", None)),
         cells=_parse("cells", strict_int, prob.get("cells", 64), "cells"),
-        half_width=_parse("half_width", float, prob.get("half_width", 1.0)),
+        half_width=_parse("half_width", strict_float, prob.get("half_width", 1.0),
+                          "half_width"),
         boundary=_parse("boundary", make_boundary, bdesc.get("kind"),
                         **_section(bdesc, "params", None)),
         source=_parse("source", make_source, sdesc.get("kind"),
@@ -219,9 +216,9 @@ def load_problem_config(cfg: dict | str | Path):
         schedule = _parse("schedule", RegularizationSchedule, sched_cfg["stages"])
     else:
         schedule = RegularizationSchedule()
-    solver_opts = {key: _parse(key, _SOLVER_TYPES[key], value)
+    solver_opts = {key: _parse(key, _SOLVER_TYPES[key], value, key)
                    for key, value in _section(cfg, "solver", set(_SOLVER_TYPES)).items()}
-    report_opts = {key: _parse(key, _REPORT_TYPES[key], value)
+    report_opts = {key: _parse(key, _REPORT_TYPES[key], value, key)
                    for key, value in _section(cfg, "report", set(_REPORT_TYPES)).items()}
     return spec, schedule, solver_opts, report_opts
 

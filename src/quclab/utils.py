@@ -1,10 +1,11 @@
-"""Shared plumbing: worker caps, integer inputs, deterministic report writing,
+"""Shared plumbing: worker caps, number inputs, deterministic report writing,
 manifests."""
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -37,6 +38,22 @@ def strict_int(value, what: str) -> int:
     if isinstance(value, (float, np.floating)) and float(value).is_integer():
         return int(value)
     raise InputError(f"{what} must be an integer, got {value!r}")
+
+
+def strict_float(value, what: str) -> float:
+    """A finite int or float as a float; InputError for anything else (a
+    non-finite number, a bool, a string, None), OverflowError for an int
+    beyond the float range."""
+    numeric = (int, float, np.integer, np.floating)
+    if isinstance(value, numeric) and not isinstance(value, bool) and math.isfinite(value):
+        return float(value)
+    raise InputError(f"{what} must be a finite number, got {value!r}")
+
+
+def check_p(p: float) -> None:
+    """InputError unless the growth exponent p is finite and > 1."""
+    if not np.isfinite(p) or p <= 1.0:
+        raise InputError(f"growth exponent must satisfy p > 1, got {p}")
 
 
 def _jsonable(obj):

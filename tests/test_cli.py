@@ -376,6 +376,23 @@ class TestUsage:
         ({}, {**_CONFIG, "problem": {**_CONFIG["problem"], "boundary": {
             "kind": "radial_power", "params": {"p": 3.0, "dim": 2.5}}}},
          ["solve", "--config", "{tmp}/config.json"], "dim must be an integer"),
+        ({}, {**_CONFIG, "problem": {**_CONFIG["problem"], "half_width": "1"}},
+         ["solve", "--config", "{tmp}/config.json"], "half_width must be a finite number"),
+        ({}, {**_CONFIG, "problem": {**_CONFIG["problem"], "half_width": True}},
+         ["solve", "--config", "{tmp}/config.json"], "half_width must be a finite number"),
+        ({}, {**_CONFIG, "solver": {"tol": "1e-8"}},
+         ["solve", "--config", "{tmp}/config.json"], "tol must be a finite number"),
+        ({}, {**_CONFIG, "report": {"ball_radius": "0.1"}},
+         ["solve", "--config", "{tmp}/config.json"], "ball_radius must be a finite number"),
+        ({}, {**_CONFIG, "schedule": {"stages": [["0.01", "1e-3"], [0, 0]]}},
+         ["solve", "--config", "{tmp}/config.json"], "eps must be a finite number"),
+        ({}, {**_CONFIG, "solver": {"tol": float("nan")}},
+         ["solve", "--config", "{tmp}/config.json"], "tol must be a finite number"),
+        ({}, {**_CONFIG, "schedule": {"stages": [[float("nan"), 1e-2], [0, 0]]}},
+         ["solve", "--config", "{tmp}/config.json"], "eps must be a finite number"),
+        ({}, {**_CONFIG, "problem": {**_CONFIG["problem"], "boundary": {
+            "kind": "zero", "params": {"value": 5}}}},
+         ["solve", "--config", "{tmp}/config.json"], "unknown parameters ['value']"),
     ], ids=["quc-threads", "levels", "missing-config", "config-cells",
             "config-stage", "config-list", "config-boundary", "config-tol",
             "p-grid-empty", "p-grid-token", "dims-token", "dims-zero", "dims-one",
@@ -388,7 +405,11 @@ class TestUsage:
             "n-grid-zero", "n-grid-negative", "n-grid-one", "n-grid-three",
             "param-token", "config-cells-inf", "config-half-width-zero",
             "config-cells-fraction", "config-dim-fraction", "param-level-fraction",
-            "config-max-iter-fraction", "config-boundary-dim-fraction"])
+            "config-max-iter-fraction", "config-boundary-dim-fraction",
+            "config-half-width-string", "config-half-width-bool", "config-tol-string",
+            "config-ball-radius-string", "config-stage-strings", "config-tol-nan",
+            "config-stage-nan",
+            "config-zero-boundary-params"])
     def test_malformed_input_exit_2(self, tmp_path, monkeypatch, capsys, env, config,
                                     argv, message):
         for key, value in env.items():

@@ -174,3 +174,10 @@ class TestBlowupDiagnostic:
     def test_levels_must_increase(self):
         with pytest.raises(InputError):
             ce.sobolev_blowup_diagnostic([4, 4, 5])
+
+    def test_fractional_level_and_grid_rejected(self):
+        # not truncated to levels [4, 6] and a 64-point grid
+        with pytest.raises(InputError, match="level must be an integer"):
+            ce.check_levels([4.5, 6.9])
+        with pytest.raises(InputError, match="n_grid must be an integer"):
+            ce.check_n_grid(64.7)

@@ -18,11 +18,14 @@ from quclab.integrands import (
     validate_integrand,
     verify_growth,
 )
+from quclab.integrands.gallery import uhlenbeck
 from quclab.integrands.profiles import (
+    UhlenbeckProfile,
     bounded_power_profile,
     constant_profile,
     power_profile,
 )
+from quclab.radial import RadialProblem
 
 SAMPLER = AnnulusSampler(0.3, 3.0, shells=50, directions=25, seed=5)
 
@@ -254,9 +257,19 @@ class TestUhlenbeckIndices:
         assert out["K"] == pytest.approx(3.0, abs=1e-5)
 
     def test_inadmissible_detected(self):
-        from quclab.integrands.profiles import UhlenbeckProfile
         bad = UhlenbeckProfile(
             name="bad", a=lambda t: np.asarray(t, float) ** -1.5,
             da=lambda t: -1.5 * np.asarray(t, float) ** -2.5)
         with pytest.raises(InputError):
             uhlenbeck_indices(bad)
+
+    def test_unbounded_s_a_rejected_by_gallery_and_radial_solver(self):
+        # one admissibility rule, -1 < i_a <= s_a < oo, for both consumers
+        base = power_profile(3.0)
+        unbounded = UhlenbeckProfile(name="unbounded", a=base.a, da=base.da,
+                                     primitive=base.primitive,
+                                     exact_i_a=1.0, exact_s_a=np.inf)
+        with pytest.raises(InputError, match="inadmissible"):
+            uhlenbeck(unbounded)
+        with pytest.raises(InputError, match="inadmissible"):
+            RadialProblem(dim=2, profile=unbounded, source=lambda r: 0.0 * r, r_max=1.0)

@@ -15,9 +15,6 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 # argv after the script name ({tmp} is the test's directory) and the tables
 # the run must write
 RUNS = {
-    "cantor_diagnostics": (
-        ["--levels", "4..5", "--n-grid", "64", "--bumps", "2", "--out-dir", "{tmp}"],
-        ["cantor_blowup.csv", "cantor_residuals.csv"]),
     "cordes_thresholds": (
         ["--dims", "2", "--ms", "2", "--ks", "1.1", "--probe-trials", "2",
          "--out", "{tmp}/cordes_thresholds.csv"],

@@ -1,10 +1,16 @@
-"""Tests for worker caps and deterministic report writing."""
+"""Tests for worker caps, number inputs and deterministic report writing."""
 
 import json
 
 import numpy as np
+import pytest
 
-from quclab.utils import Manifest, worker_count, write_csv, write_json, write_txt
+from quclab.errors import InputError
+from quclab.integrands.profiles import bounded_power_profile, power_profile
+from quclab.radial import psi_map
+from quclab.solver import radial_power_solution
+from quclab.utils import (Manifest, check_p, strict_float, worker_count, write_csv,
+                          write_json, write_txt)
 
 
 class TestWorkerCount:
@@ -21,6 +27,27 @@ class TestWorkerCount:
     def test_default_positive(self, monkeypatch):
         monkeypatch.delenv("QUC_THREADS", raising=False)
         assert worker_count() >= 1
+
+
+class TestNumberInputs:
+    def test_strict_float_takes_numbers(self):
+        for value in (2, 2.5, np.int64(2), np.float32(0.5), 1.7976931348623157e308):
+            assert strict_float(value, "x") == float(value)
+
+    @pytest.mark.parametrize("value", ["1", True, None, [1.0], float("nan"), float("-inf")])
+    def test_strict_float_rejects_non_numbers(self, value):
+        with pytest.raises(InputError, match="x must be a finite number"):
+            strict_float(value, "x")
+
+    @pytest.mark.parametrize("p", [float("nan"), float("inf"), 1.0, 0.5])
+    @pytest.mark.parametrize("make", [check_p, power_profile, bounded_power_profile,
+                                      radial_power_solution,
+                                      lambda p: psi_map(np.ones(2), p)],
+                             ids=["check_p", "power_profile", "bounded_power_profile",
+                                  "radial_power_solution", "psi_map"])
+    def test_growth_exponent_rejected(self, make, p):
+        with pytest.raises(InputError, match="p > 1"):
+            make(p)
 
 
 class TestWriters:
