@@ -1,9 +1,13 @@
-"""Smooth compactly supported test functions with analytic derivatives.
+"""Compactly supported bumps with analytic derivatives.
 
-``SmoothBump`` is the classical exponential bump exp(1 - 1/(1 - s)) of the
-squared scaled radius s = |x - c|^2 / rho^2, infinitely smooth, identically
-zero for |x - c| >= rho.  Used as a cutoff in localized integral identities,
-as weak-formulation test functions, and as mollified-data kernels.
+``SmoothBump`` is the C^oo exponential bump exp(1 - 1/(1 - s)) of the
+squared scaled radius s = |x - c|^2 / rho^2, zero for |x - c| >= rho; the
+test-suite uses it as a cutoff for ``spectral.cutoff_identity_check``.
+``PlateauBump`` is the C^2 radial cutoff of ``integrands.extend_local``.
+``QuinticBump`` is the C^2 test function of the weak-form residuals
+(``counterexamples.weak_divergence_residuals`` and the "bump" mode of
+``solver.euler_lagrange_residual``).  Both C^2 bumps are built on
+``smoothstep``.
 """
 
 from __future__ import annotations

@@ -102,7 +102,7 @@ def cmd_matrix_check(args, out_dir: Path, manifest: Manifest):
     passed = all(r["holds"] for r in rows) and rel_gap < 1e-12
     payload = {
         "subcommand": "matrix-check", "seed": args.seed,
-        "trials_per_dim": args.trials, "rel_slack": 1e-10,
+        "trials_per_dim": args.trials, "rel_slack": matrixcore.SKEW_RTOL,
         "dims": rows,
         "extremal": {"lhs": ext.lhs, "rhs": ext.rhs, "rel_gap": rel_gap, "dim": 2},
     }
@@ -201,8 +201,7 @@ def cmd_riesz_check(args, out_dir: Path, manifest: Manifest):
 
 def cmd_solve(args, out_dir: Path, manifest: Manifest):
     spec, schedule, solver_opts, report_opts = load_problem_config(args.config)
-    sol = minimize(spec, schedule, tol=solver_opts.get("tol", 1e-10),
-                   max_iter=solver_opts.get("max_iter", 60))
+    sol = minimize(spec, schedule, **solver_opts)
     el_res = euler_lagrange_residual(sol, mode="hat")
     regularity = None
     if sol.mesh.dim == 2:
@@ -327,8 +326,8 @@ def cmd_cantor(args, out_dir: Path, manifest: Manifest):
     worst = max(residuals)
     passed = worst <= 1e-3
     payload = {"subcommand": "cantor", "levels": levels,
-               "ball_center": list(counterexamples.DEFAULT_BALL[0]),
-               "ball_radius": counterexamples.DEFAULT_BALL[1],
+               "ball_center": list(counterexamples.BALL_CENTER),
+               "ball_radius": counterexamples.BALL_RADIUS,
                "n_bumps": args.bumps, "n_grid": args.n_grid,
                "worst_residual": worst,
                "residual_below_threshold": passed}
@@ -393,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--m", type=float, required=True)
     p.add_argument("--K", type=float, default=None)
-    p.add_argument("--window", type=float, nargs=2, default=(4.0 / 3.0, 4.0))
+    p.add_argument("--window", type=float, nargs=2, default=cordes.WINDOW)
 
     p = sub.add_parser("riesz-check", help="spectral identity property suite")
     common(p)

@@ -52,6 +52,9 @@ class CordesThresholds:
     admissible_by_delta0: bool | None = None
 
 
+WINDOW = (4.0 / 3.0, 4.0)  # default interpolation endpoints (m_lo, m_hi)
+
+
 def _theta_for(eta_max: float, t_bound: float) -> float:
     """Interpolation parameter where T_bound^theta = 1 + eta_max."""
     if t_bound <= 1.0:
@@ -67,16 +70,16 @@ def _check_window(window: tuple[float, float]) -> tuple[float, float]:
     return m_lo, m_hi
 
 
-def cordes_delta0(K: float, dim: int, window: tuple[float, float] = (4.0 / 3.0, 4.0),
-                  t_bound=None, probe_trials: int = 40, probe_seed: int = 0) -> float:
+def cordes_delta0(K: float, dim: int, window: tuple[float, float] = WINDOW,
+                  t_bound=None, probe_trials: int = 40) -> float:
     """Largest delta with (1 + eta(m)) (1 - 1/K) < 1 for all |m - 2| <= delta.
 
     ``window = (m_lo, m_hi)`` are the interpolation endpoints with
     m_lo < 2 < m_hi.  ``t_bound`` is a certified endpoint bound for ||T||:
     None selects the default analytic bound per endpoint, a float is used
     verbatim at both endpoints, and "empirical" substitutes the randomized
-    probe (which yields only a lower bound on ||T||, so the resulting delta0
-    is an optimistic diagnostic, not a certificate).
+    probe at seed 0 (which yields only a lower bound on ||T||, so the
+    resulting delta0 is an optimistic diagnostic, not a certificate).
     """
     if K < 1.0:
         raise InputError("K must be >= 1")
@@ -89,7 +92,7 @@ def cordes_delta0(K: float, dim: int, window: tuple[float, float] = (4.0 / 3.0, 
         if t_bound is None:
             return default_T_bound(dim, m_end)
         if t_bound == "empirical":
-            return max(estimate_T_norm(m_end, probe_trials, dim=dim, seed=probe_seed), 1.0)
+            return max(estimate_T_norm(m_end, probe_trials, dim=dim), 1.0)
         return float(t_bound)
 
     # reabsorption needs eta < 1/(K-1)
@@ -109,7 +112,7 @@ def cordes_delta0(K: float, dim: int, window: tuple[float, float] = (4.0 / 3.0, 
 
 
 def cordes_report(dim: int, m: float, K: float | None = None,
-                  window: tuple[float, float] = (4.0 / 3.0, 4.0)) -> CordesThresholds:
+                  window: tuple[float, float] = WINDOW) -> CordesThresholds:
     _check_window(window)
     k0 = cordes_K0(dim, m)
     delta0 = None

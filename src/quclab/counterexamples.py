@@ -63,26 +63,6 @@ def arctan_hessian(z):
     return h / r4[..., None, None]
 
 
-@dataclass(frozen=True)
-class ArctanSolution:
-    """u(x, y) = arctan(y/x) on a ball inside {x > 0}."""
-
-    ball_center: np.ndarray
-    ball_radius: float
-
-    def __post_init__(self):
-        c = np.asarray(self.ball_center, float)
-        if c.shape != (2,):
-            raise InputError("ball center must be a point in the plane")
-        if self.ball_radius <= 0.0 or c[0] - self.ball_radius <= 0.0:
-            raise InputError("ball must sit at positive distance from {x = 0}")
-        object.__setattr__(self, "ball_center", c)
-
-    value = staticmethod(arctan_value)
-    gradient = staticmethod(arctan_gradient)
-    hessian = staticmethod(arctan_hessian)
-
-
 def _check_half_plane(z):
     z = np.asarray(z, float)
     if np.any(z[..., 0] <= 0.0):
@@ -107,8 +87,9 @@ def trace_check_radial(fprime: Callable, fsecond: Callable, z) -> float:
     return float(np.max(np.abs(tr)))
 
 
-def fd_second_derivative(fprime: Callable, h: float = 1e-6) -> Callable:
-    return lambda t: (fprime(np.asarray(t) + h) - fprime(np.asarray(t) - h)) / (2.0 * h)
+def fd_second_derivative(fprime: Callable) -> Callable:
+    """Central difference of ``fprime`` with step 1e-6."""
+    return lambda t: (fprime(np.asarray(t) + 1e-6) - fprime(np.asarray(t) - 1e-6)) / 2e-6
 
 
 # -- the Cantor stress ---------------------------------------------------------
@@ -130,17 +111,18 @@ def cantor_stress_field(level: int) -> Callable[[np.ndarray], np.ndarray]:
     return field
 
 
-DEFAULT_BALL = ((1.5, 0.0), 0.4)
+# The ball B inside {x > 0} of the weak residuals and the blow-up table.
+BALL_CENTER, BALL_RADIUS = (1.5, 0.0), 0.4
 
 
-def _bump_bank(ball_center, ball_radius, count: int, seed: int):
+def _bump_bank(count: int, seed: int):
     rng = np.random.default_rng(seed)
-    c = np.asarray(ball_center, float)
+    c = np.asarray(BALL_CENTER, float)
     bumps = []
     while len(bumps) < count:
-        offset = rng.uniform(-0.6, 0.6, size=2) * ball_radius
-        rho = rng.uniform(0.2, 0.38) * ball_radius
-        if np.linalg.norm(offset) + rho < 0.97 * ball_radius:
+        offset = rng.uniform(-0.6, 0.6, size=2) * BALL_RADIUS
+        rho = rng.uniform(0.2, 0.38) * BALL_RADIUS
+        if np.linalg.norm(offset) + rho < 0.97 * BALL_RADIUS:
             bumps.append(QuinticBump(center=c + offset, radius=rho))
     return bumps
 
@@ -154,12 +136,11 @@ def _pairing(field: Callable, bump: QuinticBump) -> Callable:
     return pairing
 
 
-def weak_divergence_residuals(fields, ball_center=DEFAULT_BALL[0],
-                              ball_radius: float = DEFAULT_BALL[1],
-                              n_bumps: int = 50, seed: int = 0,
+def weak_divergence_residuals(fields, n_bumps: int = 50, seed: int = 0,
                               tol_cell: float = 1e-12, max_depth: int = 8,
                               max_cells: int = 60_000, map=map) -> list[float]:
-    """Per field, max over C^2 bumps phi of |int (V, Dphi)| / ||Dphi||_1.
+    """Per field, max over C^2 bumps phi in the ball B(BALL_CENTER,
+    BALL_RADIUS) of |int (V, Dphi)| / ||Dphi||_1.
 
     Both integrals use the adaptive quadtree rule over each bump's bounding
     box; the returned values decrease toward zero under quadrature
@@ -183,7 +164,7 @@ def weak_divergence_residuals(fields, ball_center=DEFAULT_BALL[0],
                 for field in fields]
 
     worst = [0.0] * len(fields)
-    for ratios in map(per_bump, _bump_bank(ball_center, ball_radius, n_bumps, seed)):
+    for ratios in map(per_bump, _bump_bank(n_bumps, seed)):
         worst = [max(w, r) for w, r in zip(worst, ratios)]
     return worst
 
@@ -230,28 +211,27 @@ def check_n_grid(n_grid) -> int:
     return n_grid
 
 
-def sobolev_blowup_diagnostic(levels, ball_center=DEFAULT_BALL[0],
-                              ball_radius: float = DEFAULT_BALL[1],
-                              n_grid: int = 1024) -> list[BlowupRow]:
-    """Difference-quotient table at matched resolution across levels.
+def sobolev_blowup_diagnostic(levels, n_grid: int = 1024) -> list[BlowupRow]:
+    """Difference-quotient table at matched resolution across levels, on the
+    ball B(BALL_CENTER, BALL_RADIUS).
 
-    The grid step delta = (2 ball_radius)/n_grid is the quotient scale; the
+    The grid step delta = (2 BALL_RADIUS)/n_grid is the quotient scale; the
     four lattice directions (axes and diagonals) are scanned and the worst
     taken.  See the module docstring for why the W^{1,1} column saturates at
     the total-variation value while the m > 1 columns grow.
     """
     levels = check_levels(levels)
     n_grid = check_n_grid(n_grid)
-    c = np.asarray(ball_center, float)
-    delta = 2.0 * ball_radius / n_grid
-    axis = np.linspace(-ball_radius, ball_radius, n_grid, endpoint=False) + delta / 2.0
+    c = np.asarray(BALL_CENTER, float)
+    delta = 2.0 * BALL_RADIUS / n_grid
+    axis = np.linspace(-BALL_RADIUS, BALL_RADIUS, n_grid, endpoint=False) + delta / 2.0
     xs, ys = c[0] + axis, c[1] + axis
     # the in-ball points of the n_grid^2 grid, row by row in meshgrid "ij"
     # order; sqrt(dx^2 + dy^2) is np.linalg.norm(pt - c) bit for bit, so the
     # boundary rows keep exactly the same points
     dx, dy = xs - c[0], ys - c[1]
     dx2, dy2 = dx * dx, dy * dy
-    limit = ball_radius - 2.0 * delta
+    limit = BALL_RADIUS - 2.0 * delta
     inside = [np.sqrt(sq + dy2) <= limit for sq in dx2]
     pts = np.empty((sum(np.count_nonzero(row) for row in inside), 2))
     lo = 0

@@ -14,6 +14,8 @@ from .base import Integrand, eigen_ratio_batch
 # records its measure-zero degeneracies explicitly.
 _SKIP_RADIUS = 1e-9
 
+GROWTH_C_MAX = 1e12  # largest growth constant C that verify_growth tries
+
 
 @dataclass(frozen=True)
 class AnnulusSampler:
@@ -91,32 +93,30 @@ class GrowthReport:
         return max(self.C_lower, self.C_upper)
 
 
-def verify_growth(f: Integrand, K: float,
-                  r_min: float = 1e-3, r_max: float = 1e7,
-                  shells: int = 60, directions: int = 12, seed: int = 3,
-                  c_max: float = 1e12) -> GrowthReport:
+def verify_growth(f: Integrand, K: float) -> GrowthReport:
     """Search a finite constant C for the two-sided growth bounds.
 
     With p = 1 + 1/K and q = 1 + K, checks on all samples z (centered at the
-    minimizer)
+    minimizer; 60 log-radial shells in [1e-3, 1e7] times 12 directions of
+    seed 3)
 
         C^-1 |z|^p - C <= F(z) <= C (|z|^q + 1),
         C^-1 |z|^(p-1) - C <= |DF(z)| <= C (|z|^(q-1) + 1),
 
-    scanning C over a log grid up to ``c_max``.  Failure beyond c_max means
+    scanning C over a log grid up to GROWTH_C_MAX.  Failure beyond it means
     the declared K is too small for the integrand.
     """
     if K < 1.0:
         raise InputError("K must be >= 1")
     p = 1.0 + 1.0 / K
     q = 1.0 + K
-    sampler = AnnulusSampler(r_min, r_max, shells=shells, directions=directions, seed=seed)
+    sampler = AnnulusSampler(1e-3, 1e7, shells=60, directions=12, seed=3)
     pts = _drop_singular(f, sampler.points(f.dim, center=f.minimizer))
     rad = np.linalg.norm(pts - f.minimizer, axis=1)
     fv = np.asarray(f.value(pts), float)
     dfv = np.linalg.norm(np.asarray(f.gradient(pts), float), axis=-1)
 
-    grid = np.logspace(0.0, np.log10(c_max), 49)
+    grid = np.logspace(0.0, np.log10(GROWTH_C_MAX), 49)
 
     def lower_ok(c):
         return np.all(rad ** p / c - c <= fv) and np.all(rad ** (p - 1.0) / c - c <= dfv)
@@ -131,7 +131,7 @@ def verify_growth(f: Integrand, K: float,
         viol = fv / (rad ** q + 1.0) + dfv / (rad ** (q - 1.0) + 1.0)
         worst = pts[int(np.argmax(viol))]
     elif c_lower is None:
-        viol = (rad ** p / c_max - c_max) - fv
+        viol = (rad ** p / GROWTH_C_MAX - GROWTH_C_MAX) - fv
         worst = pts[int(np.argmax(viol))]
     return GrowthReport(p=p, q=q, C_lower=c_lower, C_upper=c_upper,
                         holds=c_lower is not None and c_upper is not None,

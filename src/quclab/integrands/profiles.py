@@ -37,11 +37,11 @@ class UhlenbeckProfile:
         t = np.asarray(t, dtype=float)
         return t * self.da(t) / self.a(t)
 
-    def indices(self, t_min: float = 1e-6, t_max: float = 1e6, num: int = 1000):
-        """(i_a, s_a) from a log-spaced grid; exact values win when declared."""
+    def indices(self):
+        """(i_a, s_a) on 1000 log-spaced t in [1e-6, 1e6]; exact values win when declared."""
         if self.exact_i_a is not None and self.exact_s_a is not None:
             return self.exact_i_a, self.exact_s_a
-        t = np.logspace(np.log10(t_min), np.log10(t_max), num)
+        t = np.logspace(-6.0, 6.0, 1000)
         field = self.index_field(t)
         if not np.all(np.isfinite(field)):
             raise InputError(f"profile {self.name} has non-finite index samples")

@@ -42,6 +42,7 @@ from .base import Integrand
 
 _KERNEL_POWER = 4  # exponent in (1 - |y|^2)^4
 _SAFE_MIN = 1e-300
+_PROX_MAX_ITER = 200  # damped Newton steps of prox_point
 
 
 def kernel_second_moment(dim: int, eps: float) -> float:
@@ -282,14 +283,13 @@ def _sweep_jet(f: Integrand, eps: float, rule: MollifierRule):
     return jet
 
 
-def prox_point(f: Integrand, delta: float, z, max_iter: int = 200,
-               rtol: float = 1e-12) -> np.ndarray:
+def prox_point(f: Integrand, delta: float, z) -> np.ndarray:
     """Solve P + delta DF(P) = z by damped Newton (batched over points).
 
-    The residual target is rtol * (1 + |z|) per point.  The map
-    G(P) = P + delta DF(P) is strongly monotone with constant 1, so the
-    returned point is within the residual of the exact proximal point and
-    the map is 1-Lipschitz in z.
+    The residual target is 1e-12 (1 + |z|) per point, within _PROX_MAX_ITER
+    steps.  The map G(P) = P + delta DF(P) is strongly monotone with
+    constant 1, so the returned point is within the residual of the exact
+    proximal point and the map is 1-Lipschitz in z.
     """
     if delta <= 0.0:
         raise InputError("delta must be > 0")
@@ -297,7 +297,7 @@ def prox_point(f: Integrand, delta: float, z, max_iter: int = 200,
     single = z.ndim == 1
     pts = z[None, :] if single else z.reshape(-1, f.dim)
     p = pts.copy()
-    target = rtol * (1.0 + np.linalg.norm(pts, axis=1))
+    target = 1e-12 * (1.0 + np.linalg.norm(pts, axis=1))
     eye = np.eye(f.dim)
 
     def residual(pcur):
@@ -305,7 +305,7 @@ def prox_point(f: Integrand, delta: float, z, max_iter: int = 200,
 
     res = residual(p)
     res_norm = np.linalg.norm(res, axis=1)
-    for _ in range(max_iter):
+    for _ in range(_PROX_MAX_ITER):
         active = res_norm > target
         if not np.any(active):
             break
@@ -330,7 +330,7 @@ def prox_point(f: Integrand, delta: float, z, max_iter: int = 200,
         res = residual(p)
         res_norm = np.linalg.norm(res, axis=1)
     if np.any(res_norm > target):
-        raise NumericError(f"prox Newton did not converge ({max_iter} iterations, "
+        raise NumericError(f"prox Newton did not converge ({_PROX_MAX_ITER} iterations, "
                            f"worst residual {float(res_norm.max()):.3e})")
     out = p.reshape(z.shape)
     return out[0] if single and out.ndim == 2 else out
@@ -371,9 +371,7 @@ def moreau_yosida(f: Integrand, delta: float) -> Integrand:
     )
 
 
-def extend_local(f: Integrand, R: float, sigma: float, eps_floor: float,
-                 sample_shells: int = 48, sample_dirs: int = 48,
-                 seed: int = 11) -> Integrand:
+def extend_local(f: Integrand, R: float, sigma: float, eps_floor: float) -> Integrand:
     """Extend F from the ball B_R to a globally quadratic-growth integrand.
 
     Construction: with tau = (1+sigma)/2 and the radial C^2 cutoff
@@ -387,9 +385,10 @@ def extend_local(f: Integrand, R: float, sigma: float, eps_floor: float,
         M = (1-eta) I + Deta (x) DF + DF (x) Deta - 2 Deta (x) z
             + (F - |z|^2/2) D2eta
 
-    via (1 - sigma/tau) C = max |M|_F.  F~ equals F on B_{sigma R} exactly
-    and has quadratic growth outside.  Requires lambda_min(D2F) >= eps_floor
-    on the sampled annulus B_R minus B_{sigma R}.
+    via (1 - sigma/tau) C = max |M|_F over 48 shells in [sigma R, R] times
+    48 random directions (seed 11) and the coordinate axes.  F~ equals F on
+    B_{sigma R} exactly and has quadratic growth outside.  Requires
+    lambda_min(D2F) >= eps_floor on the sampled annulus B_R minus B_{sigma R}.
     """
     if not (0.0 < sigma < 1.0):
         raise InputError("sigma must lie in (0, 1)")
@@ -399,9 +398,9 @@ def extend_local(f: Integrand, R: float, sigma: float, eps_floor: float,
     dim = f.dim
     eye = np.eye(dim)
 
-    rng = np.random.default_rng(seed)
-    radii = np.linspace(sigma * R * (1.0 + 1e-9), R, sample_shells)
-    dirs = rng.standard_normal((sample_dirs, dim))
+    rng = np.random.default_rng(11)
+    radii = np.linspace(sigma * R * (1.0 + 1e-9), R, 48)
+    dirs = rng.standard_normal((48, dim))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     # degeneracies concentrate on coordinate axes; always sample them
     axes = np.concatenate([np.eye(dim), -np.eye(dim)])

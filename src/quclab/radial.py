@@ -242,31 +242,30 @@ class HolderFit:
     degenerate: bool = False
 
 
-def holder_exponent(r: np.ndarray, values: np.ndarray,
-                    window: tuple[float, float] | None = None,
-                    n_scales: int = 32) -> HolderFit:
+HOLDER_SCALES = 32  # log2-uniform scales of a Holder fit
+
+
+def holder_exponent(r: np.ndarray, values: np.ndarray) -> HolderFit:
     """Least-squares slope of log sup-modulus of continuity vs log scale.
 
-    Scales are log2-uniform in the window (default [grid step, span/8]); the
-    modulus at scale d is max_i |g(r_i + d) - g(r_i)| over the grid, with
-    g(r + d) linearly interpolated.  Requires at least ``n_scales``
-    resolvable scales.  A constant input short-circuits to exponent 1 with
-    the degenerate flag set.
+    HOLDER_SCALES scales are log2-uniform in the window [grid step, span/8];
+    the modulus at scale d is max_i |g(r_i + d) - g(r_i)| over the grid, with
+    g(r + d) linearly interpolated.  A window too narrow for them is
+    rejected.  A constant input short-circuits to exponent 1 with the
+    degenerate flag set.
     """
     r = np.asarray(r, float)
     values = np.asarray(values, float)
     if r.ndim != 1 or r.shape != values.shape:
         raise InputError("need matching 1-D abscissae and values")
-    span = r[-1] - r[0]
-    step = np.min(np.diff(r))
-    lo, hi = window if window is not None else (step, span / 8.0)
+    lo, hi = np.min(np.diff(r)), (r[-1] - r[0]) / 8.0
     if hi <= lo:
         raise InputError("empty scale window")
-    if hi / lo < 2.0 ** ((n_scales - 1) / 8.0):
+    if hi / lo < 2.0 ** ((HOLDER_SCALES - 1) / 8.0):
         raise PreconditionError(
-            f"window [{lo:g}, {hi:g}] cannot host {n_scales} log2-uniform scales")
-    scales = np.exp2(np.linspace(np.log2(lo), np.log2(hi), n_scales))
-    moduli = np.empty(n_scales)
+            f"window [{lo:g}, {hi:g}] cannot host {HOLDER_SCALES} log2-uniform scales")
+    scales = np.exp2(np.linspace(np.log2(lo), np.log2(hi), HOLDER_SCALES))
+    moduli = np.empty(HOLDER_SCALES)
     for i, d in enumerate(scales):
         mask = r + d <= r[-1] + 1e-15
         shifted = np.interp(r[mask] + d, r, values)
@@ -275,7 +274,7 @@ def holder_exponent(r: np.ndarray, values: np.ndarray,
         return HolderFit(exponent=1.0, ci95=0.0, scales=scales, moduli=moduli,
                          degenerate=True)
     res = stats.linregress(np.log(scales), np.log(np.maximum(moduli, 1e-300)))
-    tval = stats.t.ppf(0.975, n_scales - 2)
+    tval = stats.t.ppf(0.975, HOLDER_SCALES - 2)
     return HolderFit(exponent=float(res.slope), ci95=float(tval * res.stderr),
                      scales=scales, moduli=moduli)
 
@@ -305,9 +304,9 @@ def stress_wm_norm(sol: RadialSolution, m: float, r_lo: float, r_hi: float) -> d
             "w1m": float((lm ** m + sem ** m) ** (1.0 / m))}
 
 
-def source_lm_norm(prob: RadialProblem, m: float, r_lo: float, r_hi: float,
-                   num: int = 2049) -> float:
-    r = np.linspace(max(r_lo, prob.r_min), min(r_hi, prob.r_max), num)
+def source_lm_norm(prob: RadialProblem, m: float, r_lo: float, r_hi: float) -> float:
+    """||f||_{L^m} on {r_lo <= |x| <= r_hi} by Simpson's rule on 2049 radii."""
+    r = np.linspace(max(r_lo, prob.r_min), min(r_hi, prob.r_max), 2049)
     f_vals = _source_on(prob, r)
     area = sphere_area(prob.dim)
     return float((area * integrate.simpson(np.abs(f_vals) ** m * r ** (prob.dim - 1), x=r))
@@ -329,8 +328,9 @@ class CpPrimeReport:
 
 
 def cp_prime_verify(p: float, f_source, m: float, dim: int = 2,
-                    r_max: float = 1.0, num: int = 8193) -> CpPrimeReport:
-    """Solve the radial p-Poisson problem and measure the C^{p'} diagnostics.
+                    num: int = 8193) -> CpPrimeReport:
+    """Solve the radial p-Poisson problem on the unit ball B_R, R = 1, and
+    measure the C^{p'} diagnostics.
 
     Computes ||V||_{W^{1,m}(B_{R/2})} from the analytic DV formula, the
     right-hand-side norms ||f||_{L^m(B_R)} + ||V||_{L^1(B_R)}, and the fitted
@@ -338,11 +338,11 @@ def cp_prime_verify(p: float, f_source, m: float, dim: int = 2,
     bounded sources.
     """
     prob = RadialProblem(dim=dim, profile=power_profile(p), source=f_source,
-                         r_max=r_max)
+                         r_max=1.0)
     sol = solve_radial(prob, num=num)
-    norms = stress_wm_norm(sol, m, 0.0, r_max / 2.0)
-    f_norm = source_lm_norm(prob, m, 0.0, r_max)
-    v_l1 = stress_wm_norm(sol, 1.0, 0.0, r_max)["lm"]
+    norms = stress_wm_norm(sol, m, 0.0, 0.5)
+    f_norm = source_lm_norm(prob, m, 0.0, 1.0)
+    v_l1 = stress_wm_norm(sol, 1.0, 0.0, 1.0)["lm"]
     ratio = norms["w1m"] / max(f_norm + v_l1, 1e-300)
     fit = holder_exponent(sol.r, sol.v_prime)
     p_prime = p / (p - 1.0)

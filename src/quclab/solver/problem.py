@@ -161,11 +161,12 @@ def _section(d: dict, key: str, allowed: set | None, default: dict | None = None
 
 
 def _parse(what: str, fn, *args, **kwargs):
-    """fn(*args, **kwargs), reporting a malformed config value as InputError."""
+    """fn(*args, **kwargs), reporting a malformed config value as an InputError
+    that names ``what``."""
     try:
         return fn(*args, **kwargs)
-    except InputError:
-        raise
+    except InputError as exc:
+        raise InputError(f"{what}: {exc}") from None
     except KeyError as exc:
         raise InputError(f"malformed {what}: missing {exc}") from None
     except (TypeError, ValueError, OverflowError) as exc:

@@ -19,9 +19,9 @@ from .mesh import BoxMesh
 from .minimize import DiscreteSolution
 
 
-def disk_cell_weights(centers: np.ndarray, h: float, ball_center, radius: float,
-                      sub: int = 8) -> np.ndarray:
-    """Area fraction of each h x h cell inside the disk (0..1 per cell)."""
+def disk_cell_weights(centers: np.ndarray, h: float, ball_center, radius: float) -> np.ndarray:
+    """Area fraction of each h x h cell inside the disk (0..1 per cell); a
+    border cell counts its 8 x 8 sub-cell midpoints."""
     c = np.asarray(ball_center, float)
     d = np.linalg.norm(centers - c, axis=1)
     half_diag = 0.5 * h * np.sqrt(2.0)
@@ -29,7 +29,7 @@ def disk_cell_weights(centers: np.ndarray, h: float, ball_center, radius: float,
     w[d <= radius - half_diag] = 1.0
     border = (d > radius - half_diag) & (d < radius + half_diag)
     if np.any(border):
-        offs = (np.arange(sub) + 0.5) / sub - 0.5
+        offs = (np.arange(8) + 0.5) / 8 - 0.5
         ox, oy = np.meshgrid(offs, offs, indexing="ij")
         shift = np.stack([ox.ravel(), oy.ravel()], axis=1) * h
         pts = centers[border][:, None, :] + shift[None, :, :]
@@ -93,11 +93,13 @@ def sobolev_report(sol: DiscreteSolution, ball_center, ball_radius: float,
     """Localized norms behind the W^{1,m} stress estimate.
 
     c_meas = ||V||_{W^{1,m}(B)} / (||f||_{L^m(2B)} + ||V||_{L^theta(2B)});
-    requires 4B inside the domain.
+    requires a positive radius and 4B inside the domain.
     """
     _require_2d(sol.mesh)
     mesh = sol.mesh
     c = np.asarray(ball_center, float)
+    if not ball_radius > 0.0:
+        raise InputError(f"ball_radius must be > 0, got {ball_radius}")
     if np.any(np.abs(c) + 4.0 * ball_radius > mesh.half_width + 1e-12):
         raise PreconditionError("4B must be contained in the domain")
     if theta is None:
@@ -146,9 +148,10 @@ class CaccioppoliReport:
     holds_with_theory: bool
 
 
-def caccioppoli_check(sol: DiscreteSolution, r: float, s: float, big_r: float,
-                      center=(0.0, 0.0)) -> CaccioppoliReport:
-    """Empirical constants for the localized gradient-energy bound
+def caccioppoli_check(sol: DiscreteSolution, r: float, s: float,
+                      big_r: float) -> CaccioppoliReport:
+    """Empirical constants for the localized gradient-energy bound on balls
+    about the origin
 
         int_{B_r} |DV|^2 <= C/(s-r)^2 int_{B_s \\ B_r} |V|^2 + C int_{B_2R} f^2.
     """
@@ -158,8 +161,8 @@ def caccioppoli_check(sol: DiscreteSolution, r: float, s: float, big_r: float,
         raise InputError("need R <= r < s <= 2R")
     if s - r < 4.0 * mesh.h:
         raise InputError("annulus thinner than 4 cells")
-    c = np.asarray(center, float)
-    if np.any(np.abs(c) + 2.0 * big_r > mesh.half_width + 1e-12):
+    c = np.zeros(2)
+    if 2.0 * big_r > mesh.half_width + 1e-12:
         raise InputError("B_2R must sit inside the domain")
 
     v, centers, dv, dv_points = _stress_and_gradient_lattices(sol)
@@ -211,19 +214,18 @@ def hat_norm_w1p(mesh: BoxMesh, p: float) -> float:
     return float((val_int + grad_int) ** (1.0 / p))
 
 
-def euler_lagrange_residual(sol: DiscreteSolution, mode: str = "hat",
-                            n_bumps: int = 9, bump_radius: float | None = None,
-                            p: float | None = None) -> float:
-    """Weak-form residual  max_phi |int (V, Dphi) + int f phi| / ||phi||_{W^{1,p}}.
+def euler_lagrange_residual(sol: DiscreteSolution, mode: str = "hat") -> float:
+    """Weak-form residual  max_phi |int (V, Dphi) + int f phi| / ||phi||_{W^{1,p}},
+    with p the integrand's growth exponent (2 when undeclared).
 
     mode "hat": discrete hat-function basis; vanishes (up to solver
     tolerance) at the exact discrete minimizer of the unregularized energy.
-    mode "bump": a mesh-independent bank of C^2 bumps; measures the
+    mode "bump": a mesh-independent bank of 3 x 3 C^2 bumps of radius
+    0.35 L centered on [-0.45 L, 0.45 L]^2 (L the half-width); measures the
     discretization error of the weak form and decreases under refinement.
     """
     mesh = sol.mesh
-    if p is None:
-        p = sol.spec.integrand.growth_p or 2.0
+    p = sol.spec.integrand.growth_p or 2.0
     f_nodes = sol.f_nodes
     if mode == "hat":
         g = mesh.simplex_gradients(sol.u)
@@ -235,9 +237,8 @@ def euler_lagrange_residual(sol: DiscreteSolution, mode: str = "hat",
         raise InputError("mode must be 'hat' or 'bump'")
     _require_2d(mesh)
     half = mesh.half_width
-    radius = bump_radius if bump_radius is not None else 0.35 * half
-    side = int(np.ceil(np.sqrt(n_bumps)))
-    lin = np.linspace(-0.45 * half, 0.45 * half, side)
+    radius = 0.35 * half
+    lin = np.linspace(-0.45 * half, 0.45 * half, 3)
     centroids = mesh.simplex_centroids()
     g = mesh.simplex_gradients(sol.u)
     v_simplex = np.asarray(sol.spec.integrand.gradient(g), float)

@@ -226,9 +226,9 @@ class SpectralField:
 
     @classmethod
     def random_band_limited(cls, grid: PeriodicGrid, kind: str, kmax: int,
-                            rng: np.random.Generator, mean_zero: bool = True,
-                            amplitude: float = 1.0) -> "SpectralField":
-        """White noise filtered to max_j |xi_j| <= kmax (well below Nyquist)."""
+                            rng: np.random.Generator) -> "SpectralField":
+        """White noise filtered to max_j |xi_j| <= kmax (well below Nyquist),
+        with zero mean and max |values| = 1."""
         if kmax < 1 or kmax > grid.n // 4:
             raise InputError("kmax must lie in [1, n/4] to keep products alias-free")
         noise = rng.standard_normal((_NCOMP[kind](grid.dim),) + grid.shape)
@@ -237,12 +237,11 @@ class SpectralField:
         for axis in reversed(grid.fft_axes[:-1]):
             lines = np.fft.fft(lines, axis=axis)
         half = lines[grid.box(kmax, half=True)]
-        if mean_zero:
-            half[(slice(None),) + (0,) * grid.dim] = 0.0
+        half[(slice(None),) + (0,) * grid.dim] = 0.0
         # real noise has a Hermitian spectrum: the inverse real FFT is exact,
         # and the xi_last < 0 coefficients are the conjugate mirror
         values = grid.irfft_box(half, kmax)
-        factor = amplitude / (np.max(np.abs(values)) or 1.0)
+        factor = 1.0 / (np.max(np.abs(values)) or 1.0)
         half *= factor
         values *= factor
         mirror = np.conj(grid._at_minus_xi(half, slice(kmax + 1, None)))

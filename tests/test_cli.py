@@ -393,6 +393,13 @@ class TestUsage:
         ({}, {**_CONFIG, "problem": {**_CONFIG["problem"], "boundary": {
             "kind": "zero", "params": {"value": 5}}}},
          ["solve", "--config", "{tmp}/config.json"], "unknown parameters ['value']"),
+        ({}, {**_CONFIG, "report": {"ball_radius": 0.0}},
+         ["solve", "--config", "{tmp}/config.json"], "ball_radius must be > 0"),
+        ({}, {**_CONFIG, "report": {"ball_radius": -0.1}},
+         ["solve", "--config", "{tmp}/config.json"], "ball_radius must be > 0"),
+        ({}, {**_CONFIG, "problem": {**_CONFIG["problem"], "source": {
+            "kind": "constant", "params": {"value": 1, "slope": 2}}}},
+         ["solve", "--config", "{tmp}/config.json"], "source: kind 'constant'"),
     ], ids=["quc-threads", "levels", "missing-config", "config-cells",
             "config-stage", "config-list", "config-boundary", "config-tol",
             "p-grid-empty", "p-grid-token", "dims-token", "dims-zero", "dims-one",
@@ -409,7 +416,8 @@ class TestUsage:
             "config-half-width-string", "config-half-width-bool", "config-tol-string",
             "config-ball-radius-string", "config-stage-strings", "config-tol-nan",
             "config-stage-nan",
-            "config-zero-boundary-params"])
+            "config-zero-boundary-params", "config-ball-radius-zero",
+            "config-ball-radius-negative", "config-source-params"])
     def test_malformed_input_exit_2(self, tmp_path, monkeypatch, capsys, env, config,
                                     argv, message):
         for key, value in env.items():

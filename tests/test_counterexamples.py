@@ -37,12 +37,6 @@ class TestArctan:
             fd = (ce.arctan_gradient(z + h * e) - ce.arctan_gradient(z - h * e)) / (2 * h)
             assert np.allclose(d2u[:, :, j], fd, atol=1e-6)
 
-    def test_ball_domain_validated(self):
-        with pytest.raises(InputError):
-            ce.ArctanSolution(ball_center=(0.3, 0.0), ball_radius=0.4)
-        sol = ce.ArctanSolution(ball_center=(1.5, 0.0), ball_radius=0.4)
-        assert sol.ball_radius == 0.4
-
 
 class TestTraceCheck:
     def test_harmonic_case(self):
