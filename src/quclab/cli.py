@@ -202,7 +202,7 @@ def cmd_riesz_check(args, out_dir: Path, manifest: Manifest):
 def cmd_solve(args, out_dir: Path, manifest: Manifest):
     spec, schedule, solver_opts, report_opts = load_problem_config(args.config)
     sol = minimize(spec, schedule, **solver_opts)
-    el_res = euler_lagrange_residual(sol, mode="hat")
+    el_res = euler_lagrange_residual(sol)
     regularity = None
     if sol.mesh.dim == 2:
         center = report_opts.get("ball_center", [0.0, 0.0])
@@ -353,7 +353,7 @@ def cmd_report(args, out_dir: Path, manifest: Manifest):
     checks["gallery_ratio_bound"] = est <= 2.0 * (1.0 + 1e-6)
     sol = radial.solve_radial(radial.RadialProblem(
         dim=2, profile=power_profile(3.0),
-        source=lambda r: np.ones_like(np.asarray(r, float)), r_max=1.0))
+        source=_radial_source("const", 1.0), r_max=1.0))
     checks["radial_flux_identity"] = radial.flux_identity_defect(sol) < 1e-10
     passed = all(checks.values())
     payload = {"subcommand": "report", "checks": checks}
@@ -368,18 +368,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="stress-field regularity laboratory for divergence-form problems")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, seeded=False):
         p.add_argument("--out", type=Path, default=Path("quclab-out"))
-        p.add_argument("--seed", type=int, default=0)
+        if seeded:
+            p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("matrix-check", help="randomized skew-defect bound trials")
-    common(p)
+    common(p, seeded=True)
     p.add_argument("--trials", type=int, default=10000)
     p.add_argument("--dims", type=str, default="2,3,4,5,6,7,8")
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("integrand", help="ratio-bound estimate and growth report")
-    common(p)
+    common(p, seeded=True)
     p.add_argument("--name", required=True)
     p.add_argument("--param", action="append", metavar="KEY=VALUE")
     p.add_argument("--r-min", type=float, default=0.3)
@@ -395,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", type=float, nargs=2, default=cordes.WINDOW)
 
     p = sub.add_parser("riesz-check", help="spectral identity property suite")
-    common(p)
+    common(p, seeded=True)
     p.add_argument("--n", type=int, default=64)
     p.add_argument("--fields", type=int, default=20)
     p.add_argument("--kmax", type=int, default=8)
@@ -420,13 +421,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=float, default=4.0)
 
     p = sub.add_parser("cantor", help="counterexample diagnostics")
-    common(p)
+    common(p, seeded=True)
     p.add_argument("--levels", type=str, default="4..12")
     p.add_argument("--bumps", type=int, default=50)
     p.add_argument("--n-grid", type=int, default=1024)
 
     p = sub.add_parser("report", help="aggregate quick invariant run")
-    common(p)
+    common(p, seeded=True)
     return parser
 
 
@@ -449,7 +450,7 @@ def _check_numbers(args) -> None:
         for v in value if isinstance(value, (list, tuple)) else (value,):
             if isinstance(v, float) and not np.isfinite(v):
                 raise InputError(f"--{name.replace('_', '-')} must be finite, got {v}")
-    if args.seed < 0:
+    if getattr(args, "seed", 0) < 0:
         raise InputError(f"--seed must be >= 0, got {args.seed}")
 
 

@@ -1,4 +1,4 @@
-"""Executable counterexamples: the arctan family and the Cantor stress.
+"""Executable counterexamples: the arctan solution and the Cantor stress.
 
 On any ball B inside the right half-plane, u(x, y) = arctan(y/x) solves
 Div(DF(Du)) = 0 weakly for every radial C^2 integrand F: the product
@@ -10,6 +10,8 @@ integrand F(t) = t^2/2 + H_L(t) this produces the stress field
 whose level-L eigenvalue-ratio bound degrades like (3/2)^L while the limit
 field's distributional derivative develops a purely singular (Cantor) part:
 the almost-everywhere ratio bound alone does not yield a Sobolev stress.
+The smooth part Du = z_perp/|z|^2 is the control column of the blow-up
+table, and the weak residuals pair V_L with ``QuinticBump`` test functions.
 
 Numerical caveat recorded here for honesty: fields of the form psi(|z|)
 z_perp are tangential to circles and hence weakly divergence-free for any
@@ -30,8 +32,6 @@ import numpy as np
 
 from .cantorfn import cantor_profile
 from .errors import InputError
-from .bumps import QuinticBump
-from .matrixcore import radial_hessian
 from .quadrature import adaptive_quad_2d
 from .utils import strict_int
 
@@ -51,45 +51,11 @@ def arctan_gradient(z):
     return perp / r2[..., None]
 
 
-def arctan_hessian(z):
-    z = np.asarray(z, float)
-    x, y = z[..., 0], z[..., 1]
-    r4 = (x * x + y * y) ** 2
-    h = np.empty(z.shape[:-1] + (2, 2))
-    h[..., 0, 0] = 2.0 * x * y
-    h[..., 0, 1] = y * y - x * x
-    h[..., 1, 0] = y * y - x * x
-    h[..., 1, 1] = -2.0 * x * y
-    return h / r4[..., None, None]
-
-
 def _check_half_plane(z):
     z = np.asarray(z, float)
     if np.any(z[..., 0] <= 0.0):
         raise InputError("points must lie in the right half-plane {x > 0}")
     return z
-
-
-def trace_check_radial(fprime: Callable, fsecond: Callable, z) -> float:
-    """|trace(D2F(Du(z)) D2u(z))| for the arctan solution (should be ~ 0).
-
-    ``fprime``/``fsecond`` are scalar derivative callables of the radial
-    profile; finite-difference second derivatives are fine since the zero
-    trace is structural, not a cancellation of accurate numbers.
-    """
-    z = _check_half_plane(z)
-    du = arctan_gradient(z)
-    d2u = arctan_hessian(z)
-    mag = np.linalg.norm(du, axis=-1)
-    d2f = radial_hessian(du / mag[..., None], fsecond(mag), fprime(mag) / mag)
-    prod = d2f @ d2u
-    tr = np.trace(prod, axis1=-2, axis2=-1)
-    return float(np.max(np.abs(tr)))
-
-
-def fd_second_derivative(fprime: Callable) -> Callable:
-    """Central difference of ``fprime`` with step 1e-6."""
-    return lambda t: (fprime(np.asarray(t) + 1e-6) - fprime(np.asarray(t) - 1e-6)) / 2e-6
 
 
 # -- the Cantor stress ---------------------------------------------------------
@@ -113,6 +79,40 @@ def cantor_stress_field(level: int) -> Callable[[np.ndarray], np.ndarray]:
 
 # The ball B inside {x > 0} of the weak residuals and the blow-up table.
 BALL_CENTER, BALL_RADIUS = (1.5, 0.0), 0.4
+
+
+@dataclass(frozen=True)
+class QuinticBump:
+    """C^2 test function s(1 - |x - center|^2/radius^2) of the weak
+    residuals, with the quintic smoothstep s(t) = t^3 (10 - 15 t + 6 t^2)
+    of t clipped to [0, 1]; zero outside the ball, exactly piecewise
+    polynomial."""
+
+    center: np.ndarray
+    radius: float
+
+    def _t(self, x):
+        # column by column: numpy loops over a short last axis (broadcast or
+        # reduced) are several times slower than over the point axis
+        x = np.asarray(x, float)
+        d = np.empty_like(x)  # keeps a column-major x's contiguous columns
+        for i in range(len(self.center)):
+            np.subtract(x[..., i], self.center[i], out=d[..., i])
+        sq = d[..., 0] * d[..., 0]
+        for i in range(1, len(self.center)):
+            sq += d[..., i] * d[..., i]
+        return np.clip(1.0 - sq / self.radius ** 2, 0.0, 1.0), d
+
+    def value(self, x):
+        t, _ = self._t(x)
+        return t * t * t * (10.0 - 15.0 * t + 6.0 * t * t)
+
+    def gradient(self, x):
+        t, d = self._t(x)
+        scale = 30.0 * t * t * (1.0 - t) ** 2 * (-2.0 / self.radius ** 2)
+        for i in range(len(self.center)):
+            d[..., i] *= scale
+        return d
 
 
 def _bump_bank(count: int, seed: int):

@@ -12,7 +12,6 @@ from .profiles import (
 from .analysis import AnnulusSampler, GrowthReport, estimate_K, verify_growth
 from .regularize import (
     MollifierRule,
-    extend_local,
     kernel_second_moment,
     mollify,
     moreau_yosida,
@@ -29,7 +28,6 @@ __all__ = [
     "constant_profile",
     "eigen_ratio_batch",
     "estimate_K",
-    "extend_local",
     "gallery",
     "integrand_from_config",
     "integrand_to_config",

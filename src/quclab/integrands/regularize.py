@@ -1,5 +1,4 @@
-"""Regularization toolkit: mollification, proximal map, Moreau-Yosida,
-local-to-global extension.
+"""Regularization toolkit: mollification, proximal map and Moreau-Yosida.
 
 The mollifier kernel is the polynomial bump phi(y) = c_N (1 - |y|^2)^4 on
 the unit ball (unit mass), scaled to radius eps.  Convolutions are realized
@@ -21,8 +20,8 @@ them by C^2 quintic Hermite pieces (de Boor 1978).  At a knot, g'' is a
 diagonal entry of a convex combination of translated Hessians and g'/r
 (g'(0) = 0) the mean of such entries over [0, r], so the ratio bound holds
 there up to the fine rule's quadrature error, and between knots up to the
-interpolation error as well.  Non-radial integrands (``two_center``, ``gh``, ``mixed``,
-``orthotropic``, ``cantor``, sums, ``moreau_yosida`` and ``extend_local``
+interpolation error as well.  Non-radial integrands (``two_center``,
+``gh``, ``mixed``, ``orthotropic``, ``cantor``, sums and ``moreau_yosida``
 results) keep the kernel sweep over the 64 / 512-node rule at every
 evaluation.
 """
@@ -35,8 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import beta as beta_fn, roots_jacobi
 
-from ..bumps import PlateauBump
-from ..errors import InputError, NumericError, PreconditionError
+from ..errors import InputError, NumericError
 from ..matrixcore import radial_hessian
 from .base import Integrand
 
@@ -370,98 +368,3 @@ def moreau_yosida(f: Integrand, delta: float) -> Integrand:
         params={**f.params, "my_delta": delta},
     )
 
-
-def extend_local(f: Integrand, R: float, sigma: float, eps_floor: float) -> Integrand:
-    """Extend F from the ball B_R to a globally quadratic-growth integrand.
-
-    Construction: with tau = (1+sigma)/2 and the radial C^2 cutoff
-    eta = PlateauBump(0, tau R, R), 1 on B_{tau R} and 0 outside B_R,
-
-        F~(z) = eta F + (1 - eta) |z|^2/2 + C (|z| - sigma R)_+^2,
-
-    where C is calibrated from the sampled maximum of the Frobenius norm of
-    the cross-term matrix
-
-        M = (1-eta) I + Deta (x) DF + DF (x) Deta - 2 Deta (x) z
-            + (F - |z|^2/2) D2eta
-
-    via (1 - sigma/tau) C = max |M|_F over 48 shells in [sigma R, R] times
-    48 random directions (seed 11) and the coordinate axes.  F~ equals F on
-    B_{sigma R} exactly and has quadratic growth outside.  Requires
-    lambda_min(D2F) >= eps_floor on the sampled annulus B_R minus B_{sigma R}.
-    """
-    if not (0.0 < sigma < 1.0):
-        raise InputError("sigma must lie in (0, 1)")
-    if R <= 0.0:
-        raise InputError("R must be > 0")
-    tau = 0.5 * (1.0 + sigma)
-    dim = f.dim
-    eye = np.eye(dim)
-
-    rng = np.random.default_rng(11)
-    radii = np.linspace(sigma * R * (1.0 + 1e-9), R, 48)
-    dirs = rng.standard_normal((48, dim))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    # degeneracies concentrate on coordinate axes; always sample them
-    axes = np.concatenate([np.eye(dim), -np.eye(dim)])
-    dirs = np.concatenate([dirs, axes])
-    pts = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, dim)
-
-    fv_pts, df_pts, hess_pts = (np.asarray(t, float) for t in f.jet(pts, 2))
-    lam_min = np.linalg.eigvalsh(hess_pts)[:, 0]
-    if np.any(~np.isfinite(lam_min)) or np.any(lam_min < eps_floor):
-        raise PreconditionError(
-            f"strict convexity floor {eps_floor:g} fails on the annulus "
-            f"(min sampled eigenvalue {np.nanmin(lam_min):.3e})")
-
-    cutoff = PlateauBump(np.zeros(dim), tau * R, R)
-
-    def _m_matrix(z, fv, df):
-        eta, deta, d2eta = cutoff.value(z), cutoff.gradient(z), cutoff.hessian(z)
-        r = np.linalg.norm(z, axis=-1)
-        return ((1.0 - eta)[..., None, None] * eye
-                + deta[..., :, None] * df[..., None, :]
-                + df[..., :, None] * deta[..., None, :]
-                - 2.0 * deta[..., :, None] * z[..., None, :]
-                + (fv - 0.5 * r * r)[..., None, None] * d2eta)
-
-    m_norms = np.sqrt(np.sum(_m_matrix(pts, fv_pts, df_pts) ** 2, axis=(-2, -1)))
-    c_const = float(m_norms.max()) / (1.0 - sigma / tau)
-
-    def _finite(term):
-        # eta vanishes outside B_R where a genuinely local F may be undefined;
-        # sanitize so that 0 * undefined contributes 0
-        return np.where(np.isfinite(term), term, 0.0)
-
-    def jet(z, order):
-        r = np.linalg.norm(z, axis=-1)
-        rs = np.maximum(r, 1e-300)
-        unit = z / rs[..., None]
-        eta = cutoff.value(z)
-        inner = [_finite(np.asarray(t, float)) for t in f.jet_fn(z, order)]
-        fv = inner[0]
-        # hinge (|z| - sigma R)_+^2, radial with slope 2 plus / r
-        plus = np.maximum(r - sigma * R, 0.0)
-        out = (eta * fv + (1.0 - eta) * 0.5 * r * r + c_const * plus ** 2,)
-        if order >= 1:
-            df = inner[1]
-            out += (eta[..., None] * df + (1.0 - eta)[..., None] * z
-                    + (fv - 0.5 * r * r)[..., None] * cutoff.gradient(z)
-                    + c_const * ((2.0 * plus)[..., None] * unit),)
-        if order == 2:
-            active = (r > sigma * R).astype(float)
-            hinge_hess = radial_hessian(unit, 2.0 * active, 2.0 * plus / rs)
-            out += (eta[..., None, None] * inner[2] + _m_matrix(z, fv, df)
-                    + c_const * hinge_hess,)
-        return out
-
-    return Integrand(
-        name=f"extended[{f.name},R={R:g},sigma={sigma:g}]",
-        dim=dim,
-        jet_fn=jet,
-        declared_K=None,
-        minimizer=f.minimizer,
-        singular_points=f.singular_points,
-        params={**f.params, "extend_R": R, "extend_sigma": sigma,
-                "extend_C": c_const},
-    )

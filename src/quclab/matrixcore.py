@@ -8,8 +8,8 @@ part of X is controlled by
 
 where lmin, lmax are the extreme eigenvalues of P.  This module provides
 the scalar ingredients (phi, skew defect, eigenvalue summaries), a per-pair
-verifier, the K-dependent reabsorption factors, and a vectorized mass-trial
-driver used by the randomized certification run.
+verifier and the vectorized mass-trial check of the randomized
+certification run.
 
 All matrix norms are Frobenius norms.
 """
@@ -150,28 +150,6 @@ def verify_skew_bound(p: np.ndarray, s: np.ndarray) -> SkewBoundReport:
     lhs = skew_defect(x) ** 2
     rhs = 2.0 * phi(summary.lambda_min / summary.lambda_max) * frobenius(x) ** 2
     return SkewBoundReport(lhs=lhs, rhs=rhs, holds=bool(lhs <= rhs * (1.0 + SKEW_RTOL)), eigen=summary)
-
-
-@dataclass(frozen=True)
-class CurlBoundFactors:
-    """Reabsorption factors for an eigenvalue-ratio bound K.
-
-    ``tight``   = 2 (K-1)^2 / (K^2+1)   (sharp form),
-    ``relaxed`` = 2 (1-1/K)^2           (the form used for L^m reabsorption).
-    Both vanish at K = 1 and increase to 2 as K grows.
-    """
-
-    tight: float
-    relaxed: float
-
-
-def curl_bound_factor(k: float) -> CurlBoundFactors:
-    k = float(k)
-    if not np.isfinite(k) or k < 1.0:
-        raise InputError(f"K must be a finite number >= 1, got {k}")
-    tight = 2.0 * (k - 1.0) ** 2 / (k * k + 1.0)
-    relaxed = 2.0 * (1.0 - 1.0 / k) ** 2
-    return CurlBoundFactors(tight=tight, relaxed=relaxed)
 
 
 def random_spd_batch(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:

@@ -220,17 +220,6 @@ def stress_of(sol: RadialSolution, points: np.ndarray) -> StressGrid:
     return StressGrid(points=pts, values=values, gradients=gradients)
 
 
-def psi_map(y, p: float):
-    """Psi(y) = |y|^((2-p)/(p-1)) y with Psi(0) = 0; inverts z -> |z|^(p-2) z."""
-    check_p(p)
-    y = np.asarray(y, dtype=float)
-    mag = np.linalg.norm(y, axis=-1, keepdims=True)
-    expo = (2.0 - p) / (p - 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        factor = np.where(mag > 0.0, mag ** expo, 0.0)
-    return factor * y
-
-
 # -- Holder exponent fits ------------------------------------------------------
 
 @dataclass(frozen=True)

@@ -18,7 +18,6 @@ from .minimize import (
 )
 from .reports import (
     RegularityReport,
-    caccioppoli_check,
     disk_cell_weights,
     euler_lagrange_residual,
     sobolev_report,
@@ -33,7 +32,6 @@ __all__ = [
     "RegularizationSchedule",
     "StageRecord",
     "assemble_energy",
-    "caccioppoli_check",
     "disk_cell_weights",
     "euler_lagrange_residual",
     "load_problem_config",

@@ -13,7 +13,6 @@ from math import factorial
 
 import numpy as np
 
-from ..bumps import QuinticBump
 from ..errors import InputError, PreconditionError
 from .mesh import BoxMesh
 from .minimize import DiscreteSolution
@@ -93,11 +92,13 @@ def sobolev_report(sol: DiscreteSolution, ball_center, ball_radius: float,
     """Localized norms behind the W^{1,m} stress estimate.
 
     c_meas = ||V||_{W^{1,m}(B)} / (||f||_{L^m(2B)} + ||V||_{L^theta(2B)});
-    requires a positive radius and 4B inside the domain.
+    requires a 2-entry center, a positive radius and 4B inside the domain.
     """
     _require_2d(sol.mesh)
     mesh = sol.mesh
     c = np.asarray(ball_center, float)
+    if c.shape != (2,):
+        raise InputError(f"ball_center must have 2 entries, got {c.tolist()}")
     if not ball_radius > 0.0:
         raise InputError(f"ball_radius must be > 0, got {ball_radius}")
     if np.any(np.abs(c) + 4.0 * ball_radius > mesh.half_width + 1e-12):
@@ -134,69 +135,6 @@ def sobolev_report(sol: DiscreteSolution, ball_center, ball_radius: float,
                             v_w1m_b=float(w1m), c_meas=float(c_meas))
 
 
-@dataclass(frozen=True)
-class CaccioppoliReport:
-    r: float
-    s: float
-    big_r: float
-    lhs: float                  # int_{B_r} |DV|^2
-    annulus_term: float         # (s-r)^-2 int_{B_s \ B_r} |V|^2
-    source_term: float          # int_{B_2R} f^2
-    c_theory: float             # 1/(1 - relaxed/2) from the declared K
-    c_emp: float                # lhs / (annulus_term + source_term)
-    c_raw: float                # lhs / (int_ann |V|^2 + source_term)
-    holds_with_theory: bool
-
-
-def caccioppoli_check(sol: DiscreteSolution, r: float, s: float,
-                      big_r: float) -> CaccioppoliReport:
-    """Empirical constants for the localized gradient-energy bound on balls
-    about the origin
-
-        int_{B_r} |DV|^2 <= C/(s-r)^2 int_{B_s \\ B_r} |V|^2 + C int_{B_2R} f^2.
-    """
-    _require_2d(sol.mesh)
-    mesh = sol.mesh
-    if not (big_r <= r < s <= 2.0 * big_r):
-        raise InputError("need R <= r < s <= 2R")
-    if s - r < 4.0 * mesh.h:
-        raise InputError("annulus thinner than 4 cells")
-    c = np.zeros(2)
-    if 2.0 * big_r > mesh.half_width + 1e-12:
-        raise InputError("B_2R must sit inside the domain")
-
-    v, centers, dv, dv_points = _stress_and_gradient_lattices(sol)
-    h = mesh.h
-    area = h * h
-    vmag2 = np.sum(v.reshape(-1, 2) ** 2, axis=1)
-    dvmag2 = np.sum(dv ** 2, axis=(1, 2))
-
-    w_r = disk_cell_weights(dv_points, h, c, r)
-    lhs = float(np.sum(w_r * dvmag2) * area)
-    w_ann = disk_cell_weights(centers, h, c, s) - disk_cell_weights(centers, h, c, r)
-    ann_int = float(np.sum(np.clip(w_ann, 0.0, 1.0) * vmag2) * area)
-    f_cells = np.asarray(sol.spec.source(centers), float)
-    w_2r = disk_cell_weights(centers, h, c, 2.0 * big_r)
-    src = float(np.sum(w_2r * f_cells ** 2) * area)
-
-    annulus_term = ann_int / (s - r) ** 2
-    k = sol.spec.integrand.declared_K
-    if k is None or k <= 1.0:
-        c_theory = 1.0
-    else:
-        relaxed = 2.0 * (1.0 - 1.0 / k) ** 2
-        c_theory = 1.0 / (1.0 - relaxed / 2.0)
-    denom = annulus_term + src
-    c_emp = lhs / denom if denom > 0 else np.inf
-    raw_denom = ann_int + src
-    c_raw = lhs / raw_denom if raw_denom > 0 else np.inf
-    return CaccioppoliReport(r=r, s=s, big_r=big_r, lhs=lhs,
-                             annulus_term=annulus_term, source_term=src,
-                             c_theory=c_theory, c_emp=float(c_emp),
-                             c_raw=float(c_raw),
-                             holds_with_theory=bool(lhs <= c_theory * denom))
-
-
 def hat_norm_w1p(mesh: BoxMesh, p: float) -> float:
     """W^{1,p} norm of one interior hat function (all are congruent).
 
@@ -214,50 +152,19 @@ def hat_norm_w1p(mesh: BoxMesh, p: float) -> float:
     return float((val_int + grad_int) ** (1.0 / p))
 
 
-def euler_lagrange_residual(sol: DiscreteSolution, mode: str = "hat") -> float:
-    """Weak-form residual  max_phi |int (V, Dphi) + int f phi| / ||phi||_{W^{1,p}},
-    with p the integrand's growth exponent (2 when undeclared).
-
-    mode "hat": discrete hat-function basis; vanishes (up to solver
-    tolerance) at the exact discrete minimizer of the unregularized energy.
-    mode "bump": a mesh-independent bank of 3 x 3 C^2 bumps of radius
-    0.35 L centered on [-0.45 L, 0.45 L]^2 (L the half-width); measures the
-    discretization error of the weak form and decreases under refinement.
+def euler_lagrange_residual(sol: DiscreteSolution) -> float:
+    """Weak-form residual  max_phi |int (V, Dphi) + int f phi| / ||phi||_{W^{1,p}}
+    over the discrete hat-function basis, with p the integrand's growth
+    exponent (2 when undeclared); vanishes (up to solver tolerance) at the
+    exact discrete minimizer of the unregularized energy.
     """
     mesh = sol.mesh
     p = sol.spec.integrand.growth_p or 2.0
-    f_nodes = sol.f_nodes
-    if mode == "hat":
-        g = mesh.simplex_gradients(sol.u)
-        df = np.asarray(sol.spec.integrand.gradient(g), float)
-        grad_full = mesh.scatter_gradient(df) + mesh.node_weights * f_nodes
-        res = np.abs(grad_full[mesh.interior_mask])
-        return float(res.max() / hat_norm_w1p(mesh, p))
-    if mode != "bump":
-        raise InputError("mode must be 'hat' or 'bump'")
-    _require_2d(mesh)
-    half = mesh.half_width
-    radius = 0.35 * half
-    lin = np.linspace(-0.45 * half, 0.45 * half, 3)
-    centroids = mesh.simplex_centroids()
     g = mesh.simplex_gradients(sol.u)
-    v_simplex = np.asarray(sol.spec.integrand.gradient(g), float)
-    vol = mesh.simplex_volume
-    coords = mesh.node_coords()
-    worst = 0.0
-    for cx in lin:
-        for cy in lin:
-            bump = QuinticBump(center=[cx, cy], radius=radius)
-            dphi = bump.gradient(centroids)
-            pairing = vol * float(np.sum(v_simplex * dphi))
-            load = float(np.sum(mesh.node_weights * f_nodes * bump.value(coords)))
-            dphi_mag = np.linalg.norm(dphi, axis=1)
-            norm = (vol * np.sum(bump.value(centroids) ** p)
-                    + vol * np.sum(dphi_mag ** p)) ** (1.0 / p)
-            if norm < 1e-12:
-                continue
-            worst = max(worst, abs(pairing + load) / norm)
-    return float(worst)
+    df = np.asarray(sol.spec.integrand.gradient(g), float)
+    grad_full = mesh.scatter_gradient(df) + mesh.node_weights * sol.f_nodes
+    res = np.abs(grad_full[mesh.interior_mask])
+    return float(res.max() / hat_norm_w1p(mesh, p))
 
 
 def w1p_error(sol: DiscreteSolution, exact_u, exact_grad, p: float) -> float:

@@ -1,10 +1,10 @@
-"""Periodic FFT engine: Riesz transforms, div-curl machinery, L^m norms.
+"""Periodic FFT engine: Riesz reconstruction, div-curl machinery, L^m norms.
 
 Fields live on the 2 pi torus in dimension 2 or 3, where integration by
 parts is exact and differentiation is a Fourier multiplier.  The torus
-stands in for compactly supported fields on R^N; the cutoff identity check
-covers the localization terms.  The zero Fourier mode is annihilated by the
-Riesz convention and all div-curl data is required to be mean-free.
+stands in for compactly supported fields on R^N.  The zero Fourier mode is
+annihilated by the Riesz convention and all div-curl data is required to
+be mean-free.
 
 Conventions: (DV)_{k h} = d_h V_k and (curl V)_{k j} = d_j V_k - d_k V_j,
 so curl V = DV - DV^t.  Matrix norms are Frobenius norms; skew fields store
@@ -27,7 +27,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InputError
-from .utils import write_txt
 
 PERIOD = 2.0 * np.pi
 
@@ -250,25 +249,6 @@ class SpectralField:
         return field
 
 
-def _riesz_symbol(grid: PeriodicGrid) -> np.ndarray:
-    k = grid.wavenumbers()
-    mag = np.sqrt(np.sum(k * k, axis=0))
-    mag[(0,) * grid.dim] = 1.0  # zero mode handled by annihilation
-    return k / mag
-
-
-def riesz_apply(j: int, u: SpectralField) -> SpectralField:
-    """Riesz transform R_j: Fourier multiplier -i xi_j / |xi| (zero mode -> 0)."""
-    if u.kind != "scalar":
-        raise InputError("riesz_apply acts on scalar fields")
-    if not 0 <= j < u.grid.dim:
-        raise InputError(f"axis {j} out of range")
-    sym = _riesz_symbol(u.grid)[j]
-    coeffs = -1j * sym[None] * u.coeffs
-    coeffs[(slice(None),) + (0,) * u.grid.dim] = 0.0
-    return SpectralField(u.grid, "scalar", coeffs)
-
-
 def gradient_tensor(v: SpectralField) -> SpectralField:
     """(DV)_{k h} = d_h V_k as a matrix field."""
     if v.kind != "vector":
@@ -356,14 +336,6 @@ def mhat(m: float) -> float:
     return max(m, m / (m - 1.0))
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    lhs: float
-    rhs: float
-    residual: float
-    terms: dict
-
-
 def divcurl_identity_residual(v: SpectralField) -> float:
     """Relative defect of  int |DV|^2 = 1/2 int |curl V|^2 + int (Div V)^2.
 
@@ -377,49 +349,6 @@ def divcurl_identity_residual(v: SpectralField) -> float:
     rhs = 0.5 * curl_sq + np.sum(div * div) * vol
     scale = max(lhs, 1e-300)
     return float(abs(lhs - rhs) / scale)
-
-
-def cutoff_identity_check(v: SpectralField, cutoff) -> IdentityReport:
-    """Localized identity with a C^2 cutoff phi supported inside the cell:
-
-        int phi^2 |DV|^2 = 1/2 int phi^2 |curl V|^2 + int phi^2 (Div V)^2
-                        + int [ 2 (D phi^2, V) Div V + (D^2 phi^2, V (x) V) ].
-
-    The cutoff object (a bump of :mod:`quclab.bumps`) must provide
-    value/gradient/hessian with analytic derivatives, from which D phi^2 and
-    D^2 phi^2 are formed; quadrature is the grid midpoint rule.
-    """
-    grid = v.grid
-    pts = np.stack(grid.mesh(), axis=-1)
-    phi = cutoff.value(pts)
-    border = [np.take(phi, [0, -1], axis=a) for a in range(grid.dim)]
-    if max(np.max(np.abs(b)) for b in border) > 1e-12:
-        raise InputError("cutoff support touches the fundamental cell boundary")
-
-    vol = grid.cell_volume
-    vphys = v.values
-    dv, div, cg = v.derivatives
-
-    phi2 = phi * phi
-    t_grad = np.sum(phi2 * np.sum(dv * dv, axis=(0, 1))) * vol
-    t_curl = 0.5 * np.sum(phi2 * 2.0 * np.sum(cg * cg, axis=0)) * vol
-    t_div = np.sum(phi2 * div * div) * vol
-
-    dphi = np.moveaxis(cutoff.gradient(pts), -1, 0)
-    dphi2 = 2.0 * phi * dphi
-    d2phi2 = 2.0 * (dphi[:, None] * dphi[None]
-                    + phi * np.moveaxis(cutoff.hessian(pts), (-2, -1), (0, 1)))
-    cross = 2.0 * np.sum(np.sum(dphi2 * vphys, axis=0) * div) * vol
-    outer = vphys[None] * vphys[:, None]
-    quadratic = np.sum(d2phi2 * outer) * vol
-    t_comm = cross + quadratic
-
-    lhs = t_grad
-    rhs = t_curl + t_div + t_comm
-    residual = abs(lhs - rhs) / max(abs(lhs), 1e-300)
-    return IdentityReport(lhs=lhs, rhs=rhs, residual=float(residual),
-                          terms={"grad": t_grad, "curl": t_curl, "div": t_div,
-                                 "commutator": t_comm})
 
 
 @dataclass(frozen=True)
@@ -444,8 +373,3 @@ def verify_lm_bound(v: SpectralField, m: float) -> LmBoundReport:
     return LmBoundReport(m=m, lhs=lhs, rhs=rhs, holds=bool(lhs <= rhs * (1.0 + 1e-12)),
                          div_norm=div_norm, curl_norm=curl_norm)
 
-
-def write_grid_txt(path, field_values: np.ndarray, grid: PeriodicGrid) -> None:
-    """Plain-text snapshot: one line per grid point, coordinates then values."""
-    cols = [m.ravel() for m in grid.mesh()]
-    write_txt(path, np.column_stack(cols + list(field_values.reshape(-1, cols[0].size))))

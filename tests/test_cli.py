@@ -311,6 +311,15 @@ class TestUsage:
     def test_missing_subcommand_exit_2(self):
         assert main([]) == 2
 
+    @pytest.mark.parametrize("argv", ["cordes --N 2 --m 2", "solve --config c.json",
+                                      "radial --p 3", "cpprime-sweep"],
+                             ids=["cordes", "solve", "radial", "cpprime-sweep"])
+    def test_seed_only_where_read(self, tmp_path, capsys, argv):
+        # --seed exists only on the subcommands whose work it changes
+        code, _ = run(tmp_path, *argv.split(), "--seed", "3")
+        assert code == 2
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+
     # malformed input at the boundary: exit 2 with a message, not a traceback;
     # a config case writes its JSON to {tmp}/config.json
     @pytest.mark.parametrize("env, config, argv, message", [
@@ -400,6 +409,12 @@ class TestUsage:
         ({}, {**_CONFIG, "problem": {**_CONFIG["problem"], "source": {
             "kind": "constant", "params": {"value": 1, "slope": 2}}}},
          ["solve", "--config", "{tmp}/config.json"], "source: kind 'constant'"),
+        ({}, {**_CONFIG, "report": {"ball_center": [0.1]}},
+         ["solve", "--config", "{tmp}/config.json"], "ball_center"),
+        ({}, {**_CONFIG, "report": {"ball_center": [0.1, 0.1, 0.1]}},
+         ["solve", "--config", "{tmp}/config.json"], "ball_center"),
+        ({}, {**_CONFIG, "report": {"ball_center": []}},
+         ["solve", "--config", "{tmp}/config.json"], "ball_center"),
     ], ids=["quc-threads", "levels", "missing-config", "config-cells",
             "config-stage", "config-list", "config-boundary", "config-tol",
             "p-grid-empty", "p-grid-token", "dims-token", "dims-zero", "dims-one",
@@ -417,7 +432,9 @@ class TestUsage:
             "config-ball-radius-string", "config-stage-strings", "config-tol-nan",
             "config-stage-nan",
             "config-zero-boundary-params", "config-ball-radius-zero",
-            "config-ball-radius-negative", "config-source-params"])
+            "config-ball-radius-negative", "config-source-params",
+            "config-ball-center-one", "config-ball-center-three",
+            "config-ball-center-empty"])
     def test_malformed_input_exit_2(self, tmp_path, monkeypatch, capsys, env, config,
                                     argv, message):
         for key, value in env.items():

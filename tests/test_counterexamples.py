@@ -1,11 +1,10 @@
-"""Tests for the arctan family and the Cantor stress diagnostics."""
+"""Tests for the arctan solution and the Cantor stress diagnostics."""
 
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from quclab.cantorfn import CantorProfile
 from quclab import counterexamples as ce
 from quclab.errors import InputError
 
@@ -26,47 +25,6 @@ class TestArctan:
             e[j] = 1.0
             fd = (ce.arctan_value(z + h * e) - ce.arctan_value(z - h * e)) / (2 * h)
             assert np.allclose(du[:, j], fd, atol=1e-7)
-
-    def test_hessian_closed_form(self, half_plane_points):
-        z = half_plane_points
-        d2u = ce.arctan_hessian(z)
-        h = 1e-5
-        for j in range(2):
-            e = np.zeros(2)
-            e[j] = 1.0
-            fd = (ce.arctan_gradient(z + h * e) - ce.arctan_gradient(z - h * e)) / (2 * h)
-            assert np.allclose(d2u[:, :, j], fd, atol=1e-6)
-
-
-class TestTraceCheck:
-    def test_harmonic_case(self):
-        z = np.array([[1.0, 0.3]])
-        tr = ce.trace_check_radial(lambda t: t, lambda t: np.ones_like(t), z)
-        assert tr < 1e-14
-
-    def test_quartic_random_points(self, half_plane_points):
-        tr = ce.trace_check_radial(lambda t: t ** 3, lambda t: 3 * t ** 2,
-                                   half_plane_points)
-        assert tr < 1e-12
-
-    def test_smoothed_cantor_fd_second_derivative(self, half_plane_points):
-        prof = CantorProfile(8)
-        fp = lambda t: t + prof.h(t)
-        tr = ce.trace_check_radial(fp, ce.fd_second_derivative(fp), half_plane_points)
-        assert tr < 1e-10
-
-    def test_random_smooth_profiles(self, rng, half_plane_points):
-        # the zero trace is structural: any radial C^2 profile works
-        for _ in range(5):
-            a, b = rng.uniform(0.2, 2.0, 2)
-            fp = lambda t: a * t + b * t ** 3
-            fs = lambda t: a + 3 * b * t ** 2
-            assert ce.trace_check_radial(fp, fs, half_plane_points) < 1e-12
-
-    def test_half_plane_enforced(self):
-        with pytest.raises(InputError):
-            ce.trace_check_radial(lambda t: t, lambda t: np.ones_like(t),
-                                  np.array([[-1.0, 0.2]]))
 
 
 class TestCantorStress:
@@ -96,6 +54,26 @@ class TestCantorStress:
         v = ce.cantor_stress_field(10)(half_plane_points)
         radial_component = np.sum(v * half_plane_points, axis=1)
         assert np.max(np.abs(radial_component)) < 1e-12
+
+
+class TestQuinticBump:
+    def test_gradient_matches_central_differences(self, rng):
+        # inside, on and outside the support: the bump is C^2 across its rim
+        bump = ce.QuinticBump(center=np.array([1.5, 0.0]), radius=0.12)
+        dist = 0.12 * np.concatenate([rng.uniform(0.0, 1.0, 100), np.ones(100),
+                                      rng.uniform(1.01, 2.0, 100)])
+        angle = rng.uniform(0.0, 2.0 * np.pi, dist.size)
+        z = bump.center + dist[:, None] * np.stack([np.cos(angle), np.sin(angle)], axis=1)
+        grad = bump.gradient(z)
+        scale = np.abs(grad).max()
+        assert scale > 10.0
+        h = 1e-6
+        for j in range(2):
+            e = np.zeros(2)
+            e[j] = h
+            fd = (bump.value(z + e) - bump.value(z - e)) / (2 * h)
+            assert np.allclose(grad[:, j], fd, rtol=0.0, atol=1e-7 * scale)
+        assert np.all(grad[200:] == 0.0)
 
 
 class TestWeakDivergence:

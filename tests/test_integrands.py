@@ -8,7 +8,6 @@ from quclab.integrands import (
     AnnulusSampler,
     eigen_ratio_batch,
     estimate_K,
-    extend_local,
     gallery,
     integrand_from_config,
     integrand_to_config,
@@ -29,7 +28,7 @@ from quclab.radial import RadialProblem
 
 SAMPLER = AnnulusSampler(0.3, 3.0, shells=50, directions=25, seed=5)
 
-# the seven gallery integrands (power at two exponents) and the five combinators
+# the seven gallery integrands (power at two exponents) and the four combinators
 JET_CASES = {
     "power-3": lambda: gallery("power", p=3),
     "power-1.5": lambda: gallery("power", p=1.5),
@@ -43,8 +42,6 @@ JET_CASES = {
     "tilted": lambda: gallery("uhlenbeck", profile="bounded_power", p=4).tilted(0.3),
     "mollify": lambda: mollify(gallery("power", p=3), 0.05),
     "moreau_yosida": lambda: moreau_yosida(gallery("power", p=3), 0.4),
-    "extend_local": lambda: extend_local(gallery("mixed", p=3, q=4), R=2.0,
-                                         sigma=0.5, eps_floor=1e-6),
 }
 
 

@@ -121,37 +121,6 @@ class TestVerifySkewBound:
         assert rep.worst_slack <= 1e-10
 
 
-class TestCurlBoundFactor:
-    def test_uniformly_elliptic_limit(self):
-        f = mc.curl_bound_factor(1.0)
-        assert f.tight == 0.0 and f.relaxed == 0.0
-
-    def test_hand_values(self):
-        f = mc.curl_bound_factor(2.0)
-        assert f.tight == pytest.approx(0.4, rel=1e-15)
-        assert f.relaxed == pytest.approx(0.5, rel=1e-15)
-
-    def test_large_k_limit(self):
-        f = mc.curl_bound_factor(1e6)
-        assert 2.0 - 1e-5 < f.tight < 2.0
-        assert 2.0 - 1e-5 < f.relaxed < 2.0
-
-    def test_monotone_in_k(self):
-        ks = np.linspace(1.0, 50.0, 200)
-        tights = [mc.curl_bound_factor(k).tight for k in ks]
-        assert np.all(np.diff(tights) >= 0.0)
-
-    @given(st.floats(1.0, 1e9))
-    def test_property_tight_below_relaxed(self, k):
-        f = mc.curl_bound_factor(k)
-        assert f.tight <= f.relaxed + 1e-15
-        assert 0.0 <= f.tight < 2.0 and 0.0 <= f.relaxed < 2.0
-
-    def test_below_one_rejected(self):
-        with pytest.raises(InputError):
-            mc.curl_bound_factor(0.5)
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.integers(2, 5), st.integers(0, 2**31 - 1))
 def test_property_skew_bound_random(dim, seed):

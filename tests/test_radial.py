@@ -206,47 +206,6 @@ class TestStress:
         assert np.max(np.abs(radial.stress_of(sol, pts).values)) == 0.0
 
 
-class TestPsiMap:
-    def test_zero(self):
-        assert np.array_equal(radial.psi_map(np.zeros(2), 3.0), np.zeros(2))
-
-    def test_hand_value(self):
-        out = radial.psi_map(np.array([4.0, 0.0]), 3.0)
-        assert np.allclose(out, [2.0, 0.0], atol=1e-14)
-
-    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 5.0])
-    def test_round_trip(self, p, rng):
-        z = rng.standard_normal((1000, 2)) * 2.0
-        forward = np.linalg.norm(z, axis=1, keepdims=True) ** (p - 2.0) * z
-        back = radial.psi_map(forward, p)
-        assert np.max(np.linalg.norm(back - z, axis=1)) < 1e-12 * (1.0 + np.abs(z).max())
-
-    def test_holder_modulus_for_p_ge_2(self, rng):
-        # |Psi(y1) - Psi(y2)| <= C |y1 - y2|^(1/(p-1)) globally for p >= 2
-        p = 3.0
-        y1 = rng.standard_normal((4000, 2))
-        y2 = rng.standard_normal((4000, 2))
-        lhs = np.linalg.norm(radial.psi_map(y1, p) - radial.psi_map(y2, p), axis=1)
-        rhs = np.linalg.norm(y1 - y2, axis=1) ** (1.0 / (p - 1.0))
-        ratio = lhs / np.maximum(rhs, 1e-300)
-        assert ratio.max() < 2.0 ** (p - 2.0) + 0.2
-
-
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.floats(1.2, 6.0), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
-def test_property_psi_inverts_power_map(p, y1, y2):
-    z = np.array([y1, y2])
-    if np.linalg.norm(z) < 1e-6:
-        return
-    forward = np.linalg.norm(z) ** (p - 2.0) * z
-    back = radial.psi_map(forward, p)
-    assert np.linalg.norm(back - z) <= 1e-9 * (1.0 + np.linalg.norm(z))
-
-
 class TestHolderExponent:
     @pytest.mark.parametrize("gamma", [0.25, 0.5, 0.75, 1.0])
     def test_recovers_pure_powers(self, gamma):

@@ -1,4 +1,4 @@
-"""Tests for mollification, proximal map, Moreau-Yosida and local extension."""
+"""Tests for mollification, proximal map and Moreau-Yosida."""
 
 import dataclasses
 import itertools
@@ -10,13 +10,12 @@ import pytest
 from scipy.optimize import brentq
 from scipy.special import beta as beta_fn, gamma, roots_jacobi
 
-from quclab.errors import InputError, NumericError, PreconditionError
+from quclab.errors import InputError, NumericError
 from quclab.integrands import (
     AnnulusSampler,
     MollifierRule,
     eigen_ratio_batch,
     estimate_K,
-    extend_local,
     gallery,
     kernel_second_moment,
     mollify,
@@ -368,46 +367,3 @@ class TestMoreauYosida:
             an = g.gradient(z)[:, j]
             assert np.allclose(fd, an, rtol=1e-5, atol=1e-7)
 
-
-class TestExtendLocal:
-    def test_agreement_region_exact(self, rng):
-        f = gallery("mixed", p=3, q=4)
-        g = extend_local(f, R=2.0, sigma=0.5, eps_floor=1e-6)
-        z = rng.standard_normal((50, 2))
-        z = z / np.linalg.norm(z, axis=1, keepdims=True) * \
-            rng.uniform(0.05, 0.99, size=(50, 1))  # inside B_{sigma R}
-        assert np.array_equal(g.value(z), f.value(z))
-        assert np.array_equal(g.gradient(z), f.gradient(z))
-
-    def test_quadratic_growth_on_rays(self):
-        f = gallery("mixed", p=3, q=4)
-        g = extend_local(f, R=2.0, sigma=0.5, eps_floor=1e-6)
-        for direction in (np.array([1.0, 0.0]), np.array([0.6, -0.8])):
-            radii = np.array([4.0, 8.0, 16.0, 64.0])
-            vals = g.value(radii[:, None] * direction)
-            assert np.all(vals >= 0.2 * radii ** 2)
-
-    def test_extended_ratio_finite(self, rng):
-        f = gallery("mixed", p=3, q=4)
-        g = extend_local(f, R=2.0, sigma=0.5, eps_floor=1e-6)
-        pts = np.concatenate([
-            AnnulusSampler(0.05, 1.9, shells=30, directions=20, seed=1).points(2),
-            AnnulusSampler(2.1, 50.0, shells=30, directions=20, seed=2).points(2),
-        ])
-        ratios = eigen_ratio_batch(g, pts)
-        finite = ratios[np.isfinite(ratios)]
-        assert finite.max() < 1e4
-        assert np.isfinite(ratios).mean() > 0.99
-
-    def test_convexity_preserved(self, rng):
-        f = gallery("mixed", p=3, q=4)
-        g = extend_local(f, R=2.0, sigma=0.5, eps_floor=1e-6)
-        z = 30.0 * rng.standard_normal((300, 2))
-        eig = np.linalg.eigvalsh(g.hessian(z))
-        assert eig[:, 0].min() > 0.0
-
-    def test_floor_violation_rejected(self):
-        # the orthotropic Hessian degenerates along the axes
-        f = gallery("orthotropic", p=4)
-        with pytest.raises(PreconditionError):
-            extend_local(f, R=2.0, sigma=0.5, eps_floor=1e-6)

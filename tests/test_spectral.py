@@ -1,9 +1,8 @@
-"""Tests for the periodic FFT engine: Riesz, div-curl, identities, norms."""
+"""Tests for the periodic FFT engine: div-curl, identities, norms."""
 
 import numpy as np
 import pytest
 
-from quclab.bumps import PlateauBump, QuinticBump, SmoothBump
 from quclab.cli import main
 from quclab.cordes import apply_T
 from quclab.errors import InputError
@@ -41,44 +40,6 @@ class TestGridAndFields:
         f = sp.SpectralField.random_band_limited(grid, "vector", 4, rng)
         assert np.max(np.abs(f.mean_values())) < 1e-13
         assert f.hermitian_error() < 1e-10
-
-
-class TestRiesz:
-    def test_sine_maps_to_minus_cosine(self):
-        # u = sin(x1): modes at xi = (+-1, 0); R_1 u = -cos(x1)
-        grid = grid2(64)
-        x = grid.mesh()
-        u = sp.SpectralField.from_physical(grid, np.sin(x[0]), "scalar")
-        r1 = sp.riesz_apply(0, u).physical()[0]
-        assert np.allclose(r1, -np.cos(x[0]), atol=1e-12)
-
-    def test_orthogonal_axis_kills_sine(self):
-        grid = grid2(64)
-        x = grid.mesh()
-        u = sp.SpectralField.from_physical(grid, np.sin(x[0]), "scalar")
-        r2 = sp.riesz_apply(1, u).physical()[0]
-        assert np.max(np.abs(r2)) < 1e-13
-
-    def test_sum_of_squares_is_minus_identity(self, rng):
-        grid = grid2(64)
-        u = sp.SpectralField.random_band_limited(grid, "scalar", 8, rng)
-        acc = np.zeros(grid.shape)
-        for j in range(2):
-            acc += sp.riesz_apply(j, sp.riesz_apply(j, u)).physical()[0]
-        assert np.allclose(acc, -u.physical()[0], atol=1e-11)
-
-    def test_l2_isometry_split(self, rng):
-        grid = grid2(64)
-        u = sp.SpectralField.random_band_limited(grid, "scalar", 8, rng)
-        vol = grid.cell_volume
-        total = 0.0
-        u2 = np.sum(u.physical() ** 2) * vol
-        for j in range(2):
-            rj = sp.riesz_apply(j, u).physical()
-            nj = np.sum(rj ** 2) * vol
-            assert nj <= u2 * (1.0 + 1e-12)
-            total += nj
-        assert total == pytest.approx(u2, rel=1e-11)
 
 
 class TestDivCurlReconstruct:
@@ -154,59 +115,6 @@ class TestEnergyIdentity:
             assert sp.divcurl_identity_residual(v) < 1e-10
 
 
-class TestCutoffIdentity:
-    def test_cutoff_of_compact_field_reduces_to_global(self, rng):
-        # when phi = 1 on the support of V the commutator terms vanish and
-        # the localized identity degenerates to the global one
-        grid = grid2(64)
-        pts = np.stack(grid.mesh(), axis=-1)
-        inner = SmoothBump(center=[np.pi, np.pi], radius=1.2)
-        vvals = np.stack([inner.value(pts), 0.5 * inner.value(pts)])
-        v = sp.SpectralField.from_physical(grid, vvals, "vector")
-        cutoff = PlateauBump(center=[np.pi, np.pi], r_in=1.3, r_out=2.9)
-        rep = sp.cutoff_identity_check(v, cutoff)
-        assert abs(rep.terms["commutator"]) < 1e-12 * max(rep.lhs, 1.0)
-        assert rep.residual < 1e-8
-
-    def test_hand_field_with_bump(self):
-        grid = grid2(128)
-        x = grid.mesh()
-        v = sp.SpectralField.from_physical(
-            grid, np.stack([np.cos(x[0]), np.zeros(grid.shape)]), "vector")
-        rep = sp.cutoff_identity_check(v, SmoothBump(center=[np.pi, np.pi], radius=2.8))
-        assert rep.residual < 1e-6
-
-    def test_resolution_convergence(self, rng):
-        residuals = []
-        for n in (32, 64, 128):
-            grid = sp.PeriodicGrid(dim=2, n=n)
-            v = sp.SpectralField.random_band_limited(grid, "vector", 4,
-                                                     np.random.default_rng(7))
-            rep = sp.cutoff_identity_check(v, SmoothBump(center=[np.pi, np.pi], radius=2.5))
-            residuals.append(rep.residual)
-        assert residuals[2] < residuals[0]
-        assert residuals[2] < 1e-6
-
-    def test_quintic_bump_cutoff(self):
-        # the C^2 polynomial bump of the weak-residual bank is a cutoff too:
-        # its D(phi^2), D^2(phi^2) carry the identity, and the midpoint rule
-        # converges on it
-        residuals = []
-        for n in (64, 128):
-            v = sp.SpectralField.random_band_limited(sp.PeriodicGrid(dim=2, n=n), "vector",
-                                                     4, np.random.default_rng(7))
-            rep = sp.cutoff_identity_check(v, QuinticBump(center=[np.pi, np.pi], radius=2.5))
-            residuals.append(rep.residual)
-        assert abs(rep.terms["commutator"]) > 1e-3 * rep.lhs
-        assert residuals[1] < residuals[0] and residuals[1] < 1e-8
-
-    def test_support_violation_rejected(self, rng):
-        grid = grid2(32)
-        v = sp.SpectralField.random_band_limited(grid, "vector", 4, rng)
-        with pytest.raises(InputError):
-            sp.cutoff_identity_check(v, SmoothBump(center=[0.5, 0.5], radius=2.0))
-
-
 class TestLmNorms:
     def test_constant_identity_matrix(self):
         grid = grid2(16)
@@ -227,17 +135,6 @@ class TestLmNorms:
         for m in (0.5, 1.5, 2.0, 6.0):
             assert sp.lm_matrix_norm(c * m_field, m, grid.cell_volume) == pytest.approx(
                 c * sp.lm_matrix_norm(m_field, m, grid.cell_volume), rel=1e-12)
-
-
-class TestSnapshots:
-    def test_plain_text_grid_export(self, tmp_path, rng):
-        grid = grid2(16)
-        u = sp.SpectralField.random_band_limited(grid, "scalar", 2, rng)
-        path = tmp_path / "field.txt"
-        sp.write_grid_txt(path, u.physical()[0], grid)
-        data = np.loadtxt(path)
-        assert data.shape == (16 * 16, 3)  # x, y, value per line
-        assert np.allclose(data[:, 2].reshape(16, 16), u.physical()[0], atol=1e-12)
 
 
 class TestLmBound:

@@ -1,5 +1,7 @@
-"""Tests for worker caps, number inputs and deterministic report writing."""
+"""Tests for worker caps, number inputs, package exports and deterministic
+report writing."""
 
+import importlib
 import json
 
 import numpy as np
@@ -7,7 +9,6 @@ import pytest
 
 from quclab.errors import InputError
 from quclab.integrands.profiles import bounded_power_profile, power_profile
-from quclab.radial import psi_map
 from quclab.solver import radial_power_solution
 from quclab.utils import (Manifest, check_p, strict_float, worker_count, write_csv,
                           write_json, write_txt)
@@ -41,13 +42,19 @@ class TestNumberInputs:
 
     @pytest.mark.parametrize("p", [float("nan"), float("inf"), 1.0, 0.5])
     @pytest.mark.parametrize("make", [check_p, power_profile, bounded_power_profile,
-                                      radial_power_solution,
-                                      lambda p: psi_map(np.ones(2), p)],
+                                      radial_power_solution],
                              ids=["check_p", "power_profile", "bounded_power_profile",
-                                  "radial_power_solution", "psi_map"])
+                                  "radial_power_solution"])
     def test_growth_exponent_rejected(self, make, p):
         with pytest.raises(InputError, match="p > 1"):
             make(p)
+
+
+class TestPackageExports:
+    @pytest.mark.parametrize("package", ["quclab.integrands", "quclab.solver"])
+    def test_every_exported_name_resolves(self, package):
+        module = importlib.import_module(package)
+        assert [name for name in module.__all__ if not hasattr(module, name)] == []
 
 
 class TestWriters:
