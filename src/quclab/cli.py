@@ -312,7 +312,7 @@ def cmd_cantor(args, out_dir: Path, manifest: Manifest):
     with ThreadPoolExecutor(max_workers=worker_count()) as pool:
         table_job = pool.submit(counterexamples.sobolev_blowup_diagnostic,
                                 levels, n_grid=args.n_grid)
-        residuals = counterexamples.weak_divergence_residuals(
+        weak = counterexamples.weak_divergence_residuals(
             fields, n_bumps=args.bumps, seed=args.seed, map=pool.map)
         table = table_job.result()
     write_csv(manifest.add(out_dir / "blowup.csv"),
@@ -321,15 +321,18 @@ def cmd_cantor(args, out_dir: Path, manifest: Manifest):
               [[r.level, r.w11_quotient, r.sup_quotient, r.l15_quotient,
                 r.control_w11] for r in table])
     write_csv(manifest.add(out_dir / "residuals.csv"),
-              ["level", "weak_divergence_residual"],
-              list(zip(levels, residuals)))
-    worst = max(residuals)
+              ["level", "weak_divergence_residual", "quadrature_bound"],
+              list(zip(levels, weak.residuals, weak.bounds)))
+    worst = max(weak.residuals)
     passed = worst <= 1e-3
     payload = {"subcommand": "cantor", "levels": levels,
                "ball_center": list(counterexamples.BALL_CENTER),
                "ball_radius": counterexamples.BALL_RADIUS,
                "n_bumps": args.bumps, "n_grid": args.n_grid,
                "worst_residual": worst,
+               "worst_quadrature_bound": max(weak.bounds),
+               "quadrature_cells": weak.cells,
+               "quadrature_depth_cap_hits": weak.depth_cap_hits,
                "residual_below_threshold": passed}
     return _write_report(manifest.add(out_dir / "report.json"), payload, passed)
 

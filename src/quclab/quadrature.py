@@ -43,58 +43,56 @@ _BLOCK_CELLS = 1024
 
 @dataclass(frozen=True)
 class QuadResult:
-    value: float
-    error_estimate: float
+    value: float | np.ndarray           # (k,) for a (k, M) integrand
+    error_estimate: float | np.ndarray  # likewise
     cells_used: int
     depth_reached: int
 
 
 def adaptive_quad_2d(fn, box, tol_cell: float = 1e-12, max_depth: int = 10,
                      max_cells: int = 200_000) -> QuadResult:
-    """Integrate a batched callable fn((M, 2)) -> (M,) over box = (x0, x1, y0, y1)."""
+    """Integrate a batched callable fn((M, 2)) -> (M,) over box = (x0, x1, y0, y1).
+
+    An fn returning (k, M) gives k integrals on one quadtree, refined while
+    any of them has a cell error above tol_cell, and (k,) value and error."""
     x0, x1, y0, y1 = box
     if not (x1 > x0 and y1 > y0):
         raise InputError("empty integration box")
 
     centers = np.array([[0.5 * (x0 + x1), 0.5 * (y0 + y1)]])
-    halves = np.array([[0.5 * (x1 - x0), 0.5 * (y1 - y0)]])
-    total = 0.0
-    err_acc = 0.0
-    cells_used = 0
-    depth = 0
+    half = np.array([0.5 * (x1 - x0), 0.5 * (y1 - y0)])  # the same for every cell
+    total = err_acc = 0.0
+    cells_used = depth = 0
     while len(centers):
-        area_w = halves[:, 0] * halves[:, 1]
-        f3 = np.empty((len(centers), _N3))
-        f5 = np.empty((len(centers), len(_NODES) - _N3))
+        area_w = half[0] * half[1]
+        i3, i5 = [], []
         for lo in range(0, len(centers), _BLOCK_CELLS):
-            blk = slice(lo, lo + _BLOCK_CELLS)
-            c, h = centers[blk], halves[blk]
+            c = centers[lo:lo + _BLOCK_CELLS]
             # center + half * node, one coordinate at a time: broadcasting
             # over a last axis of length 2 is several times slower
-            pts = np.empty((2, len(c), len(_NODES)))
-            for k in range(2):
-                np.multiply(h[:, k, None], _NODES[:, k], out=pts[k])
-                pts[k] += c[:, k, None]
-            f = np.asarray(fn(pts.reshape(2, -1).T), float).reshape(len(c), -1)
-            f3[blk] = f[:, :_N3]
-            f5[blk] = f[:, _N3:]
-        i3 = (f3 @ _W3) * area_w
-        i5 = (f5 @ _W5) * area_w
+            pts = np.stack([c[:, k, None] + half[k] * _NODES[:, k] for k in range(2)])
+            f = np.asarray(fn(pts.reshape(2, -1).T), float)
+            vector = f.ndim == 2
+            f = f.reshape(-1, len(c), len(_NODES))  # (k, cells, nodes)
+            i3.append(f[..., :_N3] @ _W3)
+            i5.append(f[..., _N3:] @ _W5)
+        i3 = np.concatenate(i3, axis=1) * area_w
+        i5 = np.concatenate(i5, axis=1) * area_w
         err = np.abs(i5 - i3)
-        done = (err <= tol_cell) | (depth >= max_depth)
+        done = (err.max(axis=0) <= tol_cell) | (depth >= max_depth)
         if cells_used + 4 * np.count_nonzero(~done) > max_cells:
             done = np.ones(len(centers), bool)  # budget exhausted: accept all
-        total += float(i5[done].sum())
-        err_acc += float(err[done].sum())
+        # 1-D sums are pairwise, as for a scalar integrand; axis-1 sums are not
+        total += np.array([row.sum() for row in i5[:, done]])
+        err_acc += np.array([row.sum() for row in err[:, done]])
         cells_used += int(done.sum())
         centers = centers[~done]
-        halves = halves[~done]
         if len(centers):
-            quarter = 0.5 * halves
+            half = 0.5 * half
             offs = np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]], float)
-            centers = (centers[:, None, :] + quarter[:, None, :] * offs[None]) \
-                .reshape(-1, 2)
-            halves = np.repeat(quarter, 4, axis=0)
+            centers = (centers[:, None, :] + half * offs).reshape(-1, 2)
             depth += 1
+    if not vector:
+        total, err_acc = float(total[0]), float(err_acc[0])
     return QuadResult(value=total, error_estimate=err_acc,
                       cells_used=cells_used, depth_reached=depth)

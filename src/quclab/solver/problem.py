@@ -199,19 +199,24 @@ def load_problem_config(cfg: dict | str | Path):
     zero = {"kind": "zero", "params": {}}
     bdesc = _section(prob, "boundary", {"kind", "params"}, zero)
     sdesc = _section(prob, "source", {"kind", "params"}, zero)
+    integrand = _parse("integrand", integrand_from_config,
+                       _section(prob, "integrand", None))
+    bparams = _section(bdesc, "params", None)
+    if bdesc.get("kind") == "radial_power":
+        bparams.setdefault("dim", integrand.dim)
     spec = ProblemSpec(
-        integrand=_parse("integrand", integrand_from_config,
-                         _section(prob, "integrand", None)),
+        integrand=integrand,
         cells=_parse("cells", strict_int, prob.get("cells", 64), "cells"),
         half_width=_parse("half_width", strict_float, prob.get("half_width", 1.0),
                           "half_width"),
-        boundary=_parse("boundary", make_boundary, bdesc.get("kind"),
-                        **_section(bdesc, "params", None)),
+        boundary=_parse("boundary", make_boundary, bdesc.get("kind"), **bparams),
         source=_parse("source", make_source, sdesc.get("kind"),
                       **_section(sdesc, "params", None)),
         boundary_desc=bdesc,
         source_desc=sdesc,
     )
+    if bparams.get("dim", spec.dim) != spec.dim:
+        raise InputError(f"boundary: radial_power dim {bparams['dim']} is not {spec.dim}")
     sched_cfg = _section(cfg, "schedule", {"stages"})
     if "stages" in sched_cfg:
         schedule = _parse("schedule", RegularizationSchedule, sched_cfg["stages"])
@@ -219,6 +224,8 @@ def load_problem_config(cfg: dict | str | Path):
         schedule = RegularizationSchedule()
     solver_opts = {key: _parse(key, _SOLVER_TYPES[key], value, key)
                    for key, value in _section(cfg, "solver", set(_SOLVER_TYPES)).items()}
+    if "report" in cfg and spec.dim != 2:
+        raise InputError(f"report: the regularity report is 2-D only, not {spec.dim}-D")
     report_opts = {key: _parse(key, _REPORT_TYPES[key], value, key)
                    for key, value in _section(cfg, "report", set(_REPORT_TYPES)).items()}
     return spec, schedule, solver_opts, report_opts

@@ -1,5 +1,6 @@
 """CLI tests: exit codes, determinism, schema conformance of reports."""
 
+import csv
 import dataclasses
 import json
 import tempfile
@@ -30,6 +31,10 @@ def validate(payload_path: Path, schema_name: str):
 # a valid small solve config; malformed cases override one entry
 _CONFIG = {"version": 1, "problem": {
     "integrand": {"name": "power", "dim": 2, "params": {"p": 3.0}}, "cells": 8}}
+_CONFIG_3D = {"version": 1, "problem": {
+    "integrand": {"name": "power", "dim": 3, "params": {"p": 3.0}}, "cells": 4,
+    "boundary": {"kind": "radial_power", "params": {"p": 3.0}},
+    "source": {"kind": "constant", "params": {"value": 1.0}}}}
 
 
 def run(tmp_path, *argv):
@@ -293,6 +298,14 @@ class TestCantor:
         validate(out / "report.json", "cantor_report")
         blowup = (out / "blowup.csv").read_text().strip().splitlines()
         assert len(blowup) == 4
+        with (out / "residuals.csv").open() as fh:
+            rows = list(csv.DictReader(fh))
+        assert [int(row["level"]) for row in rows] == [4, 5, 6]
+        report = json.loads((out / "report.json").read_text())
+        bounds = [float(row["quadrature_bound"]) for row in rows]
+        assert report["worst_quadrature_bound"] == max(bounds) > 0.0
+        assert 0 <= report["quadrature_depth_cap_hits"] <= 4
+        assert report["quadrature_cells"] >= 4
 
 
 class TestAggregate:
@@ -415,6 +428,11 @@ class TestUsage:
          ["solve", "--config", "{tmp}/config.json"], "ball_center"),
         ({}, {**_CONFIG, "report": {"ball_center": []}},
          ["solve", "--config", "{tmp}/config.json"], "ball_center"),
+        ({}, {**_CONFIG_3D, "report": {"ball_center": [0.1, 0.2, 0.3], "m": 3.0}},
+         ["solve", "--config", "{tmp}/config.json"], "report"),
+        ({}, {**_CONFIG_3D, "problem": {**_CONFIG_3D["problem"], "boundary": {
+            "kind": "radial_power", "params": {"p": 3.0, "dim": 2}}}},
+         ["solve", "--config", "{tmp}/config.json"], "radial_power dim 2"),
     ], ids=["quc-threads", "levels", "missing-config", "config-cells",
             "config-stage", "config-list", "config-boundary", "config-tol",
             "p-grid-empty", "p-grid-token", "dims-token", "dims-zero", "dims-one",
@@ -434,7 +452,7 @@ class TestUsage:
             "config-zero-boundary-params", "config-ball-radius-zero",
             "config-ball-radius-negative", "config-source-params",
             "config-ball-center-one", "config-ball-center-three",
-            "config-ball-center-empty"])
+            "config-ball-center-empty", "config-3d-report", "config-3d-boundary-dim"])
     def test_malformed_input_exit_2(self, tmp_path, monkeypatch, capsys, env, config,
                                     argv, message):
         for key, value in env.items():

@@ -7,6 +7,7 @@ import pytest
 
 from quclab import counterexamples as ce
 from quclab.errors import InputError
+from quclab.quadrature import adaptive_quad_2d
 
 
 @pytest.fixture
@@ -76,38 +77,65 @@ class TestQuinticBump:
         assert np.all(grad[200:] == 0.0)
 
 
+def _residuals(fields, **kw):
+    return ce.weak_divergence_residuals(fields, **kw).residuals
+
+
 class TestWeakDivergence:
     def test_harmonic_stream_exact(self):
-        res = ce.weak_divergence_residual(ce.arctan_gradient, n_bumps=8, seed=3)
+        [res] = _residuals([ce.arctan_gradient], n_bumps=8, seed=3)
         assert res < 1e-9
 
     def test_cantor_level12_below_threshold(self):
-        res = ce.weak_divergence_residual(ce.cantor_stress_field(12),
-                                          n_bumps=8, seed=3)
+        [res] = _residuals([ce.cantor_stress_field(12)], n_bumps=8, seed=3)
         assert res <= 1e-3
 
     def test_quadrature_refinement_decreases_residual(self):
         field = ce.cantor_stress_field(8)
-        coarse = ce.weak_divergence_residual(field, n_bumps=4, seed=5,
-                                             max_depth=3, tol_cell=1e-6)
-        fine = ce.weak_divergence_residual(field, n_bumps=4, seed=5,
-                                           max_depth=9, tol_cell=1e-12)
+        [coarse] = _residuals([field], n_bumps=4, seed=5, max_depth=3, tol_cell=1e-6)
+        [fine] = _residuals([field], n_bumps=4, seed=5, max_depth=9, tol_cell=1e-12)
         assert fine < coarse
 
-    def test_plural_matches_single_field_calls_bit_for_bit(self):
-        # one shared denominator per bump and a parallel map change no bit
+    def test_pooled_run_matches_serial_run_bit_for_bit(self):
         fields = [ce.cantor_stress_field(8), ce.cantor_stress_field(12)]
-        singles = [ce.weak_divergence_residual(f, n_bumps=4, seed=3) for f in fields]
-        assert ce.weak_divergence_residuals(fields, n_bumps=4, seed=3) == singles
+        serial = ce.weak_divergence_residuals(fields, n_bumps=4, seed=3)
         with ThreadPoolExecutor(max_workers=2) as pool:
             pooled = ce.weak_divergence_residuals(fields, n_bumps=4, seed=3,
                                                   map=pool.map)
-        assert pooled == singles
+        assert pooled == serial
+        assert serial.cells > 0 and 0 <= serial.depth_cap_hits <= 4
+
+    def test_one_field_matches_scalar_quadrature(self):
+        field = ce.cantor_stress_field(10)
+        res = ce.weak_divergence_residuals([field], n_bumps=4, seed=3)
+        ratios, bounds, cells = [], [], 0
+        for bump in ce._bump_bank(4, 3):
+            def pairing(pts, bump=bump):
+                v, g = field(pts), bump.gradient(pts)
+                return v[:, 0] * g[:, 0] + v[:, 1] * g[:, 1]
+
+            (cx, cy), rho = bump.center, bump.radius
+            quad = adaptive_quad_2d(pairing, (cx - rho, cx + rho, cy - rho, cy + rho),
+                                    tol_cell=1e-12, max_depth=8, max_cells=60_000)
+            den = 320.0 * np.pi * rho / 231.0
+            ratios.append(abs(quad.value) / den)
+            bounds.append(quad.error_estimate / den)
+            cells += quad.cells_used
+        assert res.residuals == [max(ratios)] and res.bounds == [max(bounds)]
+        assert res.cells == cells
+
+    def test_closed_form_dphi_l1_matches_quadrature(self):
+        # ||Dphi||_1 = 2 pi int_0^rho phi = 320 pi rho / 231 for the quintic bump
+        for bump in ce._bump_bank(3, 0):
+            (cx, cy), rho = bump.center, bump.radius
+            quad = adaptive_quad_2d(lambda pts: np.linalg.norm(bump.gradient(pts), axis=1),
+                                    (cx - rho, cx + rho, cy - rho, cy + rho),
+                                    tol_cell=1e-14, max_depth=9, max_cells=400_000)
+            assert quad.value == pytest.approx(320.0 * np.pi * rho / 231.0, rel=1e-8)
 
     def test_divergent_field_flagged(self):
         # V = x has weak divergence 2: the residual stays away from zero
-        res = ce.weak_divergence_residual(lambda z: np.asarray(z, float),
-                                          n_bumps=8, seed=3)
+        [res] = _residuals([lambda z: np.asarray(z, float)], n_bumps=8, seed=3)
         assert res > 1e-2
 
 

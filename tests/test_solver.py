@@ -720,3 +720,12 @@ class TestConfig:
         cfg["version"] = 99
         with pytest.raises(InputError):
             load_problem_config(cfg)
+
+    def test_radial_power_trace_takes_the_problem_dimension(self, rng):
+        cfg = {"version": 1, "problem": {
+            "integrand": {"name": "power", "dim": 3, "params": {"p": 3.0}},
+            "boundary": {"kind": "radial_power", "params": {"p": 3.0}}}}
+        x = rng.uniform(-1.0, 1.0, (20, 3))
+        trace = load_problem_config(cfg)[0].boundary(x)
+        assert np.array_equal(trace, radial_power_solution(3.0, dim=3)(x))
+        assert not np.allclose(trace, radial_power_solution(3.0)(x))
