@@ -11,7 +11,7 @@ so curl V = DV - DV^t.  Matrix norms are Frobenius norms; skew fields store
 the N(N-1)/2 independent upper-triangle components.
 
 Band: a field may carry the largest max_j |xi_j| of its nonzero
-coefficients.  random_band_limited sets it to kmax, and scaled, divergence,
+coefficients.  band_limited sets it to kmax, and scaled, divergence,
 curl and divcurl_reconstruct pass it on; fields built from coefficients or
 from grid values carry None, the whole spectrum.  With a band, spectral
 products are formed on the (2 band + 1)^(N-1) x (band + 1) box only, and
@@ -167,7 +167,7 @@ class SpectralField:
 
         The half spectrum is replaced by its Hermitian part, the part whose
         transform physical() keeps, so the two agree for any coefficients.
-        random_band_limited stores the values it forms anyway.
+        band_limited stores the values it forms anyway.
         """
         grid = self.grid
         c = self.coeffs[grid.box(self.band)]
@@ -223,14 +223,24 @@ class SpectralField:
         return SpectralField.on_box(self.grid, self.kind, factor * self.coeffs[box],
                                     self.band)
 
+    @staticmethod
+    def noise(grid: PeriodicGrid, kind: str, rng: np.random.Generator) -> np.ndarray:
+        """The white noise that band_limited filters: one draw from rng."""
+        return rng.standard_normal((_NCOMP[kind](grid.dim),) + grid.shape)
+
     @classmethod
     def random_band_limited(cls, grid: PeriodicGrid, kind: str, kmax: int,
                             rng: np.random.Generator) -> "SpectralField":
+        """band_limited of one noise draw from rng."""
+        return cls.band_limited(grid, kind, kmax, cls.noise(grid, kind, rng))
+
+    @classmethod
+    def band_limited(cls, grid: PeriodicGrid, kind: str, kmax: int,
+                     noise: np.ndarray) -> "SpectralField":
         """White noise filtered to max_j |xi_j| <= kmax (well below Nyquist),
         with zero mean and max |values| = 1."""
         if kmax < 1 or kmax > grid.n // 4:
             raise InputError("kmax must lie in [1, n/4] to keep products alias-free")
-        noise = rng.standard_normal((_NCOMP[kind](grid.dim),) + grid.shape)
         # rfftn's passes, the leading-axis ffts on the kept columns only
         lines = np.fft.rfft(noise, axis=-1)[..., :kmax + 1]
         for axis in reversed(grid.fft_axes[:-1]):

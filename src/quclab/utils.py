@@ -9,6 +9,7 @@ import math
 import os
 import sys
 import time
+from collections import deque
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,20 @@ def worker_count(tasks: int | None = None) -> int:
     if tasks is not None:
         cap = min(cap, max(1, tasks))
     return cap
+
+
+def pool_map(pool, fn, items, depth: int | None = None):
+    """pool.map in input order that draws items lazily, in the caller's
+    thread, and keeps at most depth (default worker_count()) tasks in
+    flight, so a generator of large items holds at most depth of them."""
+    depth = depth or worker_count()
+    pending = deque()
+    for item in items:
+        pending.append(pool.submit(fn, item))
+        if len(pending) >= depth:
+            yield pending.popleft().result()
+    while pending:
+        yield pending.popleft().result()
 
 
 def strict_int(value, what: str) -> int:
@@ -129,6 +144,11 @@ class Manifest:
         return Path(path)
 
     def write(self, out_dir: Path) -> None:
+        import scipy  # the CLI has it loaded with the solver
+        try:
+            workers = worker_count()
+        except InputError:  # a malformed QUC_THREADS, which the run exits 2 on
+            workers = None
         payload = {
             "subcommand": self.subcommand,
             "argv": self.argv,
@@ -137,6 +157,8 @@ class Manifest:
             "package_version": __version__,
             "numpy_version": np.__version__,
             "python_version": sys.version.split()[0],
+            "scipy_version": scipy.__version__,
+            "workers": workers,
             "wall_time_s": round(time.perf_counter() - self._t0, 6),
         }
         write_json(Path(out_dir) / "manifest.json", payload)

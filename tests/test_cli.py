@@ -8,6 +8,7 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+import scipy
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -19,8 +20,10 @@ from quclab.integrands import (
     power_profile,
     uhlenbeck_indices,
 )
+from quclab.utils import worker_count
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "quclab" / "schemas"
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 
 def validate(payload_path: Path, schema_name: str):
@@ -50,6 +53,9 @@ class TestMatrixCheck:
         assert code == 0
         validate(out / "report.json", "matrix_check_report")
         validate(out / "manifest.json", "manifest")
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["scipy_version"] == scipy.__version__
+        assert manifest["workers"] == worker_count()
 
     def test_deterministic_reports(self, tmp_path):
         _, out1 = run(tmp_path / "a", "matrix-check", "--trials", "1000", "--seed", "7")
@@ -98,6 +104,21 @@ class TestDeterminism:
             outputs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())
                             if f.name != "manifest.json"})
         assert outputs[0] and outputs[0] == outputs[1]
+
+
+class TestGolden:
+    """Reports committed in tests/golden: they pin the RNG stream and its draw
+    order across versions, which runs of one version cannot see."""
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_riesz_check_matches_committed_reports(self, tmp_path, monkeypatch, threads):
+        monkeypatch.setenv("QUC_THREADS", threads)
+        code, out = run(tmp_path, "riesz-check", "--n", "32", "--fields", "3", "--kmax", "4",
+                        "--seed", "3")
+        assert code == 0
+        for name in ("residuals.csv", "summary.json"):
+            golden = GOLDEN_DIR / "riesz-check" / name
+            assert (out / name).read_bytes() == golden.read_bytes(), name
 
 
 _NON_FINITE = ("nan", "inf", "-inf")
@@ -463,6 +484,21 @@ class TestUsage:
         assert code == 2
         err = capsys.readouterr().err
         assert "input error:" in err and message in err
+
+    @pytest.mark.parametrize("row", ["config-ball-center-one", "config-ball-center-three",
+                                     "config-ball-center-empty", "config-ball-radius-zero",
+                                     "config-ball-radius-negative"])
+    def test_rejected_report_ball_fails_schema(self, row):
+        # the configs of test_malformed_input_exit_2's report-ball rows, which
+        # the parser rejects, fail the schema too; a two-entry ball passes it
+        [mark] = [m for m in TestUsage.test_malformed_input_exit_2.pytestmark
+                  if m.name == "parametrize"]
+        _, config, _, _ = dict(zip(mark.kwargs["ids"], mark.args[1]))[row]
+        schema = json.loads((SCHEMA_DIR / "solve_config.schema.json").read_text())
+        jsonschema.validate({**_CONFIG, "report": {"ball_center": [0.1, 0.1],
+                                                   "ball_radius": 0.1}}, schema)
+        with pytest.raises(jsonschema.ValidationError, match="ball_"):
+            jsonschema.validate(config, schema)
 
 
 # fuzz: one option value of a small valid run, or one leaf of a small valid

@@ -1,10 +1,14 @@
 """Tests for the Cordes thresholds and the div-curl operator norm probe."""
 
+from concurrent.futures import ThreadPoolExecutor
+from functools import partial
+
 import numpy as np
 import pytest
 
 from quclab import cordes
 from quclab.errors import InputError
+from quclab.utils import pool_map
 
 
 class TestK0:
@@ -89,6 +93,13 @@ class TestTNormProbe:
     def test_trials_validated(self):
         with pytest.raises(InputError):
             cordes.estimate_T_norm(2.0, trials=0)
+
+    def test_pooled_trials_match_serial_bit_for_bit(self):
+        serial = cordes.estimate_T_norm(3.0, trials=7, n=32, kmax=4, seed=5)
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            pooled = cordes.estimate_T_norm(3.0, trials=7, n=32, kmax=4, seed=5,
+                                            map=partial(pool_map, pool))
+        assert pooled == serial
 
     def test_empirical_mode_runs(self):
         d0 = cordes.cordes_delta0(1.5, 2, t_bound="empirical", probe_trials=5)

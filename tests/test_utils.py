@@ -1,8 +1,11 @@
-"""Tests for worker caps, number inputs, package exports and deterministic
-report writing."""
+"""Tests for worker caps, the pool map, number inputs, package exports and
+deterministic report writing."""
 
 import importlib
 import json
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -10,8 +13,8 @@ import pytest
 from quclab.errors import InputError
 from quclab.integrands.profiles import bounded_power_profile, power_profile
 from quclab.solver import radial_power_solution
-from quclab.utils import (Manifest, check_p, strict_float, worker_count, write_csv,
-                          write_json, write_txt)
+from quclab.utils import (Manifest, check_p, pool_map, strict_float, worker_count,
+                          write_csv, write_json, write_txt)
 
 
 class TestWorkerCount:
@@ -28,6 +31,63 @@ class TestWorkerCount:
     def test_default_positive(self, monkeypatch):
         monkeypatch.delenv("QUC_THREADS", raising=False)
         assert worker_count() >= 1
+
+
+class TestPoolMap:
+    def test_results_in_input_order(self):
+        # the early items sleep longest, so the tasks finish in reverse order
+        def task(x):
+            time.sleep(0.002 * (8 - x))
+            return x * x
+
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            assert list(pool_map(pool, task, range(8), depth=4)) == [x * x for x in range(8)]
+
+    @pytest.mark.parametrize("depth", [1, 2, 3, None])
+    def test_draws_lazily(self, monkeypatch, depth):
+        # depth None takes worker_count()
+        monkeypatch.setenv("QUC_THREADS", "2")
+        drawn = []
+
+        def items():
+            for i in range(10):
+                drawn.append(i)
+                yield i
+
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = pool_map(pool, abs, items(), depth=depth)
+            assert next(results) == 0
+            assert len(drawn) <= (depth or 2) + 1
+            assert list(results) == list(range(1, 10))
+
+    def test_at_most_depth_tasks_running(self):
+        lock = threading.Lock()
+        running, peak = 0, 0
+
+        def task(x):
+            nonlocal running, peak
+            with lock:
+                running += 1
+                peak = max(peak, running)
+            time.sleep(0.002)
+            with lock:
+                running -= 1
+            return x
+
+        # the pool has eight workers; pool.map would run eight tasks at once
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            assert list(pool_map(pool, task, range(20), depth=2)) == list(range(20))
+        assert 1 <= peak <= 2
+
+    def test_task_exception_reaches_caller(self):
+        def task(x):
+            if x == 3:
+                raise ValueError(f"task {x} failed")
+            return x
+
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            with pytest.raises(ValueError, match="task 3 failed"):
+                list(pool_map(pool, task, range(6), depth=2))
 
 
 class TestNumberInputs:
@@ -88,3 +148,8 @@ class TestWriters:
         data = json.loads((tmp_path / "manifest.json").read_text())
         assert data["outputs"] == ["out.json"]
         assert data["seed"] == 5 and data["wall_time_s"] >= 0.0
+
+    def test_manifest_workers_null_on_malformed_quc_threads(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("QUC_THREADS", "abc")
+        Manifest("demo", [], seed=None).write(tmp_path)
+        assert json.loads((tmp_path / "manifest.json").read_text())["workers"] is None
