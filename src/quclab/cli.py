@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -182,7 +183,7 @@ def cmd_riesz_check(args, out_dir: Path, manifest: Manifest):
         rows = [[i] + row for i, row in enumerate(pool_map(pool, check, draws))]
         t2 = cordes.estimate_T_norm(2.0, trials=max(10, args.fields), n=args.n,
                                     kmax=args.kmax, seed=args.seed,
-                                    map=lambda fn, items: pool_map(pool, fn, items))
+                                    map=partial(pool_map, pool))
     worst_ident, worst_round = max(r[1] for r in rows), max(r[2] for r in rows)
     worst_ratio = max(max(r[3:]) for r in rows)
     passed = worst_ident <= 1e-10 and worst_round <= 1e-10 \

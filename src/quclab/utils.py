@@ -31,11 +31,11 @@ def worker_count(tasks: int | None = None) -> int:
     return cap
 
 
-def pool_map(pool, fn, items, depth: int | None = None):
+def pool_map(pool, fn, items):
     """pool.map in input order that draws items lazily, in the caller's
-    thread, and keeps at most depth (default worker_count()) tasks in
-    flight, so a generator of large items holds at most depth of them."""
-    depth = depth or worker_count()
+    thread, and keeps at most worker_count() tasks in flight, so a
+    generator of large items holds at most that many of them."""
+    depth = worker_count()
     pending = deque()
     for item in items:
         pending.append(pool.submit(fn, item))

@@ -34,19 +34,23 @@ class TestWorkerCount:
 
 
 class TestPoolMap:
-    def test_results_in_input_order(self):
+    """pool_map keeps at most worker_count() tasks in flight; the tests set
+    that cap through QUC_THREADS."""
+
+    def test_results_in_input_order(self, monkeypatch):
+        monkeypatch.setenv("QUC_THREADS", "4")
+
         # the early items sleep longest, so the tasks finish in reverse order
         def task(x):
             time.sleep(0.002 * (8 - x))
             return x * x
 
         with ThreadPoolExecutor(max_workers=4) as pool:
-            assert list(pool_map(pool, task, range(8), depth=4)) == [x * x for x in range(8)]
+            assert list(pool_map(pool, task, range(8))) == [x * x for x in range(8)]
 
-    @pytest.mark.parametrize("depth", [1, 2, 3, None])
+    @pytest.mark.parametrize("depth", [1, 2, 3])
     def test_draws_lazily(self, monkeypatch, depth):
-        # depth None takes worker_count()
-        monkeypatch.setenv("QUC_THREADS", "2")
+        monkeypatch.setenv("QUC_THREADS", str(depth))
         drawn = []
 
         def items():
@@ -55,12 +59,13 @@ class TestPoolMap:
                 yield i
 
         with ThreadPoolExecutor(max_workers=4) as pool:
-            results = pool_map(pool, abs, items(), depth=depth)
+            results = pool_map(pool, abs, items())
             assert next(results) == 0
-            assert len(drawn) <= (depth or 2) + 1
+            assert len(drawn) <= depth + 1
             assert list(results) == list(range(1, 10))
 
-    def test_at_most_depth_tasks_running(self):
+    def test_at_most_depth_tasks_running(self, monkeypatch):
+        monkeypatch.setenv("QUC_THREADS", "2")
         lock = threading.Lock()
         running, peak = 0, 0
 
@@ -76,10 +81,12 @@ class TestPoolMap:
 
         # the pool has eight workers; pool.map would run eight tasks at once
         with ThreadPoolExecutor(max_workers=8) as pool:
-            assert list(pool_map(pool, task, range(20), depth=2)) == list(range(20))
+            assert list(pool_map(pool, task, range(20))) == list(range(20))
         assert 1 <= peak <= 2
 
-    def test_task_exception_reaches_caller(self):
+    def test_task_exception_reaches_caller(self, monkeypatch):
+        monkeypatch.setenv("QUC_THREADS", "2")
+
         def task(x):
             if x == 3:
                 raise ValueError(f"task {x} failed")
@@ -87,7 +94,7 @@ class TestPoolMap:
 
         with ThreadPoolExecutor(max_workers=2) as pool:
             with pytest.raises(ValueError, match="task 3 failed"):
-                list(pool_map(pool, task, range(6), depth=2))
+                list(pool_map(pool, task, range(6)))
 
 
 class TestNumberInputs:
