@@ -106,18 +106,29 @@ class TestDeterminism:
         assert outputs[0] and outputs[0] == outputs[1]
 
 
+# (subcommand, argv, report files) of the reports committed in tests/golden
+_GOLDEN = [
+    ("riesz-check", ["--n", "32", "--fields", "3", "--kmax", "4", "--seed", "3"],
+     ["residuals.csv", "summary.json"]),
+    ("cantor", ["--levels", "6..9", "--bumps", "4", "--n-grid", "64", "--seed", "3"],
+     ["blowup.csv", "residuals.csv", "report.json"]),
+]
+
+
 class TestGolden:
-    """Reports committed in tests/golden: they pin the RNG stream and its draw
-    order across versions, which runs of one version cannot see."""
+    """Reports committed in tests/golden: they pin the RNG stream, its draw
+    order and the arithmetic across versions, which runs of one version
+    cannot see."""
 
     @pytest.mark.parametrize("threads", ["1", "2"])
-    def test_riesz_check_matches_committed_reports(self, tmp_path, monkeypatch, threads):
+    @pytest.mark.parametrize("subcommand, argv, files", _GOLDEN, ids=[g[0] for g in _GOLDEN])
+    def test_matches_committed_reports(self, tmp_path, monkeypatch, threads,
+                                       subcommand, argv, files):
         monkeypatch.setenv("QUC_THREADS", threads)
-        code, out = run(tmp_path, "riesz-check", "--n", "32", "--fields", "3", "--kmax", "4",
-                        "--seed", "3")
+        code, out = run(tmp_path, subcommand, *argv)
         assert code == 0
-        for name in ("residuals.csv", "summary.json"):
-            golden = GOLDEN_DIR / "riesz-check" / name
+        for name in files:
+            golden = GOLDEN_DIR / subcommand / name
             assert (out / name).read_bytes() == golden.read_bytes(), name
 
 
