@@ -18,6 +18,16 @@ uint16 entries (3.2 MB at L = 13, 9.6 MB at L = 14); uint16 holds the
 2^(L+1) + 1 piece indices only up to L = 14, and the table triples per
 level, so from L = 15 on the lookup stays a binary search.
 ``cantor_profile`` builds each level's tables once per process.
+
+Several levels at once.  The gaps are nested: a gap of level L is a removed
+interval of every finer level too, and h_L' takes there the same dyadic
+value (exact in floating point) for every L' >= L.  ``h_levels`` therefore
+looks every point up at the coarsest level and each finer level only at the
+points that the previous level left in a ramp, bit for bit the rows of the
+per-level ``h``.  The float breakpoints of two levels at one real breakpoint
+can differ by an ulp (at 381 of the 4,096 level-12 ramp ends against level
+13), so a gap point within a few ulps of its gap's ends is looked up again
+as well; a ramp-only test would miss those points.
 """
 
 from __future__ import annotations
@@ -30,6 +40,11 @@ import numpy as np
 from .errors import InputError
 
 _TABLE_MAX_LEVEL = 14  # 2^15 + 1 piece indices still fit in uint16
+
+# Two levels' float breakpoints at one real breakpoint differ by at most one
+# ulp of 1 (levels 1..14); a gap point this close to an end of its gap is
+# looked up again at the next level.
+_EDGE_TOL = 4.0 * np.finfo(float).eps
 
 
 def _build_tables(level: int):
@@ -88,6 +103,15 @@ def _cell_table(level: int) -> np.ndarray:
     return np.repeat(np.arange(len(runs), dtype=np.uint16), runs)
 
 
+def _split(t):
+    """t >= 0 as its integer part and its fraction in [0, 1)."""
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0.0):
+        raise InputError("the profile is defined for t >= 0")
+    k = np.floor(t)
+    return k, t - k
+
+
 @dataclass(frozen=True)
 class CantorProfile:
     """Level-L Cantor function, its slope field and exact antiderivative."""
@@ -99,6 +123,7 @@ class CantorProfile:
     _cumint: np.ndarray = field(repr=False, default=None)
     _upper: np.ndarray = field(repr=False, default=None)
     _tab: np.ndarray = field(repr=False, default=None)
+    _settled: tuple = field(repr=False, default=None)
 
     def __post_init__(self):
         if self.level < 1:
@@ -110,9 +135,15 @@ class CantorProfile:
         object.__setattr__(self, "_vals", vals)
         object.__setattr__(self, "_slopes", slopes)
         object.__setattr__(self, "_cumint", cumint)
+        # right end of each piece; the sentinel's is +inf
+        upper = np.append(breaks[1:], np.inf)
+        object.__setattr__(self, "_upper", upper)
+        # open interval of each piece whose points keep their value at every
+        # finer level: a gap less _EDGE_TOL at each end, empty for a ramp
+        gap = slopes == 0.0
+        object.__setattr__(self, "_settled", (np.where(gap, breaks + _EDGE_TOL, np.inf),
+                                              np.where(gap, upper - _EDGE_TOL, -np.inf)))
         if self.level <= _TABLE_MAX_LEVEL:
-            # right end of each piece; the sentinel's is +inf
-            object.__setattr__(self, "_upper", np.append(breaks[1:], np.inf))
             object.__setattr__(self, "_tab", _cell_table(self.level))
 
     def _pieces(self, frac: np.ndarray) -> np.ndarray:
@@ -128,24 +159,20 @@ class CantorProfile:
         j += frac >= self._upper[j]
         return j
 
+    def _unit_h(self, frac: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """h_L(frac) on [0, 1] from the pieces j that hold frac."""
+        val = self._vals[j] + self._slopes[j] * (frac - self._breaks[j])
+        return np.minimum(val, 1.0)
+
     def h(self, t):
         """h_L(t) for t >= 0 (integer-shift extension h(t+k) = k + h(t))."""
-        t = np.asarray(t, dtype=float)
-        if np.any(t < 0.0):
-            raise InputError("the profile is defined for t >= 0")
-        k = np.floor(t)
-        frac = t - k
-        j = self._pieces(frac)
-        val = self._vals[j] + self._slopes[j] * (frac - self._breaks[j])
-        out = k + np.minimum(val, 1.0)
+        k, frac = _split(t)
+        out = k + self._unit_h(frac, self._pieces(frac))
         return float(out) if out.ndim == 0 else out
 
     def h_prime(self, t):
         """Slope of h_L; right-continuous at breakpoints ((3/2)^L on ramps, 0 in gaps)."""
-        t = np.asarray(t, dtype=float)
-        if np.any(t < 0.0):
-            raise InputError("the profile is defined for t >= 0")
-        frac = t - np.floor(t)
+        _, frac = _split(t)
         out = self._slopes[self._pieces(frac)]
         return float(out) if np.ndim(out) == 0 else out
 
@@ -155,11 +182,7 @@ class CantorProfile:
         For t = k + s with integer k and s in [0,1):
         H(t) = k(k-1)/2 + k H(1) + k s + H(s), with H(1) = 1/2 by symmetry.
         """
-        t = np.asarray(t, dtype=float)
-        if np.any(t < 0.0):
-            raise InputError("the profile is defined for t >= 0")
-        k = np.floor(t)
-        s = t - k
+        k, s = _split(t)
         j = self._pieces(s)
         ds = s - self._breaks[j]
         h_unit = self._cumint[j] + self._vals[j] * ds + 0.5 * self._slopes[j] * ds * ds
@@ -181,3 +204,35 @@ class CantorProfile:
 def cantor_profile(level: int) -> CantorProfile:
     """The level-L profile, built once and shared (it is immutable)."""
     return CantorProfile(level)
+
+
+def h_levels(profiles, t) -> np.ndarray:
+    """h_L(t) of each profile, levels increasing, as a (k, M) array for (M,) t.
+
+    Row i equals ``profiles[i].h(t)`` bit for bit.  Every point is looked up
+    at the coarsest level; a finer level looks up only the points that the
+    previous one placed in a ramp or within _EDGE_TOL of a gap's end, and
+    the others keep the previous row's value: on a gap of level L, h_L' is
+    the same dyadic number for every L' >= L.
+    """
+    levels = [profile.level for profile in profiles]
+    if not levels or any(b <= a for a, b in zip(levels, levels[1:])):
+        raise InputError("levels must be non-empty and strictly increasing")
+    k, frac = _split(t)
+    shape = frac.shape
+    k, frac = k.ravel(), frac.ravel()
+    out = np.empty((len(profiles), frac.size))
+    idx = None  # the points looked up at this level; None for all of them
+    for i, profile in enumerate(profiles):
+        j = profile._pieces(frac)
+        if idx is None:
+            np.add(k, profile._unit_h(frac, j), out=out[i])
+        else:
+            out[i] = out[i - 1]
+            out[i, idx] = k + profile._unit_h(frac, j)
+        if i + 1 < len(profiles):
+            lo, hi = profile._settled
+            again = (frac <= lo[j]) | (frac >= hi[j])
+            idx = np.flatnonzero(again) if idx is None else idx[again]
+            k, frac = k[again], frac[again]
+    return out.reshape((len(profiles),) + shape)

@@ -311,7 +311,7 @@ def cmd_cantor(args, out_dir: Path, manifest: Manifest):
         raise InputError(f"--bumps must be >= 1, got {args.bumps}")
     levels = counterexamples.check_levels(_parse_levels(args.levels))
     counterexamples.check_n_grid(args.n_grid)
-    fields = [counterexamples.cantor_stress_field(level) for level in levels]
+    fields = counterexamples.cantor_stress_fields(levels)
     # the blow-up table shares the pool with the per-bump quadratures
     with ThreadPoolExecutor(max_workers=worker_count()) as pool:
         table_job = pool.submit(counterexamples.sobolev_blowup_diagnostic,

@@ -13,6 +13,14 @@ the almost-everywhere ratio bound alone does not yield a Sobolev stress.
 The smooth part Du = z_perp/|z|^2 is the control column of the blow-up
 table, and the weak residuals pair V_L with ``QuinticBump`` test functions.
 
+``cantor_stress_fields(levels)`` evaluates every level at once: r, 1/r and
+1/r^2 are formed once, and ``cantorfn.h_levels`` looks up a finer level
+only where the coarser one leaves a ramp or lies within a few ulps of a
+gap's end (on a gap, every finer h_L has the same dyadic value), so each
+row equals the one-level field bit for bit.  The blow-up table keeps its
+per-level evaluation: stacking its grid-sized base arrays would multiply
+its memory by the number of levels.
+
 Numerical caveat recorded here for honesty: fields of the form psi(|z|)
 z_perp are tangential to circles and hence weakly divergence-free for any
 bounded radial profile, so the measured weak residual is quadrature noise
@@ -26,11 +34,12 @@ singular part.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
-from .cantorfn import cantor_profile
+from .cantorfn import cantor_profile, h_levels
 from .errors import InputError
 from .quadrature import adaptive_quad_2d
 from .utils import strict_int
@@ -53,21 +62,40 @@ def arctan_gradient(z):
 
 # -- the Cantor stress ---------------------------------------------------------
 
+def _cantor_stress(profiles, z):
+    """V_L(z) of each profile as a (k, M, 2) array whose components are contiguous."""
+    z = np.asarray(z, float)
+    x, y = z[..., 0], z[..., 1]
+    if np.any(x <= 0.0):
+        raise InputError("points must lie in the right half-plane {x > 0}")
+    r = np.sqrt(x * x + y * y)
+    scalar = h_levels(profiles, 1.0 / r)
+    scalar /= r
+    scalar += 1.0 / (r * r)
+    out = np.empty((len(profiles), 2) + r.shape)
+    np.multiply(scalar, -y, out=out[:, 0])
+    np.multiply(scalar, x, out=out[:, 1])
+    return out.swapaxes(1, -1)
+
+
+def cantor_stress_fields(levels) -> Callable[[np.ndarray], np.ndarray]:
+    """Batched evaluator of V_L(z) = z_perp/|z|^2 + h_L(1/|z|) z_perp/|z| for
+    every level at once: (M, 2) points give a (k, M, 2) array.
+
+    r, 1/r and 1/r^2 are formed once for all levels, and ``h_levels`` looks
+    up the finer levels only where the coarser ones leave a ramp; row i is
+    ``cantor_stress_field(levels[i])`` bit for bit.
+    """
+    profiles = [cantor_profile(level) for level in check_levels(levels)]
+    return partial(_cantor_stress, profiles)
+
+
 def cantor_stress_field(level: int) -> Callable[[np.ndarray], np.ndarray]:
-    """Batched evaluator of V_L(z) = z_perp/|z|^2 + h_L(1/|z|) z_perp/|z|."""
+    """Batched evaluator of V_L for one level: (M, 2) points give (M, 2)."""
     profile = cantor_profile(level)
 
     def field(z):
-        z = np.asarray(z, float)
-        if np.any(z[..., 0] <= 0.0):
-            raise InputError("points must lie in the right half-plane {x > 0}")
-        x, y = z[..., 0], z[..., 1]
-        r = np.sqrt(x * x + y * y)
-        scalar = 1.0 / (r * r) + profile.h(1.0 / r) / r
-        out = np.empty_like(z)
-        np.multiply(scalar, -y, out=out[..., 0])
-        np.multiply(scalar, x, out=out[..., 1])
-        return out
+        return _cantor_stress([profile], z)[0]
 
     return field
 
@@ -133,23 +161,22 @@ class WeakResiduals:
 def weak_divergence_residuals(fields, n_bumps: int = 50, seed: int = 0,
                               tol_cell: float = 1e-12, max_depth: int = 8,
                               max_cells: int = 60_000, map=map) -> WeakResiduals:
-    """Per field, max over C^2 bumps phi in the ball B(BALL_CENTER,
-    BALL_RADIUS) of |int (V, Dphi)| / ||Dphi||_1.
+    """Per field of a stack, max over C^2 bumps phi in the ball
+    B(BALL_CENTER, BALL_RADIUS) of |int (V, Dphi)| / ||Dphi||_1.
 
-    Each bump integrates every field's pairing on one adaptive quadtree over
-    its bounding box; the residuals decrease toward zero under quadrature
-    refinement (deeper max_depth / smaller tol_cell).  phi is radial and
-    decreasing, so ||Dphi||_1 = 2 pi int_0^rho phi = 320 pi rho / 231.  The
-    bumps are independent tasks handed to ``map`` (an executor's ``map``
-    runs them in parallel); the result does not depend on its schedule.
+    ``fields`` maps (M, 2) points to a (k, M, 2) stack of k fields, as
+    ``cantor_stress_fields`` does.  Each bump integrates every field's
+    pairing on one adaptive quadtree over its bounding box; the residuals
+    decrease toward zero under quadrature refinement (deeper max_depth /
+    smaller tol_cell).  phi is radial and decreasing, so ||Dphi||_1 =
+    2 pi int_0^rho phi = 320 pi rho / 231.  The bumps are independent tasks
+    handed to ``map`` (an executor's ``map`` runs them in parallel); the
+    result does not depend on its schedule.
     """
-    fields = list(fields)
-
     def per_bump(bump):
         def pairings(pts):
-            g = bump.gradient(pts)
-            return np.stack([v[:, 0] * g[:, 0] + v[:, 1] * g[:, 1]
-                             for v in (field(pts) for field in fields)])
+            g, v = bump.gradient(pts), fields(pts)
+            return v[..., 0] * g[:, 0] + v[..., 1] * g[:, 1]
 
         (cx, cy), rho = bump.center, bump.radius
         quad = adaptive_quad_2d(pairings, (cx - rho, cx + rho, cy - rho, cy + rho),
@@ -223,7 +250,9 @@ def sobolev_blowup_diagnostic(levels, n_grid: int = 1024) -> list[BlowupRow]:
     dx2, dy2 = dx * dx, dy * dy
     limit = BALL_RADIUS - 2.0 * delta
     inside = [np.sqrt(sq + dy2) <= limit for sq in dx2]
-    pts = np.empty((sum(np.count_nonzero(row) for row in inside), 2))
+    # each coordinate contiguous, like the fields' outputs; empty_like and
+    # pts + e keep that layout, so every step's arithmetic runs contiguous
+    pts = np.empty((2, sum(np.count_nonzero(row) for row in inside))).T
     lo = 0
     for x, row in zip(xs, inside):
         hi = lo + np.count_nonzero(row)

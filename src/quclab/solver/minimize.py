@@ -9,10 +9,13 @@ over interior nodes with Dirichlet data, warm-starting from the previous
 stage.  Within a stage the energy decreases along accepted Newton steps
 (Armijo backtracking, up to round-off once the test has stalled there);
 across stages the cascade logs the Lipschitz proxy
-A_n = max |Dv_n| and the coupling term mu_n^(p-1) A_n^(2-p), which must
-decay for the approximating minimizers to converge to the unregularized
-minimizer, together with the stage energies whose limit is monitored
-against the final energy.
+A_n = max |Dv_n| and the coupling term mu_n^(p-1) max(A_n, 1)^(2-p), which
+must decay for the approximating minimizers to converge to the
+unregularized minimizer, together with the stage energies whose limit is
+monitored against the final energy.  Here p = 1 + 1/K <= 2, so the clamp
+makes the logged term an upper bound of mu_n^(p-1) A_n^(2-p), equal to it
+once A_n >= 1: a stage with small gradients cannot report a decay that the
+tilt mu_n did not bring.
 """
 
 from __future__ import annotations
@@ -218,7 +221,7 @@ class StageRecord:
     energy: float
     grad_norm: float
     lipschitz: float            # A_n = max |Dv_n|
-    coupling_term: float        # mu^(p-1) A_n^(2-p)
+    coupling_term: float        # mu^(p-1) max(A_n, 1)^(2-p)
     boundary_term: float        # mu * ||D u_0||_2^2 of the warm start
     linear_iterations: int      # PCG iterations over the stage's Newton steps
     lu_fallbacks: int           # Newton steps solved by LU after a PCG miss

@@ -113,7 +113,7 @@ class RegularizationSchedule:
 
     eps is the integrand mollification radius, mu the quadratic tilt.  A
     final (0, 0) stage realizes the limit problem; the cascade monitors the
-    coupling mu^(p-1) Lip^(2-p) -> 0 and the stagewise energy convergence.
+    coupling mu^(p-1) max(Lip, 1)^(2-p) -> 0 and the stagewise energy convergence.
     """
 
     stages: tuple = ((0.08, 1e-2), (0.02, 1e-4), (0.005, 1e-7), (0.0, 0.0))

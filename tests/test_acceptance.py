@@ -302,7 +302,7 @@ def test_criterion_9_cantor_counterexample():
     # one call integrates every level on one quadtree per bump, so each
     # residual matches a one-level call only within its quadrature bound
     residuals = counterexamples.weak_divergence_residuals(
-        [counterexamples.cantor_stress_field(level) for level in levels],
+        counterexamples.cantor_stress_fields(levels),
         n_bumps=50, seed=909).residuals
     below = max(residuals) <= 1e-3
     check("C9 weak divergence residual <= 1e-3 at every level", below,

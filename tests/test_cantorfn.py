@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 from quclab import cantorfn
-from quclab.cantorfn import CantorProfile, cantor_profile
+from quclab.cantorfn import CantorProfile, cantor_profile, h_levels
 from quclab.counterexamples import cantor_stress_field
 from quclab.errors import InputError
 
@@ -157,3 +157,47 @@ class TestPieceLookup:
         assert a is b and a._tab is b._tab
         assert cantorfn.cantor_profile(13) is a
         assert profile_of(cantor_stress_field(12)) is not a
+
+
+def _edge_points(profiles):
+    """Every breakpoint of each coarser level, 1-4 ulps either side of it,
+    random points of [0, 3) and the integers 0..3."""
+    rng = np.random.default_rng(23)
+    t = [rng.uniform(0.0, 3.0, 200_000), np.arange(0.0, 4.0)]
+    for profile in profiles[:-1]:
+        below = above = profile._breaks
+        t.append(profile._breaks)
+        for _ in range(4):
+            below, above = np.nextafter(below, -1.0), np.nextafter(above, 2.0)
+            t += [np.abs(below), above]
+    return np.concatenate(t)
+
+
+class TestLevels:
+    profiles = [CantorProfile(level) for level in range(4, 14)]
+
+    def test_rows_match_each_level_bit_for_bit(self):
+        t = _edge_points(self.profiles)
+        rows = h_levels(self.profiles, t)
+        assert rows.shape == (len(self.profiles), len(t))
+        for row, profile in zip(rows, self.profiles):
+            assert np.array_equal(row, profile.h(t)), profile.level
+
+    def test_ramp_only_refinement_is_caught(self, monkeypatch):
+        # adjacent levels' float breakpoints differ by an ulp at some ramp
+        # ends, so a lookup that refines only the ramp points differs there
+        monkeypatch.setattr(cantorfn, "_EDGE_TOL", -np.inf)
+        ramp_only = [CantorProfile(profile.level) for profile in self.profiles]
+        t = _edge_points(ramp_only)
+        rows = h_levels(ramp_only, t)
+        assert not all(np.array_equal(row, profile.h(t))
+                       for row, profile in zip(rows, ramp_only))
+
+    def test_shapes_and_level_order(self):
+        pair = [cantor_profile(6), cantor_profile(9)]
+        assert h_levels(pair, 0.5).shape == (2,)
+        assert np.array_equal(h_levels(pair, np.full((3, 4), 1.5)), np.full((2, 3, 4), 1.5))
+        with pytest.raises(InputError):
+            h_levels(pair[::-1], 0.5)
+        with pytest.raises(InputError):
+            h_levels(pair, np.array([0.5, -1e-300]))

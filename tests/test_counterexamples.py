@@ -51,6 +51,14 @@ class TestCantorStress:
         with pytest.raises(InputError):
             ce.cantor_stress_field(6)(np.array([-1.0, 0.0]))
 
+    def test_stack_rows_match_one_level_fields(self, half_plane_points):
+        levels = range(4, 14)
+        stack = ce.cantor_stress_fields(levels)(half_plane_points)
+        assert stack.shape == (len(levels), len(half_plane_points), 2)
+        assert stack[..., 0].strides[-1] == stack.itemsize  # contiguous components
+        for row, level in zip(stack, levels):
+            assert np.array_equal(row, ce.cantor_stress_field(level)(half_plane_points))
+
     def test_tangential_structure(self, half_plane_points):
         v = ce.cantor_stress_field(10)(half_plane_points)
         radial_component = np.sum(v * half_plane_points, axis=1)
@@ -77,27 +85,32 @@ class TestQuinticBump:
         assert np.all(grad[200:] == 0.0)
 
 
+def _one(field):
+    """A one-field stack: (M, 2) points to a (1, M, 2) array."""
+    return lambda z: field(z)[None]
+
+
 def _residuals(fields, **kw):
     return ce.weak_divergence_residuals(fields, **kw).residuals
 
 
 class TestWeakDivergence:
     def test_harmonic_stream_exact(self):
-        [res] = _residuals([ce.arctan_gradient], n_bumps=8, seed=3)
+        [res] = _residuals(_one(ce.arctan_gradient), n_bumps=8, seed=3)
         assert res < 1e-9
 
     def test_cantor_level12_below_threshold(self):
-        [res] = _residuals([ce.cantor_stress_field(12)], n_bumps=8, seed=3)
+        [res] = _residuals(ce.cantor_stress_fields([12]), n_bumps=8, seed=3)
         assert res <= 1e-3
 
     def test_quadrature_refinement_decreases_residual(self):
-        field = ce.cantor_stress_field(8)
-        [coarse] = _residuals([field], n_bumps=4, seed=5, max_depth=3, tol_cell=1e-6)
-        [fine] = _residuals([field], n_bumps=4, seed=5, max_depth=9, tol_cell=1e-12)
+        fields = ce.cantor_stress_fields([8])
+        [coarse] = _residuals(fields, n_bumps=4, seed=5, max_depth=3, tol_cell=1e-6)
+        [fine] = _residuals(fields, n_bumps=4, seed=5, max_depth=9, tol_cell=1e-12)
         assert fine < coarse
 
     def test_pooled_run_matches_serial_run_bit_for_bit(self):
-        fields = [ce.cantor_stress_field(8), ce.cantor_stress_field(12)]
+        fields = ce.cantor_stress_fields([8, 12])
         serial = ce.weak_divergence_residuals(fields, n_bumps=4, seed=3)
         with ThreadPoolExecutor(max_workers=2) as pool:
             pooled = ce.weak_divergence_residuals(fields, n_bumps=4, seed=3,
@@ -105,9 +118,21 @@ class TestWeakDivergence:
         assert pooled == serial
         assert serial.cells > 0 and 0 <= serial.depth_cap_hits <= 4
 
+    def test_stack_of_copies_gives_one_row_per_copy(self):
+        # k equal rows refine the same quadtree as one row, so each row's
+        # residual and bound, and the cell count, are the one-field call's
+        field = ce.cantor_stress_field(9)
+        one = ce.weak_divergence_residuals(_one(field), n_bumps=4, seed=3)
+        for k in (2, 3):
+            stack = ce.weak_divergence_residuals(lambda z: np.stack([field(z)] * k),
+                                                 n_bumps=4, seed=3)
+            assert stack.residuals == one.residuals * k
+            assert stack.bounds == one.bounds * k
+            assert (stack.cells, stack.depth_cap_hits) == (one.cells, one.depth_cap_hits)
+
     def test_one_field_matches_scalar_quadrature(self):
         field = ce.cantor_stress_field(10)
-        res = ce.weak_divergence_residuals([field], n_bumps=4, seed=3)
+        res = ce.weak_divergence_residuals(ce.cantor_stress_fields([10]), n_bumps=4, seed=3)
         ratios, bounds, cells = [], [], 0
         for bump in ce._bump_bank(4, 3):
             def pairing(pts, bump=bump):
@@ -135,7 +160,7 @@ class TestWeakDivergence:
 
     def test_divergent_field_flagged(self):
         # V = x has weak divergence 2: the residual stays away from zero
-        [res] = _residuals([lambda z: np.asarray(z, float)], n_bumps=8, seed=3)
+        [res] = _residuals(_one(lambda z: np.asarray(z, float)), n_bumps=8, seed=3)
         assert res > 1e-2
 
 
