@@ -161,8 +161,12 @@ class CantorProfile:
 
     def _unit_h(self, frac: np.ndarray, j: np.ndarray) -> np.ndarray:
         """h_L(frac) on [0, 1] from the pieces j that hold frac."""
-        val = self._vals[j] + self._slopes[j] * (frac - self._breaks[j])
-        return np.minimum(val, 1.0)
+        # vals + slopes (frac - breaks), in place: fresh arrays of a
+        # quadrature block's size cost more than the arithmetic
+        val = np.asarray(frac - self._breaks[j])  # an array also for one point
+        val *= self._slopes[j]
+        val += self._vals[j]
+        return np.minimum(val, 1.0, out=val)
 
     def h(self, t):
         """h_L(t) for t >= 0 (integer-shift extension h(t+k) = k + h(t))."""

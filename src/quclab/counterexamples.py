@@ -65,17 +65,23 @@ def arctan_gradient(z):
 def _cantor_stress(profiles, z):
     """V_L(z) of each profile as a (k, M, 2) array whose components are contiguous."""
     z = np.asarray(z, float)
-    x, y = z[..., 0], z[..., 1]
+    x, y = z.reshape(-1, 2).T  # a view for (M, 2) points
     if np.any(x <= 0.0):
         raise InputError("points must lie in the right half-plane {x > 0}")
-    r = np.sqrt(x * x + y * y)
-    scalar = h_levels(profiles, 1.0 / r)
+    # 1/r^2 + h(1/r)/r, in place: fresh arrays of a quadrature block's size
+    # cost more than the arithmetic; tmp holds 1/r, then 1/r^2, then -y
+    r = x * x
+    r += y * y
+    np.sqrt(r, out=r)
+    tmp = np.divide(1.0, r)
+    scalar = h_levels(profiles, tmp)
     scalar /= r
-    scalar += 1.0 / (r * r)
-    out = np.empty((len(profiles), 2) + r.shape)
-    np.multiply(scalar, -y, out=out[:, 0])
+    np.multiply(r, r, out=tmp)
+    scalar += np.divide(1.0, tmp, out=tmp)
+    out = np.empty((len(profiles), 2, len(r)))
+    np.multiply(scalar, np.negative(y, out=tmp), out=out[:, 0])
     np.multiply(scalar, x, out=out[:, 1])
-    return out.swapaxes(1, -1)
+    return out.swapaxes(1, 2).reshape((len(profiles),) + z.shape)
 
 
 def cantor_stress_fields(levels) -> Callable[[np.ndarray], np.ndarray]:
