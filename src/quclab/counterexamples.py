@@ -170,8 +170,10 @@ def weak_divergence_residuals(fields, n_bumps: int = 50, seed: int = 0,
     """Per field of a stack, max over C^2 bumps phi in the ball
     B(BALL_CENTER, BALL_RADIUS) of |int (V, Dphi)| / ||Dphi||_1.
 
-    ``fields`` maps (M, 2) points to a (k, M, 2) stack of k fields, as
-    ``cantor_stress_fields`` does.  Each bump integrates every field's
+    ``fields`` maps (M, 2) points to a new (k, M, 2) stack of k fields, as
+    ``cantor_stress_fields`` does; the pairings overwrite that array, since
+    fresh arrays of a quadrature block's size cost more than the products.
+    Each bump integrates every field's
     pairing on one adaptive quadtree over its bounding box; the residuals
     decrease toward zero under quadrature refinement (deeper max_depth /
     smaller tol_cell).  phi is radial and decreasing, so ||Dphi||_1 =
@@ -182,7 +184,11 @@ def weak_divergence_residuals(fields, n_bumps: int = 50, seed: int = 0,
     def per_bump(bump):
         def pairings(pts):
             g, v = bump.gradient(pts), fields(pts)
-            return v[..., 0] * g[:, 0] + v[..., 1] * g[:, 1]
+            pairing, other = v[..., 0], v[..., 1]
+            pairing *= g[:, 0]
+            other *= g[:, 1]
+            pairing += other
+            return pairing
 
         (cx, cy), rho = bump.center, bump.radius
         quad = adaptive_quad_2d(pairings, (cx - rho, cx + rho, cy - rho, cy + rho),

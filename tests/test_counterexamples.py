@@ -160,7 +160,7 @@ class TestWeakDivergence:
 
     def test_divergent_field_flagged(self):
         # V = x has weak divergence 2: the residual stays away from zero
-        [res] = _residuals(_one(lambda z: np.asarray(z, float)), n_bumps=8, seed=3)
+        [res] = _residuals(_one(lambda z: np.array(z, float)), n_bumps=8, seed=3)
         assert res > 1e-2
 
 
