@@ -173,13 +173,12 @@ def weak_divergence_residuals(fields, n_bumps: int = 50, seed: int = 0,
     ``fields`` maps (M, 2) points to a new (k, M, 2) stack of k fields, as
     ``cantor_stress_fields`` does; the pairings overwrite that array, since
     fresh arrays of a quadrature block's size cost more than the products.
-    Each bump integrates every field's
-    pairing on one adaptive quadtree over its bounding box; the residuals
-    decrease toward zero under quadrature refinement (deeper max_depth /
-    smaller tol_cell).  phi is radial and decreasing, so ||Dphi||_1 =
-    2 pi int_0^rho phi = 320 pi rho / 231.  The bumps are independent tasks
-    handed to ``map`` (an executor's ``map`` runs them in parallel); the
-    result does not depend on its schedule.
+    Each bump integrates every field's pairing on one adaptive quadtree over
+    its bounding box; the residuals decrease toward zero under quadrature
+    refinement (deeper max_depth / smaller tol_cell).  phi is radial and
+    decreasing, so ||Dphi||_1 = 2 pi int_0^rho phi = 320 pi rho / 231.  The
+    bumps are independent tasks handed to ``map`` (an executor's ``map``
+    runs them in parallel); the result does not depend on its schedule.
     """
     def per_bump(bump):
         def pairings(pts):
