@@ -204,9 +204,11 @@ class CantorProfile:
         return np.unique(np.concatenate(out)) if out else np.empty(0)
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=16)
 def cantor_profile(level: int) -> CantorProfile:
-    """The level-L profile, built once and shared (it is immutable)."""
+    """The level-L profile, built once and shared (it is immutable).  The
+    cache holds the default ``cantor`` range 4..12 whole, so the blow-up
+    table reuses the profiles the stress evaluator built."""
     return CantorProfile(level)
 
 

@@ -35,7 +35,7 @@ from .solver import (
     minimize,
     sobolev_report,
 )
-from .utils import Manifest, pool_map, worker_count, write_csv, write_json, write_txt
+from .utils import Manifest, pool_map, worker_count, write_csv, write_grid_txt, write_json
 
 
 def _parse_list(text: str, convert, flag: str) -> list:
@@ -219,10 +219,10 @@ def cmd_solve(args, out_dir: Path, manifest: Manifest):
             "v_lm_2b": rep.v_lm_2b, "f_lm_2b": rep.f_lm_2b,
             "v_w1m_b": rep.v_w1m_b, "c_meas": rep.c_meas,
         }
-    write_txt(manifest.add(out_dir / "solution.txt"),
-              np.column_stack([sol.mesh.node_coords(), sol.u]))
-    write_txt(manifest.add(out_dir / "stress.txt"),
-              np.column_stack([sol.mesh.cell_centers(), sol.stress_cells]))
+    mesh = sol.mesh
+    write_grid_txt(manifest.add(out_dir / "solution.txt"), mesh.node_axis, mesh.dim, sol.u)
+    write_grid_txt(manifest.add(out_dir / "stress.txt"), mesh.center_axis, mesh.dim,
+                   sol.stress_cells)
     columns = ["index", "eps", "mu", "iterations", "energy", "grad_norm",
                "lipschitz", "coupling_term", "boundary_term",
                "linear_iterations", "lu_fallbacks"]

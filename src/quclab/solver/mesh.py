@@ -33,14 +33,19 @@ Applications, 1985, sec. 3.7).  Each Newton step solves the block by
 conjugate gradients preconditioned with one multigrid V-cycle on these
 levels (Bramble, Pasciak & Xu, Math. Comp. 55, 1990), halving while the
 cell count is even and above 8, with a sparse LU on the coarsest; a mesh
-that does not coarsen is that LU alone.  Every LU first permutes its block
-into a geometric nested-dissection order (George, SIAM J. Numer. Anal. 10,
-1973: bisect the longest axis, separator plane last), built only for the
-meshes where one runs.  On a mesh that does not coarsen (``SymmetricMode``,
-p-Laplacian block) ``splu`` is 1.9-2.8 times slower in scipy's own orders:
-0.25 s (fill 4.6M) against 0.48 s for MMD_AT_PLUS_A (5.2M) and 0.72 s for
-COLAMD (8.8M) at 255^2, and 0.34 s against 0.97 s and 1.83 s at 25^3; only
-the 25^2 coarsest level of 100 -> 50 -> 25 barely cares (1.1 ms vs 1.5 ms).
+that does not coarsen is that LU alone.  The cycle above the coarsest
+level runs in float32 (mixed-precision multigrid, Goeddeke, Strzodka &
+Turek, Int. J. Parallel Emergent Distrib. Syst. 22, 2007), which halves
+the bytes each smoothing matvec moves; P and P^T are built in float32
+once per mesh, their entries 0.5 and 1 being exact there.  Every LU first
+permutes its block into a geometric nested-dissection order (George, SIAM
+J. Numer. Anal. 10, 1973: bisect the longest axis, separator plane last),
+built only for the meshes where one runs.  On a mesh that does not
+coarsen (``SymmetricMode``, p-Laplacian block) ``splu`` is 1.9-2.8 times
+slower in scipy's own orders: 0.25 s (fill 4.6M) against 0.48 s for
+MMD_AT_PLUS_A (5.2M) and 0.72 s for COLAMD (8.8M) at 255^2, and 0.34 s
+against 0.97 s and 1.83 s at 25^3; only the 25^2 coarsest level of
+100 -> 50 -> 25 barely cares (1.1 ms vs 1.5 ms).
 """
 
 from __future__ import annotations
@@ -72,6 +77,7 @@ def _prolongation(fine: BoxMesh, coarse: BoxMesh) -> sparse.csr_matrix:
     Row i is fine interior node i, column j coarse interior node j (natural
     order): fine node 2c + s, s in {0,1}^dim, is the mean of coarse nodes c
     and c + s; coarse boundary nodes carry no correction and are dropped.
+    The entries, 0.5 and 1, are exact in float32, the V-cycle's precision.
     """
     dim = fine.dim
     grid = np.indices((fine.cells + 1,) * dim).reshape(dim, -1)[:, fine.interior_mask]
@@ -81,7 +87,7 @@ def _prolongation(fine: BoxMesh, coarse: BoxMesh) -> sparse.csr_matrix:
     rows = np.broadcast_to(np.arange(fine.n_interior), cols.shape)
     keep = cols >= 0
     # s = 0 lists coarse node c twice, and the duplicates add up to 1
-    return sparse.csr_matrix((np.full(np.count_nonzero(keep), 0.5),
+    return sparse.csr_matrix((np.full(np.count_nonzero(keep), 0.5, np.float32),
                               (rows[keep], cols[keep])),
                              shape=(fine.n_interior, coarse.n_interior))
 
@@ -173,17 +179,26 @@ class BoxMesh:
         """Trapezoidal quadrature weights for nodal integrals."""
         return np.where(self._on_face(), 0.5, 1.0).prod(axis=0) * self.h ** self.dim
 
-    def node_coords(self) -> np.ndarray:
-        n, d = self.cells, self.dim
-        axis = -self.half_width + np.arange(n + 1) * self.h
-        grids = np.meshgrid(*([axis] * d), indexing="ij")
+    @property
+    def node_axis(self) -> np.ndarray:
+        """The node coordinates along each axis."""
+        return -self.half_width + np.arange(self.cells + 1) * self.h
+
+    @property
+    def center_axis(self) -> np.ndarray:
+        """The cell-center coordinates along each axis."""
+        return -self.half_width + (np.arange(self.cells) + 0.5) * self.h
+
+    def _grid(self, axis: np.ndarray) -> np.ndarray:
+        """The points of the axis grid in row-major ("ij") order, (n^dim, dim)."""
+        grids = np.meshgrid(*([axis] * self.dim), indexing="ij")
         return np.stack([g.ravel() for g in grids], axis=1)
 
+    def node_coords(self) -> np.ndarray:
+        return self._grid(self.node_axis)
+
     def cell_centers(self) -> np.ndarray:
-        n, d = self.cells, self.dim
-        axis = -self.half_width + (np.arange(n) + 0.5) * self.h
-        grids = np.meshgrid(*([axis] * d), indexing="ij")
-        return np.stack([g.ravel() for g in grids], axis=1)
+        return self._grid(self.center_axis)
 
     def simplex_centroids(self) -> np.ndarray:
         return self.node_coords()[self._vertex_ids].mean(axis=1).reshape(-1, self.dim)
@@ -249,7 +264,7 @@ class BoxMesh:
     def levels(self) -> tuple:
         """(coarse mesh, P, P^T) down the halving hierarchy, finest first,
         built on first use; P maps the coarse interior nodes to the fine ones,
-        both in natural order, and P and P^T are CSR matrices."""
+        both in natural order, and P and P^T are float32 CSR matrices."""
         out, fine = [], self
         while fine.cells % 2 == 0 and fine.cells > 8:
             coarse = BoxMesh(self.dim, fine.cells // 2, self.half_width)

@@ -16,6 +16,12 @@ monitored against the final energy.  Here p = 1 + 1/K <= 2, so the clamp
 makes the logged term an upper bound of mu_n^(p-1) A_n^(2-p), equal to it
 once A_n >= 1: a stage with small gradients cannot report a decay that the
 tilt mu_n did not bring.
+
+The Newton step runs PCG in float64 under a float32 multigrid V-cycle: the
+float64 residual, iterate and stop keep the cycle's round-off out of the
+accepted steps, and the coarsest LU stays float64, as does the exact LU
+cycle of a mesh that does not coarsen, which PCG then needs once.  Dots and
+norms are einsums, whose sums, unlike BLAS ddot's, ignore the thread count.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import LinearOperator, cg, splu
+from scipy.sparse.linalg import splu
 
 from ..errors import InputError, NumericError
 from ..integrands import Integrand, mollify
@@ -42,6 +48,7 @@ JACOBI_WEIGHT = 0.7
 SWEEPS = 2
 PCG_RTOL = 1e-10
 PCG_MAX_ITER = 50
+_dot = partial(np.einsum, "i,i->")
 
 
 def assemble_energy(mesh: BoxMesh, f_obj: Integrand, u: np.ndarray,
@@ -74,10 +81,10 @@ def _factorize(mesh: BoxMesh, block: sparse.spmatrix):
 
 
 def _cycle(levels: tuple, r: np.ndarray) -> np.ndarray:
-    """One V-cycle on levels[0]: (block, Jacobi weights, P^T, P) per level
-    down the hierarchy, and the coarsest level's LU solve last."""
+    """One float32 V-cycle on levels[0]: (block, Jacobi weights, P^T, P) per
+    level down the hierarchy, and the coarsest level's float64 LU solve last."""
     if len(levels) == 1:
-        return levels[0](r)
+        return levels[0](r).astype(np.float32)
     a, w, restrict, prolong = levels[0]
     x = w * r
     for _ in range(SWEEPS - 1):
@@ -88,47 +95,57 @@ def _cycle(levels: tuple, r: np.ndarray) -> np.ndarray:
     return x
 
 
-def _vcycle(mesh: BoxMesh, d2f: np.ndarray, block: sparse.dia_matrix) -> partial:
+def _vcycle(mesh: BoxMesh, d2f: np.ndarray, block: sparse.dia_matrix):
     """One multigrid V-cycle for block, the mesh's assembly of d2f, as a map
-    from residual to correction.
+    from float64 residual to correction, or None if a level's float32 Jacobi
+    weights are not all finite and nonzero (D2F beyond float32's range).
 
     Each coarse operator is the coarse mesh's assembly of the child-averaged
     D2F, equal to the Galerkin product P^T A P; the coarsest is factored
     once, and with no coarse level the cycle is the LU solve of block.  It
     holds no reference to itself, so it dies with its last reference.
     """
+    if not mesh.levels:
+        return _factorize(mesh, block) if block.diagonal().all() else None
     levels = []
     for coarse, prolong, restrict in mesh.levels:
-        levels.append((block, JACOBI_WEIGHT / block.diagonal(), restrict, prolong))
+        with np.errstate(divide="ignore", over="ignore"):
+            a = block.astype(np.float32)
+            w = np.float32(JACOBI_WEIGHT) / a.diagonal()
+        if not (np.isfinite(w).all() and w.all()):
+            return None
+        levels.append((a, w, restrict, prolong))
         d2f = mesh.child_mean(d2f)
         mesh, block = coarse, coarse.assemble_hessian(d2f)
-    levels.append(_factorize(mesh, block))
-    return partial(_cycle, tuple(levels))
+    levels = tuple(levels) + (_factorize(mesh, block),)
+    return lambda r: _cycle(levels, r.astype(np.float32)).astype(float)
 
 
 def _solve_step(mesh: BoxMesh, d2f: np.ndarray,
                 rhs: np.ndarray) -> tuple[np.ndarray, int, bool]:
     """Solve the mesh's interior block for d2f (natural order): the Newton step.
 
-    scipy's CG from x = 0 to ||b - A x|| < PCG_RTOL ||b||, preconditioned by
-    one V-cycle on the mesh hierarchy; if it misses, or a zero diagonal entry
-    leaves no Jacobi smoother, the LU solve of the block.  Returns (x, PCG
-    iterations, whether the step was solved by LU instead).
+    CG from x = 0 to ||b - A x|| < PCG_RTOL ||b||, in the recurrences of
+    scipy's ``cg``, preconditioned by one V-cycle on the mesh hierarchy; if
+    it misses, or a level has no Jacobi smoother, the LU solve of the block.
+    Returns (x, PCG iterations, whether the step was solved by LU instead).
     """
     block = mesh.assemble_hessian(d2f)
-    iterations, info = 0, -1    # a skipped CG counts as a miss
-
-    def count(_):
-        nonlocal iterations
-        iterations += 1
-
-    if block.diagonal().all():
-        cycle = LinearOperator(block.shape, _vcycle(mesh, d2f, block), dtype=float)
-        x, info = cg(block, rhs, rtol=PCG_RTOL, maxiter=PCG_MAX_ITER, M=cycle,
-                     callback=count)
-    if info:
-        return _factorize(mesh, block)(rhs), iterations, True
-    return x, iterations, False
+    cycle = _vcycle(mesh, d2f, block)
+    x, r, p, rho = np.zeros_like(rhs), rhs.copy(), None, 1.0
+    stop = PCG_RTOL * np.sqrt(_dot(rhs, rhs))
+    for iteration in range(PCG_MAX_ITER if cycle else 0):
+        norm = np.sqrt(_dot(r, r))
+        if norm < stop or not norm:
+            return x, iteration, False
+        z = cycle(r)
+        rho, rho_prev = _dot(r, z), rho
+        p = z if p is None else z + (rho / rho_prev) * p
+        q = block @ p
+        alpha = rho / _dot(p, q)
+        x += alpha * p
+        r -= alpha * q
+    return _factorize(mesh, block)(rhs), PCG_MAX_ITER if cycle else 0, True
 
 
 class StageResult(NamedTuple):
@@ -145,10 +162,8 @@ def _stage_newton(mesh: BoxMesh, f_obj: Integrand, f_nodes: np.ndarray,
     """Damped Newton for one stage, from u until the interior gradient norm
     is at most tol.
 
-    Each step solves the interior Hessian block by conjugate gradients
-    preconditioned with one multigrid V-cycle on the mesh's nested Kuhn
-    hierarchy (:func:`_solve_step`); a PCG miss falls back to the block's
-    sparse LU and is counted in ``lu_fallbacks``.  Armijo backtracking
+    Each step solves the interior Hessian block by :func:`_solve_step`,
+    whose LU fallbacks are counted in ``lu_fallbacks``.  Armijo backtracking
     accepts the step; once it has cut a step whose predicted decrease is
     below the round-off of the energy, it allows ``STALL_SLACK`` ulps of the
     energy for the rest of the stage.
@@ -165,7 +180,7 @@ def _stage_newton(mesh: BoxMesh, f_obj: Integrand, f_nodes: np.ndarray,
         _, df, d2f = f_obj.jet(mesh.simplex_gradients(u), 2)
         grad_full = mesh.scatter_gradient(np.asarray(df, float)) + load
         grad = grad_full[interior]
-        grad_norm = float(np.linalg.norm(grad))
+        grad_norm = float(np.sqrt(_dot(grad, grad)))
         if grad_norm <= tol:
             return StageResult(u, iteration, grad_norm, energies,
                                linear_iterations, lu_fallbacks)
@@ -176,7 +191,7 @@ def _stage_newton(mesh: BoxMesh, f_obj: Integrand, f_nodes: np.ndarray,
         lu_fallbacks += fell_back
         direction = -step
 
-        slope = float(grad @ direction)
+        slope = float(_dot(grad, direction))
         if slope >= 0.0:
             raise NumericError(
                 f"Newton step is not a descent direction at iteration "

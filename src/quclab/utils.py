@@ -118,11 +118,21 @@ def _format_cell(v):
     return v
 
 
-def write_txt(path: Path, data: np.ndarray) -> None:
-    """Rows of a 2-D array as "%.17g" text, the bytes np.savetxt(fmt="%.17g")
-    writes, formatted by one string operation instead of one per row."""
-    row = " ".join(["%.17g"] * data.shape[1]) + "\n"
-    Path(path).write_text((row * len(data)) % tuple(data.ravel().tolist()))
+def write_grid_txt(path: Path, axis: np.ndarray, dim: int, values: np.ndarray) -> None:
+    """Grid snapshot as "%.17g" text: one row per point of the axis^dim grid
+    in row-major ("ij") order, its coordinates then its values, the bytes
+    np.savetxt(np.column_stack([coords, values]), fmt="%.17g") writes.
+
+    Each axis coordinate is formatted once, into the rows' format string,
+    and one string operation formats the values alone.
+    """
+    values = np.asarray(values, float).reshape(len(axis) ** dim, -1)
+    coords = ["%.17g " % c for c in axis.tolist()]
+    # "\0" marks each row's start, where every outer axis puts its coordinate
+    fmt = "\0" + " ".join(["%.17g"] * values.shape[1]) + "\n"
+    for _ in range(dim):
+        fmt = "".join([fmt.replace("\0", "\0" + c) for c in coords])
+    Path(path).write_text(fmt.replace("\0", "") % tuple(values.ravel().tolist()))
 
 
 class Manifest:

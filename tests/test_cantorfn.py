@@ -8,7 +8,8 @@ from scipy.integrate import quad
 
 from quclab import cantorfn
 from quclab.cantorfn import CantorProfile, cantor_profile, h_levels
-from quclab.counterexamples import cantor_stress_field
+from quclab.counterexamples import (cantor_stress_field, cantor_stress_fields,
+                                    sobolev_blowup_diagnostic)
 from quclab.errors import InputError
 
 
@@ -157,6 +158,14 @@ class TestPieceLookup:
         assert a is b and a._tab is b._tab
         assert cantorfn.cantor_profile(13) is a
         assert profile_of(cantor_stress_field(12)) is not a
+
+    def test_default_cantor_range_builds_each_level_once(self):
+        # a default cantor run asks for levels 4..12 from the stress
+        # evaluator and then from the blow-up table
+        cantorfn.cantor_profile.cache_clear()
+        cantor_stress_fields(range(4, 13))
+        sobolev_blowup_diagnostic(range(4, 13), 64)
+        assert cantorfn.cantor_profile.cache_info().misses == 9
 
 
 def _edge_points(profiles):

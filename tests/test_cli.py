@@ -3,6 +3,9 @@
 import csv
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -12,6 +15,7 @@ import scipy
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import quclab
 from quclab import cordes
 from quclab.cli import main
 from quclab.integrands import (
@@ -77,6 +81,8 @@ _SOLVE_16 = {"version": 1, "problem": {
     "boundary": {"kind": "radial_power", "params": {"p": 3}},
     "source": {"kind": "constant", "params": {"value": 1.0}}},
     "schedule": {"stages": [[0.02, 1e-4], [0.0, 0.0]]}}
+# the bench's 128^2 cascade, on the default schedule
+_CASCADE_128 = {"version": 1, "problem": dict(_SOLVE_16["problem"], cells=128)}
 _SUBCOMMANDS = {
     "matrix-check": ["--trials", "500", "--seed", "7", "--dims", "2,3"],
     "integrand": ["--name", "power", "--param", "p=3", "--samples", "1000"],
@@ -104,6 +110,24 @@ class TestDeterminism:
             outputs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())
                             if f.name != "manifest.json"})
         assert outputs[0] and outputs[0] == outputs[1]
+
+    def test_solve_bytes_independent_of_blas_threads(self, tmp_path):
+        # numpy hands a long 1-D dot or norm to BLAS, whose partial sums
+        # follow its thread count, read once at load: hence the subprocesses
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(_CASCADE_128))
+        src = str(Path(quclab.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        outputs = []
+        for threads in ("1", "2"):
+            subprocess.run([sys.executable, "-m", "quclab.cli", "solve", "--config",
+                            str(config), "--out", str(tmp_path / threads)],
+                           env=dict(env, OPENBLAS_NUM_THREADS=threads), check=True,
+                           timeout=600)
+            outputs.append({name: (tmp_path / threads / name).read_bytes() for name in
+                            ("report.json", "stages.csv", "solution.txt", "stress.txt")})
+        assert outputs[0] == outputs[1]
 
 
 # (subcommand, argv, report files) of the reports committed in tests/golden

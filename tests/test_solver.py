@@ -389,6 +389,21 @@ class TestMultigridStep:
         assert (iterations, fell_back) == (0, True)
         np.testing.assert_array_equal(step, newton._factorize(mesh, block)(rhs))
 
+    @pytest.mark.parametrize("scale", [1e-46, 1e40])
+    def test_d2f_beyond_float32_goes_straight_to_lu(self, rng, scale):
+        # float32 flushes the block's diagonal to zero (underflow) or to
+        # infinity (overflow), which leaves the float32 V-cycle no Jacobi
+        # smoother: the step is the block's LU solve, with no PCG iteration
+        mesh = BoxMesh(dim=2, cells=16, half_width=1.0)
+        d2f = scale * np.broadcast_to(np.eye(2), (mesh.n_simplices, 2, 2))
+        block = mesh.assemble_hessian(d2f)
+        rhs = rng.standard_normal(block.shape[0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            step, iterations, fell_back = newton._solve_step(mesh, d2f, rhs)
+        assert (iterations, fell_back) == (0, True)
+        np.testing.assert_array_equal(step, newton._factorize(mesh, block)(rhs))
+
     def test_vcycle_is_freed_without_the_cycle_collector(self, rng):
         # the cycle holds its levels (blocks, smoothers, coarsest LU) by
         # reference only, so dropping it frees every Newton step's operators

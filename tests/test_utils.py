@@ -13,8 +13,9 @@ import pytest
 from quclab.errors import InputError
 from quclab.integrands.profiles import bounded_power_profile, power_profile
 from quclab.solver import radial_power_solution
+from quclab.solver.mesh import BoxMesh
 from quclab.utils import (Manifest, check_p, pool_map, strict_float, worker_count,
-                          write_csv, write_json, write_txt)
+                          write_csv, write_grid_txt, write_json)
 
 
 class TestWorkerCount:
@@ -136,12 +137,20 @@ class TestWriters:
         assert loaded["arr"] == [1.0, "inf"]
 
     def test_txt_matches_savetxt_bytes(self, tmp_path, rng):
-        data = rng.standard_normal((50, 4)) * 10.0 ** rng.integers(-300, 300, (50, 4))
-        data[0] = [-0.0, np.nan, np.inf, -np.inf]
-        data[1] = [0.1 + 0.2, 1e-320, 2.0 ** 60, -1.0]
-        write_txt(tmp_path / "a.txt", data)
-        np.savetxt(tmp_path / "b.txt", data, fmt="%.17g")
-        assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
+        # nodal values on the node grid and dim columns on the cell centers
+        for dim, cells in ((2, 6), (3, 4)):
+            mesh = BoxMesh(dim=dim, cells=cells, half_width=1.3)
+            for axis, coords, columns in ((mesh.node_axis, mesh.node_coords(), 1),
+                                          (mesh.center_axis, mesh.cell_centers(), dim)):
+                shape = (len(coords), columns)
+                values = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+                values.flat[:8] = [-0.0, np.nan, np.inf, -np.inf,
+                                   0.1 + 0.2, 1e-320, 2.0 ** 60, -1.0]
+                write_grid_txt(tmp_path / "a.txt", axis, dim, values)
+                np.savetxt(tmp_path / "b.txt", np.column_stack([coords, values]),
+                           fmt="%.17g")
+                assert (tmp_path / "a.txt").read_bytes() == \
+                    (tmp_path / "b.txt").read_bytes(), (dim, columns)
 
     def test_csv_float_repr(self, tmp_path):
         path = tmp_path / "t.csv"
