@@ -161,8 +161,8 @@ class CantorProfile:
 
     def _unit_h(self, frac: np.ndarray, j: np.ndarray) -> np.ndarray:
         """h_L(frac) on [0, 1] from the pieces j that hold frac."""
-        # vals + slopes (frac - breaks), in place: fresh arrays of a
-        # quadrature block's size cost more than the arithmetic
+        # vals + slopes (frac - breaks), in place: fresh arrays of the
+        # point count cost more than the arithmetic
         val = np.asarray(frac - self._breaks[j])  # an array also for one point
         val *= self._slopes[j]
         val += self._vals[j]

@@ -312,7 +312,7 @@ def cmd_cantor(args, out_dir: Path, manifest: Manifest):
     levels = counterexamples.check_levels(_parse_levels(args.levels))
     counterexamples.check_n_grid(args.n_grid)
     fields = counterexamples.cantor_stress_fields(levels)
-    # the blow-up table shares the pool with the per-bump quadratures
+    # the blow-up table shares the pool with the per-bump polar rules
     with ThreadPoolExecutor(max_workers=worker_count()) as pool:
         table_job = pool.submit(counterexamples.sobolev_blowup_diagnostic,
                                 levels, n_grid=args.n_grid)
@@ -335,8 +335,7 @@ def cmd_cantor(args, out_dir: Path, manifest: Manifest):
                "n_bumps": args.bumps, "n_grid": args.n_grid,
                "worst_residual": worst,
                "worst_quadrature_bound": max(weak.bounds),
-               "quadrature_cells": weak.cells,
-               "quadrature_depth_cap_hits": weak.depth_cap_hits,
+               "quadrature_nodes": weak.nodes,
                "residual_below_threshold": passed}
     return _write_report(manifest.add(out_dir / "report.json"), payload, passed)
 

@@ -23,25 +23,26 @@ its memory by the number of levels.
 
 Numerical caveat recorded here for honesty: fields of the form psi(|z|)
 z_perp are tangential to circles and hence weakly divergence-free for any
-bounded radial profile, so the measured weak residual is quadrature noise
-at every level rather than an O(2^-L) quantity; and since h_L(1/r) is
-monotone along rays, the L^1 difference quotients of V_L telescope to a
-level-independent total-variation value instead of blowing up.  The m > 1
-quotient columns are the honest finite-level witnesses of the forming
-singular part.
+bounded radial profile, so the weak residual is zero at every level rather
+than an O(2^-L) quantity.  V.Dphi = psi(r) d_theta phi, and the polar rule
+of ``weak_divergence_residuals`` integrates d_theta phi over each circle's
+arc, at whose ends phi vanishes, so the measured residual is round-off
+(about 1e-16) whatever the kinks of h_L.  Since h_L(1/r) is monotone along
+rays, the L^1 difference quotients of V_L telescope to a level-independent
+total-variation value instead of blowing up.  The m > 1 quotient columns
+are the honest finite-level witnesses of the forming singular part.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from typing import Callable
 
 import numpy as np
 
 from .cantorfn import cantor_profile, h_levels
-from .errors import InputError
-from .quadrature import adaptive_quad_2d
+from .errors import InputError, NumericError
 from .utils import strict_int
 
 
@@ -68,8 +69,8 @@ def _cantor_stress(profiles, z):
     x, y = z.reshape(-1, 2).T  # a view for (M, 2) points
     if np.any(x <= 0.0):
         raise InputError("points must lie in the right half-plane {x > 0}")
-    # 1/r^2 + h(1/r)/r, in place: fresh arrays of a quadrature block's size
-    # cost more than the arithmetic; tmp holds 1/r, then 1/r^2, then -y
+    # 1/r^2 + h(1/r)/r, in place: fresh arrays of the point count cost more
+    # than the arithmetic; tmp holds 1/r, then 1/r^2, then -y
     r = x * x
     r += y * y
     np.sqrt(r, out=r)
@@ -156,50 +157,97 @@ def _bump_bank(count: int, seed: int):
     return bumps
 
 
+# (r, theta) node counts of the polar rule and of the coarser rule whose
+# difference from it bounds the quadrature error
+_POLAR_ORDERS = ((64, 32), (48, 24))
+_POLAR_NODES = sum(n_r * n_t for n_r, n_t in _POLAR_ORDERS)  # per bump, both rules
+
+
 @dataclass(frozen=True)
 class WeakResiduals:
     residuals: list[float]  # per field: max over bumps of |int (V, Dphi)| / ||Dphi||_1
-    bounds: list[float]     # per field: max over bumps of err_est / ||Dphi||_1
-    cells: int              # quadtree cells, summed over the bumps
-    depth_cap_hits: int     # bumps whose quadtree reached max_depth
+    bounds: list[float]     # per field: max over bumps of |I_64x32 - I_48x24| / ||Dphi||_1
+    nodes: int              # quadrature nodes, both rules, summed over the bumps
+
+
+@cache
+def _gauss(n: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], built on first use."""
+    return np.polynomial.legendre.leggauss(n)
+
+
+def _polar_rule(dist, phase, rho, n_r, n_t):
+    """(2, M) points and (M,) weights of the n_r x n_t Gauss product rule in
+    polar coordinates about the origin over the disk B(dist e^{i phase},
+    rho), dist > rho: Gauss-Legendre in r on [dist - rho, dist + rho] and,
+    on each circle, in theta on the disk's arc phase +- alpha(r)."""
+    (x_r, w_r), (x_t, w_t) = _gauss(n_r), _gauss(n_t)
+    r = dist + rho * x_r
+    cos_alpha = (r * r + (dist * dist - rho * rho)) / (2.0 * dist * r)
+    alpha = np.arccos(np.clip(cos_alpha, -1.0, 1.0))
+    theta = phase + alpha[:, None] * x_t
+    pts = np.stack([r[:, None] * np.cos(theta), r[:, None] * np.sin(theta)])
+    return pts.reshape(2, -1), np.outer(rho * w_r * r * alpha, w_t).ravel()
+
+
+def _weak_pairings(fields, bump):
+    """(k,) integrals of (V, Dphi) over the bump's disk, for each field V of
+    the stack, on the 64 x 32 polar rule, and (k,) their distances from the
+    48 x 24 rule's.
+
+    V.Dphi = psi(r) d_theta phi for a field psi(|z|) z_perp, and phi
+    vanishes at both ends of each circle's arc, so the theta rule integrates
+    it to round-off whatever the kinks of psi.  InputError unless the disk
+    excludes the origin (the arc is one interval only then); NumericError
+    unless the integrals and distances are finite.
+    """
+    (cx, cy), rho = bump.center, bump.radius
+    dist = float(np.hypot(cx, cy))
+    if not dist > rho:
+        raise InputError(f"the polar rule needs a bump disk that excludes the origin: "
+                         f"|center| = {dist!r}, radius = {rho!r}")
+    rules = [_polar_rule(dist, float(np.arctan2(cy, cx)), rho, *orders)
+             for orders in _POLAR_ORDERS]
+    # (M, 2) points with contiguous columns: the fields and the bump work
+    # column by column
+    pts = np.concatenate([p for p, _ in rules], axis=1).T
+    g, v = bump.gradient(pts), fields(pts)
+    pairing, other = v[..., 0], v[..., 1]
+    pairing *= g[:, 0]
+    other *= g[:, 1]
+    pairing += other
+    # einsum, not a BLAS dot, so the sums ignore the BLAS thread count
+    split = len(rules[0][1])
+    fine = np.einsum("km,m->k", pairing[:, :split], rules[0][1])
+    bound = np.abs(fine - np.einsum("km,m->k", pairing[:, split:], rules[1][1]))
+    if not (np.all(np.isfinite(fine)) and np.all(np.isfinite(bound))):
+        raise NumericError(f"non-finite weak pairing on the bump at {bump.center.tolist()} "
+                           f"of radius {rho!r}")
+    return fine, bound
 
 
 def weak_divergence_residuals(fields, n_bumps: int = 50, seed: int = 0,
-                              tol_cell: float = 1e-12, max_depth: int = 8,
-                              max_cells: int = 60_000, map=map) -> WeakResiduals:
+                              map=map) -> WeakResiduals:
     """Per field of a stack, max over C^2 bumps phi in the ball
     B(BALL_CENTER, BALL_RADIUS) of |int (V, Dphi)| / ||Dphi||_1.
 
     ``fields`` maps (M, 2) points to a new (k, M, 2) stack of k fields, as
-    ``cantor_stress_fields`` does; the pairings overwrite that array, since
-    fresh arrays of a quadrature block's size cost more than the products.
-    Each bump integrates every field's pairing on one adaptive quadtree over
-    its bounding box; the residuals decrease toward zero under quadrature
-    refinement (deeper max_depth / smaller tol_cell).  phi is radial and
-    decreasing, so ||Dphi||_1 = 2 pi int_0^rho phi = 320 pi rho / 231.  The
-    bumps are independent tasks handed to ``map`` (an executor's ``map``
-    runs them in parallel); the result does not depend on its schedule.
+    ``cantor_stress_fields`` does; the pairings overwrite that array.  Each
+    bump integrates every field's pairing on one polar Gauss rule about the
+    origin (``_weak_pairings``), and its bound is the distance from a
+    coarser rule's.  phi is radial and decreasing, so ||Dphi||_1 = 2 pi
+    int_0^rho phi = 320 pi rho / 231.  The bumps are independent tasks
+    handed to ``map`` (an executor's ``map`` runs them in parallel); the
+    result does not depend on its schedule.
     """
     def per_bump(bump):
-        def pairings(pts):
-            g, v = bump.gradient(pts), fields(pts)
-            pairing, other = v[..., 0], v[..., 1]
-            pairing *= g[:, 0]
-            other *= g[:, 1]
-            pairing += other
-            return pairing
+        value, bound = _weak_pairings(fields, bump)
+        den = 320.0 * np.pi * bump.radius / 231.0
+        return np.abs(value) / den, bound / den
 
-        (cx, cy), rho = bump.center, bump.radius
-        quad = adaptive_quad_2d(pairings, (cx - rho, cx + rho, cy - rho, cy + rho),
-                                tol_cell=tol_cell, max_depth=max_depth,
-                                max_cells=max_cells)
-        den = 320.0 * np.pi * rho / 231.0
-        return (np.abs(quad.value) / den, quad.error_estimate / den, quad.cells_used,
-                quad.depth_reached >= max_depth)
-
-    ratios, bounds, cells, capped = zip(*map(per_bump, _bump_bank(n_bumps, seed)))
+    ratios, bounds = zip(*map(per_bump, _bump_bank(n_bumps, seed)))
     return WeakResiduals(np.max(ratios, axis=0).tolist(), np.max(bounds, axis=0).tolist(),
-                         sum(cells), sum(capped))
+                         _POLAR_NODES * n_bumps)
 
 
 # -- finite-level Sobolev diagnostics -------------------------------------------

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from quclab import counterexamples as ce
-from quclab.errors import InputError
-from quclab.quadrature import adaptive_quad_2d
+from quclab.errors import InputError, NumericError
 
 
 @pytest.fixture
@@ -103,12 +102,6 @@ class TestWeakDivergence:
         [res] = _residuals(ce.cantor_stress_fields([12]), n_bumps=8, seed=3)
         assert res <= 1e-3
 
-    def test_quadrature_refinement_decreases_residual(self):
-        fields = ce.cantor_stress_fields([8])
-        [coarse] = _residuals(fields, n_bumps=4, seed=5, max_depth=3, tol_cell=1e-6)
-        [fine] = _residuals(fields, n_bumps=4, seed=5, max_depth=9, tol_cell=1e-12)
-        assert fine < coarse
-
     def test_pooled_run_matches_serial_run_bit_for_bit(self):
         fields = ce.cantor_stress_fields([8, 12])
         serial = ce.weak_divergence_residuals(fields, n_bumps=4, seed=3)
@@ -116,11 +109,11 @@ class TestWeakDivergence:
             pooled = ce.weak_divergence_residuals(fields, n_bumps=4, seed=3,
                                                   map=pool.map)
         assert pooled == serial
-        assert serial.cells > 0 and 0 <= serial.depth_cap_hits <= 4
+        assert serial.nodes == 4 * (64 * 32 + 48 * 24)
 
     def test_stack_of_copies_gives_one_row_per_copy(self):
-        # k equal rows refine the same quadtree as one row, so each row's
-        # residual and bound, and the cell count, are the one-field call's
+        # each row of the stack is summed on its own, so each row's residual
+        # and bound, and the node count, are the one-field call's
         field = ce.cantor_stress_field(9)
         one = ce.weak_divergence_residuals(_one(field), n_bumps=4, seed=3)
         for k in (2, 3):
@@ -128,40 +121,74 @@ class TestWeakDivergence:
                                                  n_bumps=4, seed=3)
             assert stack.residuals == one.residuals * k
             assert stack.bounds == one.bounds * k
-            assert (stack.cells, stack.depth_cap_hits) == (one.cells, one.depth_cap_hits)
+            assert stack.nodes == one.nodes
 
-    def test_one_field_matches_scalar_quadrature(self):
-        field = ce.cantor_stress_field(10)
-        res = ce.weak_divergence_residuals(ce.cantor_stress_fields([10]), n_bumps=4, seed=3)
-        ratios, bounds, cells = [], [], 0
-        for bump in ce._bump_bank(4, 3):
-            def pairing(pts, bump=bump):
-                v, g = field(pts), bump.gradient(pts)
-                return v[:, 0] * g[:, 0] + v[:, 1] * g[:, 1]
-
-            (cx, cy), rho = bump.center, bump.radius
-            quad = adaptive_quad_2d(pairing, (cx - rho, cx + rho, cy - rho, cy + rho),
-                                    tol_cell=1e-12, max_depth=8, max_cells=60_000)
-            den = 320.0 * np.pi * rho / 231.0
-            ratios.append(abs(quad.value) / den)
-            bounds.append(quad.error_estimate / den)
-            cells += quad.cells_used
-        assert res.residuals == [max(ratios)] and res.bounds == [max(bounds)]
-        assert res.cells == cells
+    def test_stacked_levels_match_one_level_calls_bit_for_bit(self):
+        levels = [6, 10, 13]
+        stack = ce.weak_divergence_residuals(ce.cantor_stress_fields(levels),
+                                             n_bumps=4, seed=3)
+        for i, level in enumerate(levels):
+            one = ce.weak_divergence_residuals(ce.cantor_stress_fields([level]),
+                                               n_bumps=4, seed=3)
+            assert (one.residuals, one.bounds) == ([stack.residuals[i]], [stack.bounds[i]])
 
     def test_closed_form_dphi_l1_matches_quadrature(self):
-        # ||Dphi||_1 = 2 pi int_0^rho phi = 320 pi rho / 231 for the quintic bump
+        # ||Dphi||_1 = 2 pi int_0^rho |phi'(s)| s ds = 320 pi rho / 231 for the
+        # quintic bump; the integrand is a degree-10 polynomial in s, which a
+        # 16-node Gauss rule integrates exactly
+        x, w = np.polynomial.legendre.leggauss(16)
         for bump in ce._bump_bank(3, 0):
-            (cx, cy), rho = bump.center, bump.radius
-            quad = adaptive_quad_2d(lambda pts: np.linalg.norm(bump.gradient(pts), axis=1),
-                                    (cx - rho, cx + rho, cy - rho, cy + rho),
-                                    tol_cell=1e-14, max_depth=9, max_cells=400_000)
-            assert quad.value == pytest.approx(320.0 * np.pi * rho / 231.0, rel=1e-8)
+            rho = bump.radius
+            s = 0.5 * rho * (x + 1.0)
+            pts = bump.center + s[:, None] * np.array([1.0, 0.0])
+            slope = np.linalg.norm(bump.gradient(pts), axis=1)
+            norm = 2.0 * np.pi * 0.5 * rho * np.sum(w * slope * s)
+            assert norm == pytest.approx(320.0 * np.pi * rho / 231.0, rel=1e-14)
 
     def test_divergent_field_flagged(self):
         # V = x has weak divergence 2: the residual stays away from zero
         [res] = _residuals(_one(lambda z: np.array(z, float)), n_bumps=8, seed=3)
         assert res > 1e-2
+
+    @pytest.mark.parametrize("eps", [1e-6, 1e-3])
+    def test_radial_perturbation_read_within_its_bound(self, eps):
+        # eps x/|x| has divergence eps/|x|, so the residual is
+        # max over bumps of eps int phi/|x| / ||Dphi||_1, which the reference
+        # integrates in polar coordinates about each bump's centre: Gauss in
+        # the radius, the periodic trapezoid rule in the angle
+        level12 = ce.cantor_stress_fields([12])
+
+        def fields(z):
+            v = level12(z)
+            r = np.hypot(z[:, 0], z[:, 1])
+            v[0] += eps * z / r[:, None]
+            return v
+
+        weak = ce.weak_divergence_residuals(fields)
+        x, w = np.polynomial.legendre.leggauss(64)
+        angle = 2.0 * np.pi * np.arange(256) / 256
+        circle = np.stack([np.cos(angle), np.sin(angle)], axis=1)
+        refs = []
+        for bump in ce._bump_bank(50, 0):
+            rho = bump.radius
+            s = 0.5 * rho * (x + 1.0)
+            pts = (bump.center + s[:, None, None] * circle).reshape(-1, 2)
+            f = (bump.value(pts) / np.hypot(pts[:, 0], pts[:, 1])).reshape(len(s), -1)
+            integral = 0.5 * rho * np.sum(w * s * f.mean(axis=1)) * 2.0 * np.pi
+            refs.append(eps * integral / (320.0 * np.pi * rho / 231.0))
+        [res], [bound] = weak.residuals, weak.bounds
+        assert abs(res - max(refs)) <= bound
+        assert res == pytest.approx(4.0406e-2 * eps, rel=1e-4)
+
+    def test_disk_through_the_origin_rejected(self):
+        bump = ce.QuinticBump(center=np.array([0.1, 0.0]), radius=0.2)
+        with pytest.raises(InputError, match="excludes the origin"):
+            ce._weak_pairings(_one(ce.arctan_gradient), bump)
+
+    def test_non_finite_pairing_raises(self):
+        [bump] = ce._bump_bank(1, 0)
+        with pytest.raises(NumericError, match="non-finite weak pairing"):
+            ce._weak_pairings(lambda z: np.full((1, len(z), 2), np.nan), bump)
 
 
 @pytest.fixture(scope="module")
