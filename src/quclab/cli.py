@@ -312,13 +312,13 @@ def cmd_cantor(args, out_dir: Path, manifest: Manifest):
     levels = counterexamples.check_levels(_parse_levels(args.levels))
     counterexamples.check_n_grid(args.n_grid)
     fields = counterexamples.cantor_stress_fields(levels)
-    # the blow-up table shares the pool with the per-bump polar rules
+    # the per-bump polar rules, then the blow-up table's grid chunks, are
+    # the pool's tasks; the table waits in this thread, never in a worker
     with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        table_job = pool.submit(counterexamples.sobolev_blowup_diagnostic,
-                                levels, n_grid=args.n_grid)
         weak = counterexamples.weak_divergence_residuals(
             fields, n_bumps=args.bumps, seed=args.seed, map=pool.map)
-        table = table_job.result()
+        table = counterexamples.sobolev_blowup_diagnostic(
+            levels, n_grid=args.n_grid, map=partial(pool_map, pool))
     write_csv(manifest.add(out_dir / "blowup.csv"),
               ["level", "w11_quotient", "sup_quotient", "l15_quotient",
                "control_w11"],

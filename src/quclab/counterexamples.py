@@ -18,8 +18,8 @@ table, and the weak residuals pair V_L with ``QuinticBump`` test functions.
 only where the coarser one leaves a ramp or lies within a few ulps of a
 gap's end (on a gap, every finer h_L has the same dyadic value), so each
 row equals the one-level field bit for bit.  The blow-up table keeps its
-per-level evaluation: stacking its grid-sized base arrays would multiply
-its memory by the number of levels.
+per-level evaluation, as stacking its grid-sized base arrays would multiply
+its memory by the number of levels, and hands its grid chunks to the pool.
 
 Numerical caveat recorded here for honesty: fields of the form psi(|z|)
 z_perp are tangential to circles and hence weakly divergence-free for any
@@ -54,11 +54,15 @@ def arctan_value(z):
 
 
 def arctan_gradient(z):
-    """Du = z_perp / |z|^2 for u = arctan(y/x)."""
+    """Du = z_perp / |z|^2 for u = arctan(y/x), column by column."""
     z = np.asarray(z, float)
-    r2 = np.sum(z * z, axis=-1)
-    perp = np.stack([-z[..., 1], z[..., 0]], axis=-1)
-    return perp / r2[..., None]
+    x, y = z[..., 0], z[..., 1]
+    r2 = x * x
+    r2 += y * y
+    out = np.empty_like(z)  # keeps a column-major z's contiguous columns
+    np.divide(np.negative(y, out=out[..., 0]), r2, out=out[..., 0])
+    np.divide(x, r2, out=out[..., 1])
+    return out
 
 
 # -- the Cantor stress ---------------------------------------------------------
@@ -252,7 +256,7 @@ def weak_divergence_residuals(fields, n_bumps: int = 50, seed: int = 0,
 
 # -- finite-level Sobolev diagnostics -------------------------------------------
 
-_GRID_CHUNK = 1 << 16  # grid points per field evaluation in the blow-up table
+_GRID_CHUNK = 1 << 15  # grid points per field evaluation in the blow-up table
 
 
 @dataclass(frozen=True)
@@ -287,14 +291,15 @@ def check_n_grid(n_grid) -> int:
     return n_grid
 
 
-def sobolev_blowup_diagnostic(levels, n_grid: int = 1024) -> list[BlowupRow]:
+def sobolev_blowup_diagnostic(levels, n_grid: int = 1024, map=map) -> list[BlowupRow]:
     """Difference-quotient table at matched resolution across levels, on the
     ball B(BALL_CENTER, BALL_RADIUS).
 
     The grid step delta = (2 BALL_RADIUS)/n_grid is the quotient scale; the
     four lattice directions (axes and diagonals) are scanned and the worst
     taken.  See the module docstring for why the W^{1,1} column saturates at
-    the total-variation value while the m > 1 columns grow.
+    the total-variation value while the m > 1 columns grow.  Each grid chunk
+    is one ``map`` task; the sums run in this thread, so no schedule moves them.
     """
     levels = check_levels(levels)
     n_grid = check_n_grid(n_grid)
@@ -328,17 +333,22 @@ def sobolev_blowup_diagnostic(levels, n_grid: int = 1024) -> list[BlowupRow]:
         # the fields are pointwise: evaluating them chunk by chunk bounds
         # their temporaries and leaves every entry of diff unchanged
         base = np.empty_like(pts)
-        for ch in chunks:
-            base[ch] = field(pts[ch])
         diff = np.empty(len(pts))
+
+        def fill_base(ch):
+            base[ch] = field(pts[ch])
+
+        def fill_diff(e, ch):
+            step = field(pts[ch] + e)
+            step -= base[ch]
+            # np.linalg.norm(step, axis=1) bit for bit, and faster
+            s0, s1 = step[:, 0], step[:, 1]
+            diff[ch] = np.sqrt(s0 * s0 + s1 * s1) / delta
+
+        list(map(fill_base, chunks))
         w11 = sup_q = l15 = 0.0
         for e in dirs:
-            for ch in chunks:
-                step = field(pts[ch] + e)
-                step -= base[ch]
-                # np.linalg.norm(step, axis=1) bit for bit, and faster
-                s0, s1 = step[:, 0], step[:, 1]
-                diff[ch] = np.sqrt(s0 * s0 + s1 * s1) / delta
+            list(map(partial(fill_diff, e), chunks))
             w11 = max(w11, float(np.sum(diff) * area))
             sup_q = max(sup_q, float(diff.max()))
             l15 = max(l15, float((np.sum(diff ** 1.5) * area) ** (1.0 / 1.5)))

@@ -133,6 +133,9 @@ class TestDeterminism:
 # (subcommand, argv, report files) of the reports committed in tests/golden;
 # `python tests/regen_golden.py [SUBCOMMAND ...]` rewrites them from this table
 _GOLDEN = [
+    ("matrix-check", _SUBCOMMANDS["matrix-check"], ["report.json"]),
+    ("integrand", _SUBCOMMANDS["integrand"], ["report.json"]),
+    ("cordes", _SUBCOMMANDS["cordes"], ["report.json"]),
     ("riesz-check", ["--n", "32", "--fields", "3", "--kmax", "4", "--seed", "3"],
      ["residuals.csv", "summary.json"]),
     ("cantor", ["--levels", "6..9", "--bumps", "4", "--n-grid", "64", "--seed", "3"],
@@ -429,6 +432,18 @@ class TestCantor:
         bounds = [float(row["quadrature_bound"]) for row in rows]
         assert report["worst_quadrature_bound"] == max(bounds) > 0.0
         assert report["quadrature_nodes"] == 4 * (64 * 32 + 48 * 24)
+
+    def test_one_worker_runs_a_multi_chunk_table(self, tmp_path):
+        # --n-grid 256 spans two grid chunks; a table that waited on its
+        # chunk tasks from inside a one-worker pool would hang, hence the
+        # subprocess and its timeout
+        src = str(Path(quclab.__file__).resolve().parents[1])
+        env = dict(os.environ, QUC_THREADS="1", PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "quclab.cli", "cantor", "--levels",
+                               "4..5", "--bumps", "4", "--n-grid", "256", "--out",
+                               str(tmp_path / "out")], env=env, timeout=60)
+        assert proc.returncode == 0
 
 
 class TestAggregate:

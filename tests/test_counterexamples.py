@@ -1,12 +1,15 @@
 """Tests for the arctan solution and the Cantor stress diagnostics."""
 
+import sys
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
 import pytest
 
 from quclab import counterexamples as ce
 from quclab.errors import InputError, NumericError
+from quclab.utils import pool_map, worker_count
 
 
 @pytest.fixture
@@ -222,6 +225,33 @@ class TestBlowupDiagnostic:
     def test_l15_quotient_exceeds_smooth_baseline(self, table):
         rows_l15 = np.array([row.l15_quotient for row in table])
         assert np.all(np.diff(rows_l15[:3]) > 0.0)  # grows in the resolved regime
+
+    @pytest.mark.parametrize("threads", ["1", "2", "4"])
+    def test_pooled_table_matches_serial_table_bit_for_bit(self, table, monkeypatch,
+                                                            threads):
+        # n_grid = 384 keeps about 113k points in the ball: full grid chunks
+        # and a partial last one, which the golden cantor row (one chunk)
+        # cannot see; 4 workers and a short switch interval stress the
+        # chunk tasks' writes into the shared arrays
+        monkeypatch.setenv("QUC_THREADS", threads)
+        sizes, one_level = set(), ce.cantor_stress_field
+
+        def recording(level):
+            field = one_level(level)
+            return lambda z: sizes.add(len(z)) or field(z)
+
+        monkeypatch.setattr(ce, "cantor_stress_field", recording)
+        levels = [4, 8]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=worker_count()) as pool:
+                pooled = ce.sobolev_blowup_diagnostic(levels, n_grid=384,
+                                                      map=partial(pool_map, pool))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(sizes) == 2 and ce._GRID_CHUNK in sizes
+        assert pooled == [row for row in table if row.level in levels]
 
     def test_levels_must_increase(self):
         with pytest.raises(InputError):
