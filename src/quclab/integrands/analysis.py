@@ -86,12 +86,6 @@ class GrowthReport:
     holds: bool
     worst_point: np.ndarray | None = None
 
-    @property
-    def C(self) -> float | None:
-        if self.C_lower is None or self.C_upper is None:
-            return None
-        return max(self.C_lower, self.C_upper)
-
 
 def verify_growth(f: Integrand, K: float) -> GrowthReport:
     """Search a finite constant C for the two-sided growth bounds.

@@ -10,7 +10,8 @@ f(|z|) about the origin (which lets the mollifier work in one dimension).
 The jet contract: ``jet_fn(z, order)`` maps points of shape (..., N) to
 ``(F,)``, ``(F, DF)`` or ``(F, DF, D2F)`` for ``order`` 0, 1 or 2, with
 shapes (...), (..., N) and (..., N, N).  Every order is computed in one
-call, so |z|, powers and projections are shared and combinators wrap one
+call, so |z|, powers and projections are shared and each of the three
+combinators (``tilted``, ``mollify``, ``moreau_yosida``) wraps one
 function.  ``value``, ``gradient`` and ``hessian`` are accessors over it.
 """
 
@@ -44,7 +45,7 @@ class Integrand:
     singular_points: tuple = ()
     params: dict = field(default_factory=dict)
     # F(z) = f(|z|) with f smooth on r > 0 (the Uhlenbeck class).  The tilt
-    # keeps it; sums and the other combinators build integrands without it.
+    # keeps it; mollify and moreau_yosida build integrands without it.
     radial: bool = False
 
     def __post_init__(self):
@@ -83,30 +84,6 @@ class Integrand:
         return None if self.declared_K is None else 1.0 + self.declared_K
 
     # -- combinators --------------------------------------------------------
-
-    def __add__(self, other: "Integrand") -> "Integrand":
-        """Sum integrand; the eigenvalue-ratio bound of a sum is max(K1, K2)."""
-        if not isinstance(other, Integrand):
-            return NotImplemented
-        if other.dim != self.dim:
-            raise InputError("cannot add integrands of different dimension")
-        k = None
-        if self.declared_K is not None and other.declared_K is not None:
-            k = max(self.declared_K, other.declared_K)
-
-        def jet(z, order):
-            return tuple(a + b for a, b in zip(self.jet_fn(z, order),
-                                               other.jet_fn(z, order)))
-
-        return Integrand(
-            name=f"({self.name}+{other.name})",
-            dim=self.dim,
-            jet_fn=jet,
-            declared_K=k,
-            minimizer=None,
-            singular_points=self.singular_points + other.singular_points,
-            params={"terms": [self.name, other.name]},
-        )
 
     def tilted(self, mu: float) -> "Integrand":
         """F + (mu/2)|z|^2.  Shifts both extreme Hessian eigenvalues by mu,

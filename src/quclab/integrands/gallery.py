@@ -252,10 +252,11 @@ def orthotropic(p: float, dim: int = 2) -> Integrand:
     )
 
 
+# each maker pops its own parameters; gallery rejects what is left
 PROFILES = {
-    "power": lambda params: power_profile(params["p"]),
+    "power": lambda params: power_profile(params.pop("p")),
     "constant": lambda params: constant_profile(),
-    "bounded_power": lambda params: bounded_power_profile(params["p"]),
+    "bounded_power": lambda params: bounded_power_profile(params.pop("p")),
 }
 
 
@@ -279,7 +280,6 @@ def gallery(name: str, **params) -> Integrand:
             if maker is None:
                 raise InputError(f"unknown profile {prof_name!r}")
             out = uhlenbeck(maker(params), dim=dim)
-            params = {}
         elif name == "gh":
             out = gh(params.pop("p"), params.pop("matrix"), dim=dim)
         elif name == "cantor":

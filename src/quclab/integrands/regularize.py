@@ -21,7 +21,7 @@ diagonal entry of a convex combination of translated Hessians and g'/r
 (g'(0) = 0) the mean of such entries over [0, r], so the ratio bound holds
 there up to the fine rule's quadrature error, and between knots up to the
 interpolation error as well.  Non-radial integrands (``two_center``,
-``gh``, ``mixed``, ``orthotropic``, ``cantor``, sums and ``moreau_yosida``
+``gh``, ``mixed``, ``orthotropic``, ``cantor`` and ``moreau_yosida``
 results) keep the kernel sweep over the 64 / 512-node rule at every
 evaluation.
 """
@@ -310,10 +310,7 @@ def prox_point(f: Integrand, delta: float, z) -> np.ndarray:
         pa = p[active]
         ra = res[active]
         jac = eye + delta * np.asarray(f.hessian(pa), float)
-        try:
-            step = np.linalg.solve(jac, ra[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            step = ra  # fall back to a fixed-point step
+        step = np.linalg.solve(jac, ra[..., None])[..., 0]
         t = np.ones(len(pa))
         cur_norm = res_norm[active]
         for _bt in range(40):

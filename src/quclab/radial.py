@@ -1,15 +1,14 @@
-"""Closed-form-accurate radial solver for Div(a(|Du|) Du) = f and the
-C^{p'} diagnostics.
+"""Closed-form-accurate radial solver for Div(a(|Du|) Du) = f on the ball
+B_R about the origin, with u = 0 on its boundary, and the C^{p'} diagnostics.
 
 For radial u(x) = v(|x|) the equation reduces to the flux identity
 
-    r^(N-1) T(r) = int_{r0}^r s^(N-1) f(s) ds + c,      T = a(|v'|) v',
+    r^(N-1) T(r) = int_0^r s^(N-1) f(s) ds,      T = a(|v'|) v'.
 
-with c the homogeneous flux mode (first-class for annular domains that do
-not contain the origin).  The integral takes adaptive Gauss-Kronrod panels on
-all grid segments at once, and the monotone map t -> a(|t|) t is inverted at
-all radii at once, so the solver is exact up to 1-D quadrature and
-root-finding tolerances and serves as an oracle for the grid solvers.
+The integral takes adaptive Gauss-Kronrod panels on all grid segments at
+once, and the monotone map t -> a(|t|) t is inverted at all radii at once,
+so the solver is exact up to 1-D quadrature and root-finding tolerances and
+serves as an oracle for the grid solvers.
 
 The stress field is V(x) = (T(|x|)/|x|) x with the analytic gradient
 DV = h I + r h' (x/r)(x/r)^t, h = T/r, which is symmetric: radial stress
@@ -41,24 +40,18 @@ def sphere_area(dim: int) -> float:
 
 @dataclass(frozen=True)
 class RadialProblem:
-    """Div(a(|Du|) Du) = f with radial data on [r0, R]."""
+    """Div(a(|Du|) Du) = f with radial data on [0, R], v(R) = 0."""
 
     dim: int
     profile: UhlenbeckProfile
     source: Callable[[np.ndarray], np.ndarray]
     r_max: float
-    r_min: float = 0.0
-    flux_c: float = 0.0
-    boundary_value: float = 0.0
 
     def __post_init__(self):
         if self.dim < 1:
             raise InputError("dim must be >= 1")
-        if not (0.0 <= self.r_min < self.r_max < np.inf
-                and np.isfinite(self.flux_c) and np.isfinite(self.boundary_value)):
-            raise InputError("need 0 <= r_min < r_max < inf and finite flux_c, boundary_value")
-        if self.r_min == 0.0 and self.flux_c != 0.0:
-            raise InputError("the homogeneous flux mode needs r_min > 0")
+        if not 0.0 < self.r_max < np.inf:
+            raise InputError("need 0 < r_max < inf")
         uhlenbeck_indices(self.profile)
 
 
@@ -90,7 +83,7 @@ def _source_on(prob: RadialProblem, s: np.ndarray) -> np.ndarray:
 
 
 def _cumulative_source_integral(prob: RadialProblem, r: np.ndarray) -> np.ndarray:
-    """int_{r0}^{r_i} s^(N-1) f(s) ds on the increasing grid r, r[0] = r0.
+    """int_0^{r_i} s^(N-1) f(s) ds on the increasing grid r, r[0] = 0.
 
     Each level puts the Kronrod and Gauss rules on all open panels, with one
     source call per 1024 panels; a panel's tolerance is 1e-12 of its
@@ -162,31 +155,30 @@ def _invert_flux(profile: UhlenbeckProfile, t_flux: np.ndarray) -> np.ndarray:
 
 def solve_radial(prob: RadialProblem, num: int = 4097) -> RadialSolution:
     """Flux quadrature + monotone inversion + cumulative integration of v'."""
-    r = np.linspace(prob.r_min, prob.r_max, num)
+    r = np.linspace(0.0, prob.r_max, num)
     src_int = _cumulative_source_integral(prob, r)
-    flux = (src_int + prob.flux_c) / np.where(r > 0.0, r ** (prob.dim - 1), np.inf)
+    flux = src_int / np.where(r > 0.0, r ** (prob.dim - 1), np.inf)
     v_prime = _invert_flux(prob.profile, flux)
     v_rel = integrate.cumulative_simpson(v_prime, x=r, initial=0.0)
-    v = v_rel - v_rel[-1] + prob.boundary_value
+    v = v_rel - v_rel[-1]
     f_vals = _source_on(prob, r)
     with np.errstate(invalid="ignore"):
         flux_prime = f_vals - (prob.dim - 1) * flux / np.where(r > 0.0, r, np.inf)
-    if r[0] == 0.0:
-        flux_prime[0] = f_vals[0] / prob.dim
+    flux_prime[0] = f_vals[0] / prob.dim
     return RadialSolution(problem=prob, r=r, flux=flux, v_prime=v_prime,
                           v=v, flux_prime=flux_prime)
 
 
 def flux_identity_defect(sol: RadialSolution) -> float:
-    """max_r |r^(N-1) T(r) - int s^(N-1) f ds - c| (independent re-quadrature)."""
+    """max_r |r^(N-1) T(r) - int_0^r s^(N-1) f ds| (independent re-quadrature)."""
     prob = sol.problem
     idx = np.linspace(0, len(sol.r) - 1, 33).astype(int)
     r_checked = sol.r[idx]
     worst = 0.0
     integrand = lambda s: s ** (prob.dim - 1) * float(prob.source(np.asarray(s)))
     for r_i, t_i in zip(r_checked, sol.flux[idx]):
-        ref, _ = integrate.quad(integrand, prob.r_min, r_i, epsabs=1e-13, epsrel=1e-12)
-        worst = max(worst, abs(r_i ** (prob.dim - 1) * t_i - ref - prob.flux_c))
+        ref, _ = integrate.quad(integrand, 0.0, r_i, epsabs=1e-13, epsrel=1e-12)
+        worst = max(worst, abs(r_i ** (prob.dim - 1) * t_i - ref))
     return worst
 
 
@@ -210,8 +202,7 @@ def stress_of(sol: RadialSolution, points: np.ndarray) -> StressGrid:
     if pts.shape[-1] != dim:
         raise InputError("points dimension mismatch")
     r = np.linalg.norm(pts, axis=-1)
-    r_floor = max(sol.problem.r_min, 1e-14 * sol.problem.r_max)
-    if np.any(r < r_floor) or np.any(r > sol.problem.r_max + 1e-12):
+    if np.any(r < 1e-14 * sol.problem.r_max) or np.any(r > sol.problem.r_max + 1e-12):
         raise InputError("points outside the solved radial range")
     t_prime = np.interp(r, sol.r, sol.flux_prime)
     h = np.interp(r, sol.r, sol.flux) / r
@@ -295,7 +286,7 @@ def stress_wm_norm(sol: RadialSolution, m: float, r_lo: float, r_hi: float) -> d
 
 def source_lm_norm(prob: RadialProblem, m: float, r_lo: float, r_hi: float) -> float:
     """||f||_{L^m} on {r_lo <= |x| <= r_hi} by Simpson's rule on 2049 radii."""
-    r = np.linspace(max(r_lo, prob.r_min), min(r_hi, prob.r_max), 2049)
+    r = np.linspace(max(r_lo, 0.0), min(r_hi, prob.r_max), 2049)
     f_vals = _source_on(prob, r)
     area = sphere_area(prob.dim)
     return float((area * integrate.simpson(np.abs(f_vals) ** m * r ** (prob.dim - 1), x=r))

@@ -7,7 +7,6 @@ from .problem import (
     load_problem_config,
     make_boundary,
     make_source,
-    problem_config_to_dict,
     radial_power_solution,
 )
 from .minimize import (
@@ -38,7 +37,6 @@ __all__ = [
     "make_boundary",
     "make_source",
     "minimize",
-    "problem_config_to_dict",
     "radial_power_solution",
     "sobolev_report",
     "w1p_error",

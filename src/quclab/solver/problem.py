@@ -10,7 +10,7 @@ from typing import Callable
 import numpy as np
 
 from ..errors import InputError
-from ..integrands import Integrand, integrand_from_config, integrand_to_config
+from ..integrands import Integrand, integrand_from_config
 from ..utils import check_p, strict_float, strict_int
 
 CONFIG_VERSION = 1
@@ -91,16 +91,12 @@ class ProblemSpec:
     half_width: float = 1.0
     boundary: Callable[[np.ndarray], np.ndarray] = None
     source: Callable[[np.ndarray], np.ndarray] = None
-    boundary_desc: dict | None = None
-    source_desc: dict | None = None
 
     def __post_init__(self):
         if self.boundary is None:
             object.__setattr__(self, "boundary", make_boundary("zero"))
-            object.__setattr__(self, "boundary_desc", {"kind": "zero", "params": {}})
         if self.source is None:
             object.__setattr__(self, "source", make_source("zero"))
-            object.__setattr__(self, "source_desc", {"kind": "zero", "params": {}})
 
     @property
     def dim(self) -> int:
@@ -135,8 +131,7 @@ class RegularizationSchedule:
 # -- JSON config ----------------------------------------------------------------
 
 _TOP_KEYS = {"version", "problem", "schedule", "solver", "report"}
-_PROBLEM_KEYS = {"integrand", "cells", "half_width", "boundary", "source",
-                 "source_exponent"}
+_PROBLEM_KEYS = {"integrand", "cells", "half_width", "boundary", "source"}
 _SOLVER_TYPES = {"tol": strict_float, "max_iter": strict_int}
 _REPORT_TYPES = {"ball_center": lambda v, what: [strict_float(x, what) for x in v],
                  "ball_radius": strict_float, "m": strict_float,
@@ -192,10 +187,6 @@ def load_problem_config(cfg: dict | str | Path):
     if "problem" not in cfg:
         raise InputError("config requires a 'problem' section")
     prob = _section(cfg, "problem", _PROBLEM_KEYS)
-    # version 1 still accepts the unused source exponent and validates it
-    exponent = prob.get("source_exponent", 2.0)
-    if not isinstance(exponent, (int, float)) or exponent <= 1.0:
-        raise InputError(f"source exponent must be a number > 1, got {exponent!r}")
     zero = {"kind": "zero", "params": {}}
     bdesc = _section(prob, "boundary", {"kind", "params"}, zero)
     sdesc = _section(prob, "source", {"kind", "params"}, zero)
@@ -212,8 +203,6 @@ def load_problem_config(cfg: dict | str | Path):
         boundary=_parse("boundary", make_boundary, bdesc.get("kind"), **bparams),
         source=_parse("source", make_source, sdesc.get("kind"),
                       **_section(sdesc, "params", None)),
-        boundary_desc=bdesc,
-        source_desc=sdesc,
     )
     if bparams.get("dim", spec.dim) != spec.dim:
         raise InputError(f"boundary: radial_power dim {bparams['dim']} is not {spec.dim}")
@@ -229,17 +218,3 @@ def load_problem_config(cfg: dict | str | Path):
     report_opts = {key: _parse(key, _REPORT_TYPES[key], value, key)
                    for key, value in _section(cfg, "report", set(_REPORT_TYPES)).items()}
     return spec, schedule, solver_opts, report_opts
-
-
-def problem_config_to_dict(spec: ProblemSpec, schedule: RegularizationSchedule) -> dict:
-    return {
-        "version": CONFIG_VERSION,
-        "problem": {
-            "integrand": integrand_to_config(spec.integrand),
-            "cells": spec.cells,
-            "half_width": spec.half_width,
-            "boundary": spec.boundary_desc or {"kind": "zero", "params": {}},
-            "source": spec.source_desc or {"kind": "zero", "params": {}},
-        },
-        "schedule": {"stages": [list(s) for s in schedule.stages]},
-    }

@@ -1,12 +1,12 @@
 """Rewrite the golden reports in tests/golden from the TestGolden table.
 
-    PYTHONPATH=src python tests/regen_golden.py [SUBCOMMAND ...]
+    PYTHONPATH=src python tests/regen_golden.py [ROW ...]
 
-runs each row of ``test_cli._GOLDEN`` (all rows, or those of the named
-subcommands) at ``QUC_THREADS=1`` and copies its report files over
-``tests/golden/<subcommand>/``.  pytest does not collect this file.  A change
-that moves the files says in CHANGES.md which fields moved and why; a
-TestGolden failure lists them.
+runs each row of ``test_cli._GOLDEN`` (all rows, or the named ones) from the
+repo root at ``QUC_THREADS=1`` and copies its report files over
+``tests/golden/<row>/``.  pytest does not collect this file.  A change that
+moves the files says in CHANGES.md which fields moved and why; a TestGolden
+failure lists them.
 """
 
 import os
@@ -18,23 +18,24 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from quclab.cli import main  # noqa: E402
-from test_cli import _GOLDEN, GOLDEN_DIR  # noqa: E402
+from test_cli import _GOLDEN, GOLDEN_DIR, REPO_ROOT  # noqa: E402
 
 
-def regenerate(subcommands) -> None:
+def regenerate(rows) -> None:
     os.environ["QUC_THREADS"] = "1"
-    unknown = set(subcommands) - {row[0] for row in _GOLDEN}
+    os.chdir(REPO_ROOT)
+    unknown = set(rows) - {row[0] for row in _GOLDEN}
     if unknown:
-        raise SystemExit(f"no golden row for {sorted(unknown)}")
-    for subcommand, argv, files in _GOLDEN:
-        if subcommands and subcommand not in subcommands:
+        raise SystemExit(f"no golden row {sorted(unknown)}")
+    for row, argv, files in _GOLDEN:
+        if rows and row not in rows:
             continue
         with tempfile.TemporaryDirectory() as tmp:
             out = Path(tmp) / "out"
-            code = main([subcommand, *argv, "--out", str(out)])
+            code = main([*argv, "--out", str(out)])
             if code != 0:
-                raise SystemExit(f"{subcommand} exited with {code}; nothing rewritten")
-            target = GOLDEN_DIR / subcommand
+                raise SystemExit(f"{row} exited with {code}; nothing rewritten")
+            target = GOLDEN_DIR / row
             target.mkdir(parents=True, exist_ok=True)
             for name in files:
                 shutil.copyfile(out / name, target / name)

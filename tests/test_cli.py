@@ -26,8 +26,9 @@ from quclab.integrands import (
 )
 from quclab.utils import worker_count
 
-SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "quclab" / "schemas"
-GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+REPO_ROOT = Path(__file__).resolve().parents[1]
+SCHEMA_DIR = REPO_ROOT / "src" / "quclab" / "schemas"
+GOLDEN_DIR = REPO_ROOT / "tests" / "golden"
 
 
 def validate(payload_path: Path, schema_name: str):
@@ -130,16 +131,26 @@ class TestDeterminism:
         assert outputs[0] == outputs[1]
 
 
-# (subcommand, argv, report files) of the reports committed in tests/golden;
-# `python tests/regen_golden.py [SUBCOMMAND ...]` rewrites them from this table
+# (row id, argv, report files) of the reports committed in tests/golden/<row id>;
+# `python tests/regen_golden.py [ROW ...]` rewrites them from this table.  The
+# rows run from the repo root, so a solve report records its config's
+# repo-relative path
+_SOLVE_GOLDEN = ["report.json", "stages.csv", "solution.txt", "stress.txt"]
 _GOLDEN = [
-    ("matrix-check", _SUBCOMMANDS["matrix-check"], ["report.json"]),
-    ("integrand", _SUBCOMMANDS["integrand"], ["report.json"]),
-    ("cordes", _SUBCOMMANDS["cordes"], ["report.json"]),
-    ("riesz-check", ["--n", "32", "--fields", "3", "--kmax", "4", "--seed", "3"],
-     ["residuals.csv", "summary.json"]),
-    ("cantor", ["--levels", "6..9", "--bumps", "4", "--n-grid", "64", "--seed", "3"],
-     ["blowup.csv", "residuals.csv", "report.json"]),
+    ("matrix-check", ["matrix-check", *_SUBCOMMANDS["matrix-check"]], ["report.json"]),
+    ("integrand", ["integrand", *_SUBCOMMANDS["integrand"]], ["report.json"]),
+    ("cordes", ["cordes", *_SUBCOMMANDS["cordes"]], ["report.json"]),
+    ("riesz-check", ["riesz-check", "--n", "32", "--fields", "3", "--kmax", "4",
+                     "--seed", "3"], ["residuals.csv", "summary.json"]),
+    ("cantor", ["cantor", "--levels", "6..9", "--bumps", "4", "--n-grid", "64",
+                "--seed", "3"], ["blowup.csv", "residuals.csv", "report.json"]),
+    ("radial", ["radial", *_SUBCOMMANDS["radial"]], ["report.json", "profile.csv"]),
+    ("cpprime-sweep", ["cpprime-sweep", *_SUBCOMMANDS["cpprime-sweep"]],
+     ["report.json", "sweep.csv"]),
+    ("report", ["report"], ["report.json"]),
+    # the default p = 3 radial_power cascade at 32^2 and at 8^3
+    ("solve-2d", ["solve", "--config", "tests/golden/solve-2d/config.json"], _SOLVE_GOLDEN),
+    ("solve-3d", ["solve", "--config", "tests/golden/solve-3d/config.json"], _SOLVE_GOLDEN),
 ]
 
 
@@ -149,15 +160,16 @@ class TestGolden:
     cannot see."""
 
     @pytest.mark.parametrize("threads", ["1", "2"])
-    @pytest.mark.parametrize("subcommand, argv, files", _GOLDEN, ids=[g[0] for g in _GOLDEN])
+    @pytest.mark.parametrize("row, argv, files", _GOLDEN, ids=[g[0] for g in _GOLDEN])
     def test_matches_committed_reports(self, tmp_path, monkeypatch, threads,
-                                       subcommand, argv, files):
+                                       row, argv, files):
         monkeypatch.setenv("QUC_THREADS", threads)
-        code, out = run(tmp_path, subcommand, *argv)
+        monkeypatch.chdir(REPO_ROOT)
+        code, out = run(tmp_path, *argv)
         assert code == 0
         moved = []
         for name in files:
-            got, want = (out / name).read_bytes(), (GOLDEN_DIR / subcommand / name).read_bytes()
+            got, want = (out / name).read_bytes(), (GOLDEN_DIR / row / name).read_bytes()
             if got != want:
                 moved += _moved_fields(name, got, want) or [f"{name}: bytes differ, "
                                                             "no field moved"]
@@ -571,6 +583,15 @@ class TestUsage:
         ({}, {**_CONFIG_3D, "problem": {**_CONFIG_3D["problem"], "boundary": {
             "kind": "radial_power", "params": {"p": 3.0, "dim": 2}}}},
          ["solve", "--config", "{tmp}/config.json"], "radial_power dim 2"),
+        ({}, None, ["integrand", "--name", "uhlenbeck", "--param", "profile=constant",
+                    "--param", "bogus=1"], "unknown parameters ['bogus']"),
+        ({}, {**_CONFIG, "problem": {**_CONFIG["problem"], "mystery": 1}},
+         ["solve", "--config", "{tmp}/config.json"], "unknown keys ['mystery'] in problem"),
+        ({}, {**_CONFIG, "version": 99},
+         ["solve", "--config", "{tmp}/config.json"], "config version must be 1"),
+        ({}, {**_CONFIG, "problem": {**_CONFIG["problem"], "source_exponent": 3.0}},
+         ["solve", "--config", "{tmp}/config.json"],
+         "unknown keys ['source_exponent'] in problem"),
     ], ids=["quc-threads", "levels", "missing-config", "config-cells",
             "config-stage", "config-list", "config-boundary", "config-tol",
             "p-grid-empty", "p-grid-token", "dims-token", "dims-zero", "dims-one",
@@ -590,7 +611,9 @@ class TestUsage:
             "config-zero-boundary-params", "config-ball-radius-zero",
             "config-ball-radius-negative", "config-source-params",
             "config-ball-center-one", "config-ball-center-three",
-            "config-ball-center-empty", "config-3d-report", "config-3d-boundary-dim"])
+            "config-ball-center-empty", "config-3d-report", "config-3d-boundary-dim",
+            "uhlenbeck-leftover-param", "config-unknown-key", "config-version",
+            "config-source-exponent"])
     def test_malformed_input_exit_2(self, tmp_path, monkeypatch, capsys, env, config,
                                     argv, message):
         for key, value in env.items():

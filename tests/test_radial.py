@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import optimize
 
-from quclab.errors import InputError, ModelError, PreconditionError, QuclabError
+from quclab.errors import ModelError, PreconditionError, QuclabError
 from quclab import radial
 from quclab.integrands.profiles import (UhlenbeckProfile, bounded_power_profile,
                                         power_profile)
@@ -51,20 +51,6 @@ class TestSolveRadial:
             sol = psolve(p)
             assert radial.flux_identity_defect(sol) < 1e-10
 
-    def test_annulus_with_homogeneous_mode(self):
-        # f = 0, c != 0: T = c r^(1-N) exactly
-        prob = radial.RadialProblem(
-            dim=2, profile=power_profile(3.0),
-            source=lambda r: np.zeros_like(np.asarray(r, float)),
-            r_min=0.5, r_max=2.0, flux_c=0.7)
-        sol = radial.solve_radial(prob)
-        assert np.allclose(sol.flux, 0.7 / sol.r, atol=1e-12)
-
-    def test_homogeneous_mode_requires_annulus(self):
-        with pytest.raises(InputError):
-            radial.RadialProblem(dim=2, profile=power_profile(2.0),
-                                 source=CONST_ONE, r_max=1.0, flux_c=1.0)
-
     def test_generic_profile_inversion(self):
         prob = radial.RadialProblem(dim=2, profile=bounded_power_profile(4.0),
                                     source=CONST_ONE, r_max=1.0)
@@ -75,9 +61,9 @@ class TestSolveRadial:
 
 class TestSourceIntegral:
     @staticmethod
-    def flux(dim, source, **kwargs):
+    def flux(dim, source):
         prob = radial.RadialProblem(dim=dim, profile=power_profile(2.0), source=source,
-                                    **{"r_max": 1.0, **kwargs})
+                                    r_max=1.0)
         with np.errstate(divide="ignore"):  # r^a at r = 0 for T' only
             return radial.solve_radial(prob)
 
@@ -96,14 +82,6 @@ class TestSourceIntegral:
         sol = self.flux(dim, source)
         exact = flux(sol.r[1:], dim)
         assert np.all(np.abs(sol.flux[1:] - exact) <= 1e-12 * np.abs(exact))
-
-    def test_annulus(self):
-        # r T = int_{r0}^r s (1 + 0.3 s^2) ds + c
-        r0, c = 0.5, 0.7
-        sol = self.flux(2, lambda r: 1.0 + 0.3 * r ** 2, r_min=r0, r_max=2.0, flux_c=c)
-        r = sol.r
-        exact = ((r ** 2 - r0 ** 2) / 2.0 + 0.3 * (r ** 4 - r0 ** 4) / 4.0 + c) / r
-        assert np.all(np.abs(sol.flux - exact) <= 1e-12 * np.abs(exact))
 
     @pytest.mark.parametrize("a", [-3.0, -2.0])
     def test_non_integrable_source_raises(self, a):

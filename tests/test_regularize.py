@@ -258,7 +258,6 @@ class TestRadialTable:
         for f in (gallery("two_center", p=2.5, z0=[0.3, 0.0]), gallery("cantor", level=6),
                   gallery("gh", p=3, matrix=[[2.0, 0.3], [0.0, 1.0]]),
                   gallery("mixed", p=3, q=4), gallery("orthotropic", p=3),
-                  gallery("power", p=3) + gallery("power", p=2),
                   mollify(gallery("power", p=3), 0.05),
                   moreau_yosida(gallery("power", p=3), 0.4)):
             assert not f.radial, f.name

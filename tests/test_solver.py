@@ -23,7 +23,6 @@ from quclab.solver import (
     make_boundary,
     make_source,
     minimize,
-    problem_config_to_dict,
     radial_power_solution,
     sobolev_report,
     w1p_error,
@@ -696,46 +695,6 @@ class TestSobolevReport:
 
 
 class TestConfig:
-    def test_round_trip(self):
-        spec = radial_spec(3.0, 16)
-        import dataclasses
-        spec = dataclasses.replace(
-            spec,
-            boundary_desc={"kind": "radial_power", "params": {"p": 3.0}},
-            source_desc={"kind": "constant", "params": {"value": 1.0}})
-        schedule = RegularizationSchedule()
-        cfg = problem_config_to_dict(spec, schedule)
-        spec2, schedule2, _, _ = load_problem_config(cfg)
-        assert schedule2.stages == schedule.stages
-        assert spec2.cells == 16
-        sol1 = minimize(spec, schedule)
-        sol2 = minimize(spec2, schedule2)
-        assert np.allclose(sol1.u, sol2.u, atol=1e-12)
-
-    def test_unknown_keys_rejected(self):
-        spec = radial_spec(3.0, 16)
-        cfg = problem_config_to_dict(spec, RegularizationSchedule())
-        cfg["problem"]["mystery"] = 1
-        with pytest.raises(InputError):
-            load_problem_config(cfg)
-
-    def test_source_exponent_accepted_and_validated(self):
-        # version-1 configs may still carry the unused source exponent
-        cfg = problem_config_to_dict(radial_spec(3.0, 16), RegularizationSchedule())
-        cfg["problem"]["source_exponent"] = 3.0
-        assert load_problem_config(cfg)[0].cells == 16
-        for bad in (1.0, "x"):
-            cfg["problem"]["source_exponent"] = bad
-            with pytest.raises(InputError):
-                load_problem_config(cfg)
-
-    def test_version_enforced(self):
-        spec = radial_spec(3.0, 16)
-        cfg = problem_config_to_dict(spec, RegularizationSchedule())
-        cfg["version"] = 99
-        with pytest.raises(InputError):
-            load_problem_config(cfg)
-
     def test_radial_power_trace_takes_the_problem_dimension(self, rng):
         cfg = {"version": 1, "problem": {
             "integrand": {"name": "power", "dim": 3, "params": {"p": 3.0}},
