@@ -38,8 +38,7 @@ def main():
     for dim in dims:
         for k in ks:
             d0 = cordes.cordes_delta0(k, dim)
-            d0_emp = cordes.cordes_delta0(k, dim, t_bound="empirical",
-                                          probe_trials=args.probe_trials)
+            d0_emp = cordes.cordes_delta0(k, dim, probe_trials=args.probe_trials)
             rows.append([dim, "", "", f"delta0(K={k})", d0, d0_emp])
             print(f"N={dim}  K={k:5.2f}  delta0={d0:.6f}  "
                   f"delta0[empirical probe]={d0_emp:.6f}")

@@ -24,11 +24,8 @@ from .integrands import (
     estimate_K,
     gallery,
     integrand_to_config,
-    uhlenbeck_indices,
     verify_growth,
 )
-from .integrands.gallery import PROFILES
-from .integrands.profiles import power_profile
 from .solver import (
     euler_lagrange_residual,
     load_problem_config,
@@ -107,16 +104,11 @@ def cmd_matrix_check(args, out_dir: Path, manifest: Manifest):
         "dims": rows,
         "extremal": {"lhs": ext.lhs, "rhs": ext.rhs, "rel_gap": rel_gap, "dim": 2},
     }
-    payload, passed = _write_report(manifest.add(out_dir / "report.json"), payload, passed)
-    if args.format == "csv":
-        write_csv(manifest.add(out_dir / "report.csv"), columns,
-                  [[r[key] for key in columns] for r in rows])
-    return payload, passed
+    return _write_report(manifest.add(out_dir / "report.json"), payload, passed)
 
 
 def cmd_integrand(args, out_dir: Path, manifest: Manifest):
-    params = _parse_params(args.param)
-    f = gallery(args.name, **params)
+    f = gallery(args.name, **_parse_params(args.param))
     sampler = AnnulusSampler(args.r_min, args.r_max,
                              shells=max(40, args.samples // 25),
                              directions=25, seed=args.seed)
@@ -126,9 +118,6 @@ def cmd_integrand(args, out_dir: Path, manifest: Manifest):
         rep = verify_growth(f, f.declared_K)
         growth = {"p": rep.p, "q": rep.q, "C_lower": rep.C_lower,
                   "C_upper": rep.C_upper, "holds": rep.holds}
-    indices = None
-    if args.name == "uhlenbeck":
-        indices = uhlenbeck_indices(PROFILES[params.get("profile", "power")](params))
     passed = True
     if f.declared_K is not None:
         passed = est <= f.declared_K * (1.0 + 1e-6) and (growth is None or growth["holds"])
@@ -136,14 +125,9 @@ def cmd_integrand(args, out_dir: Path, manifest: Manifest):
         "subcommand": "integrand", "integrand": integrand_to_config(f),
         "declared_K": f.declared_K, "estimated_K": est,
         "annulus": [args.r_min, args.r_max], "samples": sampler.count,
-        "seed": args.seed, "growth": growth, "uhlenbeck_indices": indices,
+        "seed": args.seed, "growth": growth, "uhlenbeck_indices": f.indices,
     }
-    payload, passed = _write_report(manifest.add(out_dir / "report.json"), payload, passed)
-    if args.format == "csv":
-        write_csv(manifest.add(out_dir / "report.csv"),
-                  ["name", "declared_K", "estimated_K", "growth_holds"],
-                  [[f.name, f.declared_K, est, None if growth is None else growth["holds"]]])
-    return payload, passed
+    return _write_report(manifest.add(out_dir / "report.json"), payload, passed)
 
 
 def cmd_cordes(args, out_dir: Path, manifest: Manifest):
@@ -252,7 +236,7 @@ def _radial_source(kind: str, value: float):
 
 
 def cmd_radial(args, out_dir: Path, manifest: Manifest):
-    prob = radial.RadialProblem(dim=args.N, profile=power_profile(args.p),
+    prob = radial.RadialProblem(dim=args.N, p=args.p,
                                 source=_radial_source(args.f_kind, args.f_value),
                                 r_max=args.r_max)
     sol = radial.solve_radial(prob)
@@ -358,8 +342,7 @@ def cmd_report(args, out_dir: Path, manifest: Manifest):
                      AnnulusSampler(0.3, 3.0, shells=40, directions=25, seed=args.seed))
     checks["gallery_ratio_bound"] = est <= 2.0 * (1.0 + 1e-6)
     sol = radial.solve_radial(radial.RadialProblem(
-        dim=2, profile=power_profile(3.0),
-        source=_radial_source("const", 1.0), r_max=1.0))
+        dim=2, p=3.0, source=_radial_source("const", 1.0), r_max=1.0))
     checks["radial_flux_identity"] = radial.flux_identity_defect(sol) < 1e-10
     passed = all(checks.values())
     payload = {"subcommand": "report", "checks": checks}
@@ -383,7 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, seeded=True)
     p.add_argument("--trials", type=int, default=10000)
     p.add_argument("--dims", type=str, default="2,3,4,5,6,7,8")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("integrand", help="ratio-bound estimate and growth report")
     common(p, seeded=True)
@@ -392,7 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r-min", type=float, default=0.3)
     p.add_argument("--r-max", type=float, default=3.0)
     p.add_argument("--samples", type=int, default=10000)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("cordes", help="admissibility thresholds")
     common(p)

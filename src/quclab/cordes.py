@@ -12,7 +12,7 @@ Two regimes make the curl term reabsorbable in the L^m gradient estimate:
 
 The certified endpoint bound is 2 sqrt(2) N^2 (mhat - 1), obtained from the
 L^m div-curl inequality together with elementary norm comparisons on the
-product space; it is an over-estimate and is swappable.
+product space; it is an over-estimate.
 """
 
 from __future__ import annotations
@@ -71,15 +71,15 @@ def _check_window(window: tuple[float, float]) -> tuple[float, float]:
 
 
 def cordes_delta0(K: float, dim: int, window: tuple[float, float] = WINDOW,
-                  t_bound=None, probe_trials: int = 40) -> float:
+                  probe_trials: int | None = None) -> float:
     """Largest delta with (1 + eta(m)) (1 - 1/K) < 1 for all |m - 2| <= delta.
 
     ``window = (m_lo, m_hi)`` are the interpolation endpoints with
-    m_lo < 2 < m_hi.  ``t_bound`` is a certified endpoint bound for ||T||:
-    None selects the default analytic bound per endpoint, a float is used
-    verbatim at both endpoints, and "empirical" substitutes the randomized
-    probe at seed 0 (which yields only a lower bound on ||T||, so the
-    resulting delta0 is an optimistic diagnostic, not a certificate).
+    m_lo < 2 < m_hi.  The endpoint bound for ||T|| is the certified
+    :func:`default_T_bound` when ``probe_trials`` is None; an int substitutes
+    the randomized probe with that many trials at seed 0 (which yields only
+    a lower bound on ||T||, so the resulting delta0 is an optimistic
+    diagnostic, not a certificate).
     """
     if K < 1.0:
         raise InputError("K must be >= 1")
@@ -89,11 +89,9 @@ def cordes_delta0(K: float, dim: int, window: tuple[float, float] = WINDOW,
         return min(half_lo, half_hi)
 
     def endpoint_bound(m_end: float) -> float:
-        if t_bound is None:
+        if probe_trials is None:
             return default_T_bound(dim, m_end)
-        if t_bound == "empirical":
-            return max(estimate_T_norm(m_end, probe_trials, dim=dim), 1.0)
-        return float(t_bound)
+        return max(estimate_T_norm(m_end, probe_trials, dim=dim), 1.0)
 
     # reabsorption needs eta < 1/(K-1)
     eta_max = 1.0 / (K - 1.0)

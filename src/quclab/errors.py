@@ -16,7 +16,3 @@ class PreconditionError(InputError):
 class NumericError(QuclabError, RuntimeError):
     """An iterative or quadrature routine failed to reach its tolerance."""
 
-
-class ModelError(QuclabError, RuntimeError):
-    """Input is structurally outside the mathematical model (e.g. flux not
-    in the range of the monotone nonlinearity)."""

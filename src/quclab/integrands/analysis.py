@@ -84,7 +84,6 @@ class GrowthReport:
     C_lower: float | None
     C_upper: float | None
     holds: bool
-    worst_point: np.ndarray | None = None
 
 
 def verify_growth(f: Integrand, K: float) -> GrowthReport:
@@ -120,13 +119,5 @@ def verify_growth(f: Integrand, K: float) -> GrowthReport:
 
     c_lower = next((float(c) for c in grid if lower_ok(c)), None)
     c_upper = next((float(c) for c in grid if upper_ok(c)), None)
-    worst = None
-    if c_upper is None:
-        viol = fv / (rad ** q + 1.0) + dfv / (rad ** (q - 1.0) + 1.0)
-        worst = pts[int(np.argmax(viol))]
-    elif c_lower is None:
-        viol = (rad ** p / GROWTH_C_MAX - GROWTH_C_MAX) - fv
-        worst = pts[int(np.argmax(viol))]
     return GrowthReport(p=p, q=q, C_lower=c_lower, C_upper=c_upper,
-                        holds=c_lower is not None and c_upper is not None,
-                        worst_point=worst)
+                        holds=c_lower is not None and c_upper is not None)

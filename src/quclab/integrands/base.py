@@ -4,8 +4,9 @@ An :class:`Integrand` bundles one batched evaluator, the jet, with declared
 metadata: the eigenvalue-ratio bound K (when known), the growth exponents
 p = 1 + 1/K and q = 1 + K derived from it, the minimizer location, the
 points where the Hessian is singular and should be skipped by
-almost-everywhere samplers, and whether F is a smooth radial profile
-f(|z|) about the origin (which lets the mollifier work in one dimension).
+almost-everywhere samplers, whether F is a smooth radial profile
+f(|z|) about the origin (which lets the mollifier work in one dimension),
+and for the Uhlenbeck class the indices of its profile a.
 
 The jet contract: ``jet_fn(z, order)`` maps points of shape (..., N) to
 ``(F,)``, ``(F, DF)`` or ``(F, DF, D2F)`` for ``order`` 0, 1 or 2, with
@@ -47,6 +48,9 @@ class Integrand:
     # F(z) = f(|z|) with f smooth on r > 0 (the Uhlenbeck class).  The tilt
     # keeps it; mollify and moreau_yosida build integrands without it.
     radial: bool = False
+    # uhlenbeck_indices of the profile a of an ``uhlenbeck`` integrand; the
+    # combinators change a, so their integrands do not carry them
+    indices: dict | None = None
 
     def __post_init__(self):
         if self.dim < 1:
@@ -103,6 +107,7 @@ class Integrand:
             name=f"{self.name}+{mu:g}/2|z|^2",
             jet_fn=jet,
             params={**self.params, "tilt_mu": mu},
+            indices=None,
         )
 
 

@@ -152,8 +152,6 @@ def mixed(p: float, q: float, dim: int = 2) -> Integrand:
 def uhlenbeck(profile: UhlenbeckProfile, dim: int = 2) -> Integrand:
     """F(z) = int_0^{|z|} t a(t) dt; requires an admissible profile."""
     indices = uhlenbeck_indices(profile)
-    if profile.primitive is None:
-        raise InputError("profile must carry a primitive of t a(t) for F evaluation")
 
     def jet(z, order):
         return _radial_jet(z, order, profile.primitive, profile.a,
@@ -165,7 +163,7 @@ def uhlenbeck(profile: UhlenbeckProfile, dim: int = 2) -> Integrand:
         declared_K=indices["K"], minimizer=np.zeros(dim),
         singular_points=singular,
         params={"profile": profile.name.split("[", 1)[0], **(profile.params or {})},
-        radial=True,
+        radial=True, indices=indices,
     )
 
 

@@ -22,30 +22,15 @@ from ..utils import check_p
 
 @dataclass(frozen=True)
 class UhlenbeckProfile:
-    """Profile a(t) with derivative; optional exact primitive of t*a(t)."""
+    """Profile a(t) with derivative, exact primitive of t*a(t) and exact indices."""
 
     name: str
     a: Callable[[np.ndarray], np.ndarray]
     da: Callable[[np.ndarray], np.ndarray]
-    primitive: Callable[[np.ndarray], np.ndarray] | None = None
-    # Exact indices when known in closed form; otherwise computed on a grid.
-    exact_i_a: float | None = None
-    exact_s_a: float | None = None
+    primitive: Callable[[np.ndarray], np.ndarray]
+    exact_i_a: float
+    exact_s_a: float
     params: dict | None = None
-
-    def index_field(self, t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        return t * self.da(t) / self.a(t)
-
-    def indices(self):
-        """(i_a, s_a) on 1000 log-spaced t in [1e-6, 1e6]; exact values win when declared."""
-        if self.exact_i_a is not None and self.exact_s_a is not None:
-            return self.exact_i_a, self.exact_s_a
-        t = np.logspace(-6.0, 6.0, 1000)
-        field = self.index_field(t)
-        if not np.all(np.isfinite(field)):
-            raise InputError(f"profile {self.name} has non-finite index samples")
-        return float(field.min()), float(field.max())
 
 
 def power_profile(p: float) -> UhlenbeckProfile:
@@ -111,9 +96,9 @@ def indices_to_p(i_a: float, s_a: float) -> float:
 
 
 def uhlenbeck_indices(profile: UhlenbeckProfile) -> dict:
-    """(i_a, s_a) of :meth:`UhlenbeckProfile.indices` and the induced K and
-    coercivity exponent p; InputError unless the profile is admissible."""
-    i_a, s_a = profile.indices()
+    """The profile's exact (i_a, s_a) and the induced K and coercivity
+    exponent p; InputError unless the profile is admissible."""
+    i_a, s_a = profile.exact_i_a, profile.exact_s_a
     if i_a <= -1.0 or not np.isfinite(s_a):
         raise InputError(f"profile {profile.name} is inadmissible: (i_a, s_a) = ({i_a}, {s_a})")
     return {

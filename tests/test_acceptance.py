@@ -29,7 +29,6 @@ from quclab.integrands import (
     moreau_yosida,
     prox_point,
 )
-from quclab.integrands.profiles import power_profile
 from quclab.solver import (
     ProblemSpec,
     make_boundary,
@@ -139,7 +138,7 @@ def test_criterion_5_radial_oracle():
     worst = 0.0
     for p in (1.2, 2.0, 3.0, 6.0):
         prob = radial.RadialProblem(
-            dim=2, profile=power_profile(p),
+            dim=2, p=p,
             source=lambda r: np.ones_like(np.asarray(r, float)), r_max=1.0)
         sol = radial.solve_radial(prob)
         grid = radial.stress_of(sol, pts)
@@ -147,7 +146,7 @@ def test_criterion_5_radial_oracle():
     ok_stress = check("C5 stress of unit-source problem = x/N for p in {1.2,2,3,6}",
                       worst <= 1e-10, f"worst err {worst:.2e}")
     prob3 = radial.RadialProblem(
-        dim=2, profile=power_profile(3.0),
+        dim=2, p=3.0,
         source=lambda r: np.ones_like(np.asarray(r, float)), r_max=1.0)
     sol3 = radial.solve_radial(prob3, num=8193)
     fit = radial.holder_exponent(sol3.r, sol3.v_prime)

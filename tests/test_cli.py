@@ -483,6 +483,14 @@ class TestUsage:
         assert code == 2
         assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", ["matrix-check", "integrand --name power --param p=3"],
+                             ids=["matrix-check", "integrand"])
+    def test_no_format_option(self, tmp_path, capsys, argv):
+        # reports are always JSON; there is no CSV switch
+        code, _ = run(tmp_path, *argv.split(), "--format", "csv")
+        assert code == 2
+        assert "unrecognized arguments: --format csv" in capsys.readouterr().err
+
     # malformed input at the boundary: exit 2 with a message, not a traceback;
     # a config case writes its JSON to {tmp}/config.json
     @pytest.mark.parametrize("env, config, argv, message", [

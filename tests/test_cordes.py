@@ -52,22 +52,23 @@ class TestDelta0:
         assert np.all(np.diff(vals) < 0.0)
 
     def test_closed_form_example(self):
-        # K = 2, window (4/3, 4), fixed endpoint bound 24 sqrt 2: reabsorption
-        # needs eta < 1, i.e. theta* = ln 2 / ln(24 sqrt 2); delta0 is the
-        # smaller |m - 2| of the two interpolation sides at theta*
+        # K = 2, window (4/3, 4), default endpoint bound 24 sqrt 2 at both
+        # ends: reabsorption needs eta < 1, i.e. theta* = ln 2 / ln(24 sqrt 2);
+        # delta0 is the smaller |m - 2| of the two interpolation sides at theta*
         t_bound = 24.0 * np.sqrt(2.0)
         theta_star = np.log(2.0) / np.log(t_bound)
         m_hi = 1.0 / (0.5 + theta_star * (0.25 - 0.5))
         m_lo = 1.0 / (0.5 + theta_star * (0.75 - 0.5))
         expected = min(m_hi - 2.0, 2.0 - m_lo)
-        got = cordes.cordes_delta0(2.0, 2, window=(4.0 / 3.0, 4.0), t_bound=t_bound)
+        got = cordes.cordes_delta0(2.0, 2, window=(4.0 / 3.0, 4.0))
         assert got == pytest.approx(expected, rel=1e-13)
 
     def test_default_bound_matches_manual(self):
-        # the default endpoint bound is 2 sqrt 2 N^2 (mhat - 1)
+        # the default endpoint bound is 2 sqrt 2 N^2 (mhat - 1), 24 sqrt 2 at
+        # both ends of the default window
         assert cordes.default_T_bound(2, 4.0) == pytest.approx(24.0 * np.sqrt(2.0), rel=1e-14)
-        assert cordes.cordes_delta0(2.0, 2) == pytest.approx(
-            cordes.cordes_delta0(2.0, 2, t_bound=24.0 * np.sqrt(2.0)), rel=1e-12)
+        assert cordes.default_T_bound(2, 4.0 / 3.0) == pytest.approx(
+            24.0 * np.sqrt(2.0), rel=1e-14)
 
     def test_bad_window_rejected(self):
         with pytest.raises(InputError):
@@ -102,5 +103,6 @@ class TestTNormProbe:
         assert pooled == serial
 
     def test_empirical_mode_runs(self):
-        d0 = cordes.cordes_delta0(1.5, 2, t_bound="empirical", probe_trials=5)
-        assert d0 > 0.0
+        # the probe bounds ||T|| from below, so its delta0 exceeds the certified one
+        d0 = cordes.cordes_delta0(1.5, 2, probe_trials=5)
+        assert d0 > cordes.cordes_delta0(1.5, 2) > 0.0

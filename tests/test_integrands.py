@@ -222,7 +222,6 @@ class TestVerifyGrowth:
         # |z1|^4 growth cannot sit below C(|z|^2 + 1) out to radius 1e7
         rep = verify_growth(gallery("mixed", p=2, q=4), K=1.0)
         assert not rep.holds
-        assert rep.worst_point is not None
 
     def test_all_declared_gallery_growth(self):
         for f in (gallery("power", p=3), gallery("power", p=1.5),
@@ -253,17 +252,26 @@ class TestUhlenbeckIndices:
     def test_inadmissible_detected(self):
         bad = UhlenbeckProfile(
             name="bad", a=lambda t: np.asarray(t, float) ** -1.5,
-            da=lambda t: -1.5 * np.asarray(t, float) ** -2.5)
+            da=lambda t: -1.5 * np.asarray(t, float) ** -2.5,
+            primitive=lambda t: -2.0 * np.asarray(t, float) ** -0.5,
+            exact_i_a=-1.5, exact_s_a=-1.5)
         with pytest.raises(InputError):
             uhlenbeck_indices(bad)
 
+    def test_gallery_integrand_carries_profile_indices(self):
+        f = gallery("uhlenbeck", profile="bounded_power", p=4)
+        assert f.indices == uhlenbeck_indices(bounded_power_profile(4.0))
+        assert f.tilted(0.1).indices is None and gallery("power", p=3).indices is None
+
     def test_unbounded_s_a_rejected_by_gallery_and_radial_solver(self):
-        # one admissibility rule, -1 < i_a <= s_a < oo, for both consumers
+        # one admissibility rule, -1 < i_a <= s_a < oo, for both consumers; the
+        # radial solver's profile t^(p-2) has i_a = s_a = p - 2, so it needs p > 1
         base = power_profile(3.0)
         unbounded = UhlenbeckProfile(name="unbounded", a=base.a, da=base.da,
                                      primitive=base.primitive,
                                      exact_i_a=1.0, exact_s_a=np.inf)
         with pytest.raises(InputError, match="inadmissible"):
             uhlenbeck(unbounded)
-        with pytest.raises(InputError, match="inadmissible"):
-            RadialProblem(dim=2, profile=unbounded, source=lambda r: 0.0 * r, r_max=1.0)
+        for p in (1.0, np.nan, np.inf):
+            with pytest.raises(InputError, match="p > 1"):
+                RadialProblem(dim=2, p=p, source=lambda r: 0.0 * r, r_max=1.0)

@@ -2,19 +2,15 @@
 
 import numpy as np
 import pytest
-from scipy import optimize
 
-from quclab.errors import ModelError, PreconditionError, QuclabError
+from quclab.errors import PreconditionError, QuclabError
 from quclab import radial
-from quclab.integrands.profiles import (UhlenbeckProfile, bounded_power_profile,
-                                        power_profile)
 
 CONST_ONE = lambda r: np.ones_like(np.asarray(r, float))
 
 
 def psolve(p, dim=2, num=4097, f=CONST_ONE, r_max=1.0):
-    prob = radial.RadialProblem(dim=dim, profile=power_profile(p), source=f,
-                                r_max=r_max)
+    prob = radial.RadialProblem(dim=dim, p=p, source=f, r_max=r_max)
     return radial.solve_radial(prob, num=num)
 
 
@@ -51,19 +47,11 @@ class TestSolveRadial:
             sol = psolve(p)
             assert radial.flux_identity_defect(sol) < 1e-10
 
-    def test_generic_profile_inversion(self):
-        prob = radial.RadialProblem(dim=2, profile=bounded_power_profile(4.0),
-                                    source=CONST_ONE, r_max=1.0)
-        sol = radial.solve_radial(prob, num=513)
-        a = prob.profile.a(np.abs(sol.v_prime))
-        assert np.allclose(a * sol.v_prime, sol.flux, atol=1e-11)
-
 
 class TestSourceIntegral:
     @staticmethod
     def flux(dim, source):
-        prob = radial.RadialProblem(dim=dim, profile=power_profile(2.0), source=source,
-                                    r_max=1.0)
+        prob = radial.RadialProblem(dim=dim, p=2.0, source=source, r_max=1.0)
         with np.errstate(divide="ignore"):  # r^a at r = 0 for T' only
             return radial.solve_radial(prob)
 
@@ -100,46 +88,10 @@ class TestSourceIntegral:
             raise AssertionError("scalar quad on the solve path")
 
         monkeypatch.setattr(radial.integrate, "quad", no_quad)
-        prob = radial.RadialProblem(dim=2, profile=bounded_power_profile(3.0),
-                                    source=one, r_max=1.0)
+        prob = radial.RadialProblem(dim=2, p=3.0, source=one, r_max=1.0)
         radial.solve_radial(prob, num=8193)
         # one call per 1024 panels of a bisection level (8 here), one for T'
         assert calls[0] <= 24
-
-
-class TestInvertFlux:
-    @staticmethod
-    def brentq_root(profile, target):
-        mag = abs(target)
-        g = lambda t: float(profile.a(t)) * t - mag
-        hi = 1.0
-        while g(hi) < 0.0:
-            hi *= 2.0
-        root = optimize.brentq(g, 0.0, hi, xtol=5e-324, rtol=8.9e-16, maxiter=500)
-        return np.sign(target) * root
-
-    @pytest.mark.parametrize("p", [1.5, 4.0])
-    def test_matches_scalar_brentq(self, p):
-        profile = bounded_power_profile(p)
-        mags = np.concatenate([[1e-300], np.logspace(-12, 6, 37)])
-        fluxes = np.concatenate([mags, -mags])
-        t = radial._invert_flux(profile, fluxes)
-        ref = np.array([self.brentq_root(profile, f) for f in fluxes])
-        assert np.all(np.abs(t - ref) <= 1e-13 * np.abs(ref))
-        resid = np.abs(profile.a(np.abs(t)) * t - fluxes)
-        assert np.all(resid <= 1e-12 * (1.0 + np.abs(fluxes)))
-
-    def test_zero_flux_is_exactly_zero(self):
-        t = radial._invert_flux(bounded_power_profile(4.0), np.array([0.0, 2.0, -0.0]))
-        assert t[0] == 0.0 and t[2] == 0.0 and t[1] > 0.0
-
-    @pytest.mark.parametrize("flux", [2.0, np.inf, np.nan])
-    def test_out_of_range_flux_raises(self, flux):
-        # a(t) t = t / (1 + t) stays below 1
-        saturating = UhlenbeckProfile(name="saturating", a=lambda t: 1.0 / (1.0 + t),
-                                      da=lambda t: -1.0 / (1.0 + t) ** 2)
-        with pytest.raises(ModelError):
-            radial._invert_flux(saturating, np.array([0.5, flux]))
 
 
 class TestStress:
@@ -153,7 +105,7 @@ class TestStress:
         assert np.max(np.abs(grid.values - pts / 2.0)) < 1e-10
 
     def test_gradient_symmetric(self, rng):
-        prob = radial.RadialProblem(dim=2, profile=bounded_power_profile(3.0),
+        prob = radial.RadialProblem(dim=2, p=3.0,
                                     source=lambda r: 1.0 + 0.3 * np.asarray(r, float) ** 2,
                                     r_max=1.0)
         sol = radial.solve_radial(prob)
@@ -164,8 +116,7 @@ class TestStress:
         assert np.max(np.abs(skew)) < 1e-10
 
     def test_gradient_matches_finite_differences(self):
-        prob = radial.RadialProblem(dim=2, profile=power_profile(3.0),
-                                    source=CONST_ONE, r_max=1.0)
+        prob = radial.RadialProblem(dim=2, p=3.0, source=CONST_ONE, r_max=1.0)
         sol = radial.solve_radial(prob, num=8193)
         pts = np.array([[0.3, 0.1], [0.2, -0.4], [0.5, 0.5]])
         grid = radial.stress_of(sol, pts)
