@@ -225,20 +225,14 @@ def cmd_solve(args, out_dir: Path, manifest: Manifest):
     return _write_report(manifest.add(out_dir / "report.json"), payload, passed)
 
 
-def _radial_source(kind: str, value: float):
-    if kind == "const":
-        return lambda r: np.full_like(np.asarray(r, float), value)
-    if kind == "zero":
-        return lambda r: np.zeros_like(np.asarray(r, float))
-    if kind == "power":
-        return lambda r: np.maximum(np.asarray(r, float), 1e-12) ** value
-    raise InputError(f"unknown radial source kind {kind!r}")
+def _radial_source(kind: str, value: float) -> tuple[float, float]:
+    """(c, a) of the source f = c r^a that a --f-kind names."""
+    return {"const": (value, 0.0), "zero": (0.0, 0.0), "power": (1.0, value)}[kind]
 
 
 def cmd_radial(args, out_dir: Path, manifest: Manifest):
-    prob = radial.RadialProblem(dim=args.N, p=args.p,
-                                source=_radial_source(args.f_kind, args.f_value),
-                                r_max=args.r_max)
+    c, a = _radial_source(args.f_kind, args.f_value)
+    prob = radial.RadialProblem(dim=args.N, p=args.p, r_max=args.r_max, c=c, a=a)
     sol = radial.solve_radial(prob)
     defect = radial.flux_identity_defect(sol)
     fit = radial.holder_exponent(sol.r, sol.v_prime)
@@ -272,10 +266,9 @@ def cmd_radial(args, out_dir: Path, manifest: Manifest):
 
 def cmd_cpprime_sweep(args, out_dir: Path, manifest: Manifest):
     ps = _parse_list(args.p_grid, float, "--p-grid")
-    source = _radial_source("const", 1.0)
 
     def one(p):
-        return radial.cp_prime_verify(p, source, m=args.m, dim=args.N)
+        return radial.cp_prime_verify(p, m=args.m, dim=args.N)
 
     with ThreadPoolExecutor(max_workers=worker_count(len(ps))) as pool:
         reports = list(pool.map(one, ps))
@@ -341,8 +334,7 @@ def cmd_report(args, out_dir: Path, manifest: Manifest):
     est = estimate_K(gallery("power", p=3),
                      AnnulusSampler(0.3, 3.0, shells=40, directions=25, seed=args.seed))
     checks["gallery_ratio_bound"] = est <= 2.0 * (1.0 + 1e-6)
-    sol = radial.solve_radial(radial.RadialProblem(
-        dim=2, p=3.0, source=_radial_source("const", 1.0), r_max=1.0))
+    sol = radial.solve_radial(radial.RadialProblem(dim=2, p=3.0, r_max=1.0, c=1.0, a=0.0))
     checks["radial_flux_identity"] = radial.flux_identity_defect(sol) < 1e-10
     passed = all(checks.values())
     payload = {"subcommand": "report", "checks": checks}

@@ -1,17 +1,21 @@
-"""Closed-form-accurate radial solver for the p-Laplace problem
+"""Closed-form radial solver for the p-Laplace problem
 
-    Div(|Du|^(p-2) Du) = f  in B_R,      u = 0  on the boundary of B_R,
+    Div(|Du|^(p-2) Du) = f = c r^a  in B_R,      u = 0  on the boundary of B_R,
 
 on the ball B_R about the origin, and the C^{p'} diagnostics.
 
 For radial u(x) = v(|x|) the equation reduces to the flux identity
 
-    r^(N-1) T(r) = int_0^r s^(N-1) f(s) ds,      T = |v'|^(p-2) v'.
+    r^(N-1) T(r) = int_0^r s^(N-1) f(s) ds,      T = |v'|^(p-2) v',
 
-The integral takes adaptive Gauss-Kronrod panels on all grid segments at
-once and the flux is inverted in closed form, v' = sign(T) |T|^(1/(p-1)),
-so the solver is exact up to 1-D quadrature tolerances and serves as an
-oracle for the grid solvers.
+which integrates exactly for the power sources f = c r^a:
+
+    T = c r^(1+a)/(N+a),      v' = sign(T) |T|^(1/(p-1)),
+    v = k (r^b - R^b)/b,      b = (p+a)/(p-1),  k = sign(c) (|c|/(N+a))^(1/(p-1)).
+
+The source needs N + a > 0 (f integrable against r^(N-1)) and p + a > 0
+(v bounded at the origin).  For f = 1, b = p' and u attains the exponent p'
+exactly; the solver serves as an oracle for the grid solvers.
 
 The stress field is V(x) = (T(|x|)/|x|) x with the analytic gradient
 DV = h I + r h' (x/r)(x/r)^t, h = T/r, which is symmetric: radial stress
@@ -21,12 +25,11 @@ fields are curl-free.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 from scipy import integrate, stats
 
-from .errors import InputError, NumericError, PreconditionError
+from .errors import InputError, PreconditionError
 from .matrixcore import radial_hessian
 from .utils import check_p
 
@@ -42,12 +45,13 @@ def sphere_area(dim: int) -> float:
 
 @dataclass(frozen=True)
 class RadialProblem:
-    """Div(|Du|^(p-2) Du) = f with radial data on [0, R], v(R) = 0."""
+    """Div(|Du|^(p-2) Du) = c r^a on [0, R], R = r_max, v(R) = 0."""
 
     dim: int
     p: float
-    source: Callable[[np.ndarray], np.ndarray]
     r_max: float
+    c: float
+    a: float
 
     def __post_init__(self):
         check_p(self.p)
@@ -55,6 +59,16 @@ class RadialProblem:
             raise InputError("dim must be >= 1")
         if not 0.0 < self.r_max < np.inf:
             raise InputError("need 0 < r_max < inf")
+        if not self.dim + self.a > 0.0:
+            raise InputError(f"source r^a is not integrable against r^(N-1): need "
+                             f"N + a > 0, got N + a = {self.dim + self.a:g}")
+        if not self.p + self.a > 0.0:
+            raise InputError(f"v is unbounded at the origin: need p + a > 0, "
+                             f"got p + a = {self.p + self.a:g}")
+
+    def source(self, r: np.ndarray) -> np.ndarray:
+        """f(r) = c r^a, with r clamped at 1e-12 so that f(0) is finite."""
+        return self.c * np.maximum(r, 1e-12) ** self.a
 
 
 @dataclass(frozen=True)
@@ -67,81 +81,31 @@ class RadialSolution:
     flux_prime: np.ndarray = field(repr=False, default=None)
 
 
-# QUADPACK's 15-point Kronrod rule on [-1, 1], nodes (first row) and weights
-# from -1 to 0, mirrored; its embedded 7-point Gauss rule uses every other node
-_K15 = np.array([
-    [0.9914553711208126, 0.9491079123427585, 0.8648644233597691, 0.7415311855993945,
-     0.5860872354676911, 0.4058451513773972, 0.20778495500789848, 0.0],
-    [0.022935322010529224, 0.06309209262997856, 0.10479001032225019, 0.14065325971552592,
-     0.1690047266392679, 0.19035057806478542, 0.20443294007529889, 0.20948214108472782]])
-_XK, _WK = np.r_[-_K15[0], _K15[0, -2::-1]], np.r_[_K15[1], _K15[1, -2::-1]]
-_WG = np.zeros(15)
-_WG[1::2] = np.polynomial.legendre.leggauss(7)[1]
-
-
-def _source_on(prob: RadialProblem, s: np.ndarray) -> np.ndarray:
-    """f(s) as a float array shaped like s; a source may return a scalar."""
-    return np.broadcast_to(np.asarray(prob.source(s.ravel()), float), s.size).reshape(s.shape)
-
-
-def _cumulative_source_integral(prob: RadialProblem, r: np.ndarray) -> np.ndarray:
-    """int_0^{r_i} s^(N-1) f(s) ds on the increasing grid r, r[0] = 0.
-
-    Each level puts the Kronrod and Gauss rules on all open panels, with one
-    source call per 1024 panels; a panel's tolerance is 1e-12 of its
-    int |s^(N-1) f|.  A segment is done when its panels' rule differences add
-    up to their tolerances, else its panels that miss their own are bisected.
-    """
-    lo, hi = r[:-1], r[1:]
-    n = len(lo)
-    seg = np.arange(n)
-    value, slack = np.zeros(n), np.zeros(n)  # over the accepted panels
-    for _ in range(100):
-        half = 0.5 * (hi - lo)
-        rules = np.empty((3, len(lo)))
-        for b in range(0, len(lo), 1024):  # bounds the temporaries
-            blk = slice(b, b + 1024)
-            s = (lo[blk] + half[blk])[:, None] + half[blk, None] * _XK
-            f = s ** (prob.dim - 1) * _source_on(prob, s)
-            rules[:, blk] = np.array([f @ _WK, f @ _WG, np.abs(f) @ _WK]) * half[blk]
-        kronrod, err, tol = rules[0], np.abs(rules[0] - rules[1]), 1e-12 * rules[2]
-        if not np.all(np.isfinite(err)):
-            raise InputError("source is not integrable against r^(N-1)")
-        # the sum test ends the bisection at an integrable endpoint singularity
-        done = (np.bincount(seg, err - tol, minlength=n) <= slack)[seg] | (err <= tol)
-        value += np.bincount(seg[done], kronrod[done], minlength=n)
-        slack += np.bincount(seg[done], (tol - err)[done], minlength=n)
-        if done.all():
-            return np.r_[0.0, np.cumsum(value)]
-        lo, hi, seg = lo[~done], hi[~done], seg[~done]
-        mid = 0.5 * (lo + hi)
-        lo, hi, seg = np.r_[lo, mid], np.r_[mid, hi], np.r_[seg, seg]
-    raise NumericError("source integral not converged after 100 bisections")
-
-
 def solve_radial(prob: RadialProblem, num: int = 4097) -> RadialSolution:
-    """Flux quadrature + closed-form inversion + cumulative integration of v'."""
+    """The closed form on num radii from 0 to R; T(0) = 0 and T'(0) = f(0)/N."""
     r = np.linspace(0.0, prob.r_max, num)
-    src_int = _cumulative_source_integral(prob, r)
-    flux = src_int / np.where(r > 0.0, r ** (prob.dim - 1), np.inf)
-    v_prime = np.sign(flux) * np.abs(flux) ** (1.0 / (prob.p - 1.0))
-    v_rel = integrate.cumulative_simpson(v_prime, x=r, initial=0.0)
-    v = v_rel - v_rel[-1]
-    f_vals = _source_on(prob, r)
-    with np.errstate(invalid="ignore"):
-        flux_prime = f_vals - (prob.dim - 1) * flux / np.where(r > 0.0, r, np.inf)
+    n_a, q = prob.dim + prob.a, 1.0 / (prob.p - 1.0)
+    flux = np.zeros(num)
+    flux[1:] = prob.c * r[1:] ** (1.0 + prob.a) / n_a
+    v_prime = np.sign(flux) * np.abs(flux) ** q
+    beta = (prob.p + prob.a) * q
+    k = np.sign(prob.c) * (abs(prob.c) / n_a) ** q
+    v = k * (r ** beta - prob.r_max ** beta) / beta
+    f_vals = prob.source(r)
+    flux_prime = np.empty(num)
     flux_prime[0] = f_vals[0] / prob.dim
+    flux_prime[1:] = f_vals[1:] - (prob.dim - 1) * flux[1:] / r[1:]
     return RadialSolution(problem=prob, r=r, flux=flux, v_prime=v_prime,
                           v=v, flux_prime=flux_prime)
 
 
 def flux_identity_defect(sol: RadialSolution) -> float:
-    """max_r |r^(N-1) T(r) - int_0^r s^(N-1) f ds| (independent re-quadrature)."""
+    """max_r |r^(N-1) T(r) - int_0^r c s^(N-1+a) ds| (independent re-quadrature)."""
     prob = sol.problem
     idx = np.linspace(0, len(sol.r) - 1, 33).astype(int)
     r_checked = sol.r[idx]
     worst = 0.0
-    integrand = lambda s: s ** (prob.dim - 1) * float(prob.source(np.asarray(s)))
+    integrand = lambda s: prob.c * s ** (prob.dim - 1 + prob.a)
     for r_i, t_i in zip(r_checked, sol.flux[idx]):
         ref, _ = integrate.quad(integrand, 0.0, r_i, epsabs=1e-13, epsrel=1e-12)
         worst = max(worst, abs(r_i ** (prob.dim - 1) * t_i - ref))
@@ -253,7 +217,7 @@ def stress_wm_norm(sol: RadialSolution, m: float, r_lo: float, r_hi: float) -> d
 def source_lm_norm(prob: RadialProblem, m: float, r_lo: float, r_hi: float) -> float:
     """||f||_{L^m} on {r_lo <= |x| <= r_hi} by Simpson's rule on 2049 radii."""
     r = np.linspace(max(r_lo, 0.0), min(r_hi, prob.r_max), 2049)
-    f_vals = _source_on(prob, r)
+    f_vals = prob.source(r)
     area = sphere_area(prob.dim)
     return float((area * integrate.simpson(np.abs(f_vals) ** m * r ** (prob.dim - 1), x=r))
                  ** (1.0 / m))
@@ -273,17 +237,17 @@ class CpPrimeReport:
     meets_target: bool
 
 
-def cp_prime_verify(p: float, f_source, m: float, dim: int = 2,
+def cp_prime_verify(p: float, m: float, dim: int = 2, a: float = 0.0,
                     num: int = 8193) -> CpPrimeReport:
-    """Solve the radial p-Poisson problem on the unit ball B_R, R = 1, and
-    measure the C^{p'} diagnostics.
+    """Solve the radial p-Poisson problem with source f = r^a on the unit
+    ball B_R, R = 1, and measure the C^{p'} diagnostics.
 
     Computes ||V||_{W^{1,m}(B_{R/2})} from the analytic DV formula, the
     right-hand-side norms ||f||_{L^m(B_R)} + ||V||_{L^1(B_R)}, and the fitted
     Holder exponent of v'; asserts 1 + exponent(Du) >= min{p', 2} - 0.1 for
     bounded sources.
     """
-    prob = RadialProblem(dim=dim, p=p, source=f_source, r_max=1.0)
+    prob = RadialProblem(dim=dim, p=p, r_max=1.0, c=1.0, a=a)
     sol = solve_radial(prob, num=num)
     norms = stress_wm_norm(sol, m, 0.0, 0.5)
     f_norm = source_lm_norm(prob, m, 0.0, 1.0)

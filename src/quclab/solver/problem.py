@@ -87,16 +87,10 @@ class ProblemSpec:
     """
 
     integrand: Integrand
+    boundary: Callable[[np.ndarray], np.ndarray]
+    source: Callable[[np.ndarray], np.ndarray]
     cells: int = 64
     half_width: float = 1.0
-    boundary: Callable[[np.ndarray], np.ndarray] = None
-    source: Callable[[np.ndarray], np.ndarray] = None
-
-    def __post_init__(self):
-        if self.boundary is None:
-            object.__setattr__(self, "boundary", make_boundary("zero"))
-        if self.source is None:
-            object.__setattr__(self, "source", make_source("zero"))
 
     @property
     def dim(self) -> int:

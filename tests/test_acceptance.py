@@ -6,7 +6,7 @@ clause (run with `pytest -s` or execute this file directly to see them all).
 Criterion 9's first two clauses are implemented faithfully and are expected
 to fail: the level-L Cantor stress is exactly weakly divergence-free at
 every level (tangential fields psi(|z|) z_perp have zero weak divergence,
-so the residual is quadrature noise, not an O(2^-L) quantity), and its
+so the residual is round-off, not an O(2^-L) quantity), and its
 W^{1,1} difference quotient telescopes to a level-independent total
 variation instead of blowing up.  The README's "Expected acceptance
 outcome" section carries the analysis; the honest finite-level witnesses
@@ -137,17 +137,13 @@ def test_criterion_5_radial_oracle():
     pts = pts[np.linalg.norm(pts, axis=1) > 0.05]
     worst = 0.0
     for p in (1.2, 2.0, 3.0, 6.0):
-        prob = radial.RadialProblem(
-            dim=2, p=p,
-            source=lambda r: np.ones_like(np.asarray(r, float)), r_max=1.0)
+        prob = radial.RadialProblem(dim=2, p=p, r_max=1.0, c=1.0, a=0.0)
         sol = radial.solve_radial(prob)
         grid = radial.stress_of(sol, pts)
         worst = max(worst, float(np.max(np.abs(grid.values - pts / 2.0))))
     ok_stress = check("C5 stress of unit-source problem = x/N for p in {1.2,2,3,6}",
                       worst <= 1e-10, f"worst err {worst:.2e}")
-    prob3 = radial.RadialProblem(
-        dim=2, p=3.0,
-        source=lambda r: np.ones_like(np.asarray(r, float)), r_max=1.0)
+    prob3 = radial.RadialProblem(dim=2, p=3.0, r_max=1.0, c=1.0, a=0.0)
     sol3 = radial.solve_radial(prob3, num=8193)
     fit = radial.holder_exponent(sol3.r, sol3.v_prime)
     ok_holder = check("C5 gradient Holder exponent for p=3 is 0.5 +- 0.05",
@@ -298,8 +294,8 @@ def test_criterion_9_cantor_counterexample():
     """
     t0 = time.perf_counter()
     levels = list(range(6, 14))
-    # one call integrates every level on one quadtree per bump, so each
-    # residual matches a one-level call only within its quadrature bound
+    # one call integrates every level on one polar Gauss rule per bump, so
+    # each residual matches a one-level call only within its quadrature bound
     residuals = counterexamples.weak_divergence_residuals(
         counterexamples.cantor_stress_fields(levels),
         n_bumps=50, seed=909).residuals
@@ -309,7 +305,7 @@ def test_criterion_9_cantor_counterexample():
     halving = all(residuals[i + 1] <= 0.75 * residuals[i]
                   for i in range(len(residuals) - 1))
     check("C9 residual halves per level increment (expected FAIL: the field "
-          "is exactly weakly divergence-free; residuals are quadrature noise)",
+          "is exactly weakly divergence-free; residuals are round-off)",
           halving, "residuals " + ", ".join(f"{r:.1e}" for r in residuals))
 
     table = counterexamples.sobolev_blowup_diagnostic(levels, n_grid=1024)

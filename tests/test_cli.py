@@ -403,21 +403,13 @@ class TestRadial:
 
 
     @pytest.mark.parametrize("argv", [["--N", "8"], ["--N", "50"],
-                                      ["--r-max", "1e-13"], ["--r-max", "1e-100"]])
+                                      ["--r-max", "1e-13"], ["--r-max", "1e-100"],
+                                      ["--N", "100"]])
     def test_valid_extremes_exit_0(self, tmp_path, argv):
         code, out = run(tmp_path, "radial", "--p", "3", *argv)
         assert code == 0
         rep = json.loads((out / "report.json").read_text())
         assert rep["stress_check_max_error"] < 1e-10
-
-
-    def test_non_finite_report_fails_the_gate(self, tmp_path):
-        # at N = 100 the flux near r = 0 is 0/0 and the Holder fit reads NaN
-        code, out = run(tmp_path, "radial", "--p", "3", "--N", "100")
-        assert code == 1
-        rep = json.loads((out / "report.json").read_text())
-        assert rep["holder_exponent"] == "nan"
-        assert rep["pass"] is False
 
 
 class TestCpPrimeSweep:
@@ -600,6 +592,10 @@ class TestUsage:
         ({}, {**_CONFIG, "problem": {**_CONFIG["problem"], "source_exponent": 3.0}},
          ["solve", "--config", "{tmp}/config.json"],
          "unknown keys ['source_exponent'] in problem"),
+        ({}, None, ["radial", "--p", "3", "--f-kind", "power", "--f-value", "-2"],
+         "N + a > 0"),
+        ({}, None, ["radial", "--p", "1.5", "--f-kind", "power", "--f-value", "-1.8"],
+         "p + a > 0"),
     ], ids=["quc-threads", "levels", "missing-config", "config-cells",
             "config-stage", "config-list", "config-boundary", "config-tol",
             "p-grid-empty", "p-grid-token", "dims-token", "dims-zero", "dims-one",
@@ -621,7 +617,8 @@ class TestUsage:
             "config-ball-center-one", "config-ball-center-three",
             "config-ball-center-empty", "config-3d-report", "config-3d-boundary-dim",
             "uhlenbeck-leftover-param", "config-unknown-key", "config-version",
-            "config-source-exponent"])
+            "config-source-exponent", "radial-source-not-integrable",
+            "radial-source-unbounded-v"])
     def test_malformed_input_exit_2(self, tmp_path, monkeypatch, capsys, env, config,
                                     argv, message):
         for key, value in env.items():

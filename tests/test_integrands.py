@@ -274,4 +274,4 @@ class TestUhlenbeckIndices:
             uhlenbeck(unbounded)
         for p in (1.0, np.nan, np.inf):
             with pytest.raises(InputError, match="p > 1"):
-                RadialProblem(dim=2, p=p, source=lambda r: 0.0 * r, r_max=1.0)
+                RadialProblem(dim=2, p=p, r_max=1.0, c=0.0, a=0.0)
