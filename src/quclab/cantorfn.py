@@ -10,13 +10,13 @@ H_L carry no quadrature error.
 sup_t |h_L - h_{L+1}| = 2^-L / 6, hence |h_L - h| <= 2^-L / 3.
 
 Piece lookup.  Every ramp and every gap is a union of cells of width 3^-L,
-so up to L = 14 a cell table maps floor(3^L s) straight to the piece that
-holds s in [0, 1); the float breakpoints sit within a few ulps of the cell
-edges, so one comparison with each neighbour finds the piece that a binary
-search over the breakpoints finds, bit for bit.  The table holds 3^L + 1
-uint16 entries (3.2 MB at L = 13, 9.6 MB at L = 14); uint16 holds the
-2^(L+1) + 1 piece indices only up to L = 14, and the table triples per
-level, so from L = 15 on the lookup stays a binary search.
+so a cell table maps floor(3^L s) straight to the piece that holds s in
+[0, 1); the float breakpoints sit within a few ulps of the cell edges, so
+one comparison with each neighbour finds the piece that a binary search
+over the breakpoints finds, bit for bit.  The table holds 3^L + 1 uint16
+entries (3.2 MB at L = 13, 9.6 MB at L = 14); uint16 holds the 2^(L+1) + 1
+piece indices only up to L = 14, which caps the level (a lab run resolves
+level-L ramps with about 3^L grid points per axis and asks for L <= 13).
 ``cantor_profile`` builds each level's tables once per process.
 
 Several levels at once.  The gaps are nested: a gap of level L is a removed
@@ -128,8 +128,9 @@ class CantorProfile:
     def __post_init__(self):
         if self.level < 1:
             raise InputError("level must be >= 1")
-        if self.level > 26:
-            raise InputError("level > 26 would need more than 2^27 table rows")
+        if self.level > _TABLE_MAX_LEVEL:
+            raise InputError(f"level must be <= {_TABLE_MAX_LEVEL}, the cell table's cap, "
+                             f"got {self.level}")
         breaks, vals, slopes, cumint = _build_tables(self.level)
         object.__setattr__(self, "_breaks", breaks)
         object.__setattr__(self, "_vals", vals)
@@ -143,15 +144,10 @@ class CantorProfile:
         gap = slopes == 0.0
         object.__setattr__(self, "_settled", (np.where(gap, breaks + _EDGE_TOL, np.inf),
                                               np.where(gap, upper - _EDGE_TOL, -np.inf)))
-        if self.level <= _TABLE_MAX_LEVEL:
-            object.__setattr__(self, "_tab", _cell_table(self.level))
+        object.__setattr__(self, "_tab", _cell_table(self.level))
 
     def _pieces(self, frac: np.ndarray) -> np.ndarray:
         """Index of the piece holding each frac in [0, 1]; NaN and 1 go to the sentinel."""
-        if self._tab is None:
-            # breaks[0] = 0 <= frac, so the index is >= 0; it is at most
-            # len - 1 (the t = 1 sentinel), which is where frac = 1 and NaN land
-            return np.searchsorted(self._breaks, frac, side="right") - 1
         n_cells = len(self._tab) - 1
         # fmin sends NaN to the table's last entry, the sentinel
         j = self._tab[np.fmin(frac * n_cells, n_cells).astype(np.intp)].astype(np.intp)

@@ -17,9 +17,9 @@ table, and the weak residuals pair V_L with ``QuinticBump`` test functions.
 1/r^2 are formed once, and ``cantorfn.h_levels`` looks up a finer level
 only where the coarser one leaves a ramp or lies within a few ulps of a
 gap's end (on a gap, every finer h_L has the same dyadic value), so each
-row equals the one-level field bit for bit.  The blow-up table keeps its
-per-level evaluation, as stacking its grid-sized base arrays would multiply
-its memory by the number of levels, and hands its grid chunks to the pool.
+row equals the one-level stack bit for bit.  The blow-up table evaluates
+the control and every level in one such stack, one grid chunk per ``map``
+task, and each task returns only its chunk's sums and maxima.
 
 Numerical caveat recorded here for honesty: fields of the form psi(|z|)
 z_perp are tangential to circles and hence weakly divergence-free for any
@@ -95,20 +95,10 @@ def cantor_stress_fields(levels) -> Callable[[np.ndarray], np.ndarray]:
 
     r, 1/r and 1/r^2 are formed once for all levels, and ``h_levels`` looks
     up the finer levels only where the coarser ones leave a ramp; row i is
-    ``cantor_stress_field(levels[i])`` bit for bit.
+    ``cantor_stress_fields([levels[i]])`` bit for bit.
     """
     profiles = [cantor_profile(level) for level in check_levels(levels)]
     return partial(_cantor_stress, profiles)
-
-
-def cantor_stress_field(level: int) -> Callable[[np.ndarray], np.ndarray]:
-    """Batched evaluator of V_L for one level: (M, 2) points give (M, 2)."""
-    profile = cantor_profile(level)
-
-    def field(z):
-        return _cantor_stress([profile], z)[0]
-
-    return field
 
 
 # The ball B inside {x > 0} of the weak residuals and the blow-up table.
@@ -256,7 +246,7 @@ def weak_divergence_residuals(fields, n_bumps: int = 50, seed: int = 0,
 
 # -- finite-level Sobolev diagnostics -------------------------------------------
 
-_GRID_CHUNK = 1 << 15  # grid points per field evaluation in the blow-up table
+_GRID_CHUNK = 1 << 14  # grid points per task of the blow-up table
 
 
 @dataclass(frozen=True)
@@ -299,7 +289,7 @@ def sobolev_blowup_diagnostic(levels, n_grid: int = 1024, map=map) -> list[Blowu
     four lattice directions (axes and diagonals) are scanned and the worst
     taken.  See the module docstring for why the W^{1,1} column saturates at
     the total-variation value while the m > 1 columns grow.  Each grid chunk
-    is one ``map`` task; the sums run in this thread, so no schedule moves them.
+    is one ``map`` task, which returns only its partial sums and maxima.
     """
     levels = check_levels(levels)
     n_grid = check_n_grid(n_grid)
@@ -313,51 +303,49 @@ def sobolev_blowup_diagnostic(levels, n_grid: int = 1024, map=map) -> list[Blowu
     dx, dy = xs - c[0], ys - c[1]
     dx2, dy2 = dx * dx, dy * dy
     limit = BALL_RADIUS - 2.0 * delta
-    inside = [np.sqrt(sq + dy2) <= limit for sq in dx2]
-    # each coordinate contiguous, like the fields' outputs; empty_like and
-    # pts + e keep that layout, so every step's arithmetic runs contiguous
-    pts = np.empty((2, sum(np.count_nonzero(row) for row in inside))).T
-    lo = 0
-    for x, row in zip(xs, inside):
-        hi = lo + np.count_nonzero(row)
-        pts[lo:hi, 0] = x
-        pts[lo:hi, 1] = ys[row]
-        lo = hi
+    cols = [ys[np.sqrt(sq + dy2) <= limit] for sq in dx2]
+    counts = [len(col) for col in cols]
+    # each coordinate contiguous, like the fields' outputs; pts + e keeps
+    # that layout, so every step's arithmetic runs contiguous
+    pts = np.empty((2, sum(counts))).T
+    np.concatenate(cols, out=pts[:, 1])
+    del cols  # before np.repeat's temporary, to keep the peak low
+    pts[:, 0] = np.repeat(xs, counts)
     dirs = np.array([[1.0, 0.0], [0.0, 1.0],
                      [1.0, 1.0], [1.0, -1.0]])
     dirs = delta * dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
     area = delta * delta
-    chunks = [slice(lo, lo + _GRID_CHUNK) for lo in range(0, len(pts), _GRID_CHUNK)]
+    fields = cantor_stress_fields(levels)
 
-    def quotients(field):
-        # the fields are pointwise: evaluating them chunk by chunk bounds
-        # their temporaries and leaves every entry of diff unchanged
-        base = np.empty_like(pts)
-        diff = np.empty(len(pts))
+    def stack(z):
+        # the control as row 0 and every level below it, each component contiguous
+        out = np.empty((len(levels) + 1, 2, len(z))).transpose(0, 2, 1)
+        out[0], out[1:] = arctan_gradient(z), fields(z)
+        return out
 
-        def fill_base(ch):
-            base[ch] = field(pts[ch])
-
-        def fill_diff(e, ch):
-            step = field(pts[ch] + e)
-            step -= base[ch]
-            # np.linalg.norm(step, axis=1) bit for bit, and faster
-            s0, s1 = step[:, 0], step[:, 1]
-            diff[ch] = np.sqrt(s0 * s0 + s1 * s1) / delta
-
-        list(map(fill_base, chunks))
-        w11 = sup_q = l15 = 0.0
+    def chunk_stats(z):
+        # per direction: the sum, the max and the 1.5-power sum, per row, of
+        # |V(x + e) - V(x)|/delta over the chunk's points
+        base, stats = stack(z), []
         for e in dirs:
-            list(map(partial(fill_diff, e), chunks))
-            w11 = max(w11, float(np.sum(diff) * area))
-            sup_q = max(sup_q, float(diff.max()))
-            l15 = max(l15, float((np.sum(diff ** 1.5) * area) ** (1.0 / 1.5)))
-        return w11, sup_q, l15
+            step = stack(z + e)
+            step -= base
+            # np.linalg.norm(step, axis=-1) bit for bit, in place, and faster
+            step *= step
+            diff = step[..., 0]
+            diff += step[..., 1]
+            np.sqrt(diff, out=diff)
+            diff /= delta
+            stats.append([diff.sum(axis=1), diff.max(axis=1), (diff ** 1.5).sum(axis=1)])
+        return stats
 
-    control_w11 = quotients(arctan_gradient)[0]  # z_perp/|z|^2 alone
-    rows = []
-    for level in levels:
-        w11, sup_q, l15 = quotients(cantor_stress_field(level))
-        rows.append(BlowupRow(level=level, w11_quotient=w11, sup_quotient=sup_q,
-                              l15_quotient=l15, control_w11=control_w11))
-    return rows
+    # (chunk, direction, statistic, row); the partials are added in chunk
+    # order, so no schedule moves them
+    chunks = (pts[lo:lo + _GRID_CHUNK] for lo in range(0, len(pts), _GRID_CHUNK))
+    parts = np.array(list(map(chunk_stats, chunks)))
+    sums = parts[:, :, 0::2].sum(axis=0) * area  # (direction, W^{1,1} | 1.5-power, row)
+    w11, sup_q = sums[:, 0].max(axis=0), parts[:, :, 1].max(axis=(0, 1))
+    l15 = [max(float(s) ** (1.0 / 1.5) for s in col) for col in sums[:, 1].T]
+    return [BlowupRow(level=level, w11_quotient=float(w11[i]), sup_quotient=float(sup_q[i]),
+                      l15_quotient=l15[i], control_w11=float(w11[0]))
+            for i, level in enumerate(levels, start=1)]

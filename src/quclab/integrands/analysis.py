@@ -110,12 +110,14 @@ def verify_growth(f: Integrand, K: float) -> GrowthReport:
     dfv = np.linalg.norm(np.asarray(f.gradient(pts), float), axis=-1)
 
     grid = np.logspace(0.0, np.log10(GROWTH_C_MAX), 49)
+    with np.errstate(over="ignore"):  # an overflowed |z|^q = +inf is the exact bound
+        upper_f, upper_df = rad ** q + 1.0, rad ** (q - 1.0) + 1.0
 
     def lower_ok(c):
         return np.all(rad ** p / c - c <= fv) and np.all(rad ** (p - 1.0) / c - c <= dfv)
 
     def upper_ok(c):
-        return np.all(fv <= c * (rad ** q + 1.0)) and np.all(dfv <= c * (rad ** (q - 1.0) + 1.0))
+        return np.all(fv <= c * upper_f) and np.all(dfv <= c * upper_df)
 
     c_lower = next((float(c) for c in grid if lower_ok(c)), None)
     c_upper = next((float(c) for c in grid if upper_ok(c)), None)

@@ -106,7 +106,6 @@ class Integrand:
             self,
             name=f"{self.name}+{mu:g}/2|z|^2",
             jet_fn=jet,
-            params={**self.params, "tilt_mu": mu},
             indices=None,
         )
 

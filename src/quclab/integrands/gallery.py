@@ -298,9 +298,12 @@ def gallery(name: str, **params) -> Integrand:
 
 
 def integrand_to_config(f: Integrand) -> dict:
-    """JSON-serializable descriptor {name, dim, params} of a gallery integrand."""
-    base = f.name.split("[", 1)[0]
-    return {"name": base, "dim": f.dim, "params": dict(f.params)}
+    """JSON-serializable descriptor {name, dim, params} of a gallery integrand;
+    InputError for any other, so a tilt or a mollifier is never dropped."""
+    cfg = {"name": f.name.split("[", 1)[0], "dim": f.dim, "params": dict(f.params)}
+    if integrand_from_config(cfg).name != f.name:
+        raise InputError(f"{f.name!r} is not a gallery integrand and has no descriptor")
+    return cfg
 
 
 def integrand_from_config(cfg: dict) -> Integrand:

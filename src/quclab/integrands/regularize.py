@@ -256,7 +256,7 @@ def mollify(f: Integrand, eps: float) -> Integrand:
         declared_K=f.declared_K,
         minimizer=f.minimizer,
         singular_points=(),
-        params={**f.params, "mollify_eps": eps},
+        params=f.params,
     )
 
 
@@ -362,6 +362,6 @@ def moreau_yosida(f: Integrand, delta: float) -> Integrand:
         declared_K=f.declared_K,
         minimizer=f.minimizer,
         singular_points=(),
-        params={**f.params, "my_delta": delta},
+        params=f.params,
     )
 

@@ -65,6 +65,16 @@ class RadialProblem:
         if not self.p + self.a > 0.0:
             raise InputError(f"v is unbounded at the origin: need p + a > 0, "
                              f"got p + a = {self.p + self.a:g}")
+        # log10 of the closed form's largest magnitudes R^(1+a), R^b, T(R), v'(R) =
+        # |T(R)|^q, v(0) = -R v'(R)/b (c = 0 counts as 1); 1e300 leaves room for b
+        q, log_r = 1.0 / (self.p - 1.0), np.log10(self.r_max)
+        log_t = np.log10(abs(self.c) / (self.dim + self.a) or 1.0) + (1.0 + self.a) * log_r
+        b = (self.p + self.a) * q
+        worst = max((1.0 + self.a) * log_r, b * log_r, log_t, q * log_t,
+                    q * log_t + log_r - np.log10(b))
+        if worst > 300.0:
+            raise InputError(f"the closed form would overflow: a magnitude of 10^{worst:.4g} "
+                             f"exceeds the bound 1e300")
 
     def source(self, r: np.ndarray) -> np.ndarray:
         """f(r) = c r^a, with r clamped at 1e-12 so that f(0) is finite."""

@@ -304,6 +304,13 @@ class TestIntegrand:
         code, _ = run(tmp_path, "integrand", "--name", "nonsense", "--param", "p=3")
         assert code == 2
 
+    def test_default_cantor_growth_check_runs_clean(self, tmp_path):
+        # level 12 gives q = 1 + K of about 131.7, so |z|^q overflows on the
+        # outer shells; the upper bound is then +inf, which holds exactly
+        code, out = run(tmp_path, "integrand", "--name", "cantor", "--samples", "1000")
+        assert code == 0
+        assert json.loads((out / "report.json").read_text())["growth"]["holds"]
+
     @pytest.mark.parametrize("profile, params", [
         ("power", ["--param", "p=3"]), ("constant", []),
         ("bounded_power", ["--param", "p=3"])])
@@ -596,6 +603,13 @@ class TestUsage:
          "N + a > 0"),
         ({}, None, ["radial", "--p", "1.5", "--f-kind", "power", "--f-value", "-1.8"],
          "p + a > 0"),
+        ({}, None, ["cantor", "--levels", "15..15", "--bumps", "1", "--n-grid", "64"],
+         "level must be <= 14"),
+        ({}, None, ["integrand", "--name", "cantor", "--param", "level=15"],
+         "level must be <= 14"),
+        ({}, None, ["radial", "--p", "1.01", "--r-max", "1e5"], "exceeds the bound 1e300"),
+        ({}, None, ["radial", "--p", "3", "--r-max", "1e200", "--f-kind", "power",
+                    "--f-value", "2"], "exceeds the bound 1e300"),
     ], ids=["quc-threads", "levels", "missing-config", "config-cells",
             "config-stage", "config-list", "config-boundary", "config-tol",
             "p-grid-empty", "p-grid-token", "dims-token", "dims-zero", "dims-one",
@@ -618,7 +632,9 @@ class TestUsage:
             "config-ball-center-empty", "config-3d-report", "config-3d-boundary-dim",
             "uhlenbeck-leftover-param", "config-unknown-key", "config-version",
             "config-source-exponent", "radial-source-not-integrable",
-            "radial-source-unbounded-v"])
+            "radial-source-unbounded-v", "cantor-level-above-cap",
+            "integrand-cantor-level-above-cap", "radial-p-near-one-overflow",
+            "radial-large-r-max-overflow"])
     def test_malformed_input_exit_2(self, tmp_path, monkeypatch, capsys, env, config,
                                     argv, message):
         for key, value in env.items():

@@ -33,25 +33,25 @@ class TestArctan:
 class TestCantorStress:
     def test_point_on_unit_circle(self):
         # coefficient 1/|z| + h(1/|z|) = 1 + h(1) = 2 at z = (1, 0)
-        v = ce.cantor_stress_field(8)(np.array([1.0, 0.0]))
+        v = ce.cantor_stress_fields([8])(np.array([1.0, 0.0]))[0]
         assert np.allclose(v, [0.0, 2.0], atol=1e-12)
 
     def test_point_at_radius_two(self):
         # coefficient 1/2 + h(1/2) = 1: V = (0, 1).  (Plugging into
         # F'(t) = t + h(t): |Du| = 1/2, unit direction z_perp/|z|.)
-        v = ce.cantor_stress_field(8)(np.array([2.0, 0.0]))
+        v = ce.cantor_stress_fields([8])(np.array([2.0, 0.0]))[0]
         assert np.allclose(v, [0.0, 1.0], atol=1e-12)
 
     def test_decay_along_axis(self):
         radii = np.array([5.0, 50.0, 500.0, 5000.0])
         pts = np.stack([radii, np.zeros_like(radii)], axis=1)
-        mags = np.linalg.norm(ce.cantor_stress_field(8)(pts), axis=1)
+        mags = np.linalg.norm(ce.cantor_stress_fields([8])(pts)[0], axis=1)
         assert np.all(np.diff(mags) < 0.0)
         assert mags[-1] < 1e-2
 
     def test_left_half_plane_rejected(self):
         with pytest.raises(InputError):
-            ce.cantor_stress_field(6)(np.array([-1.0, 0.0]))
+            ce.cantor_stress_fields([6])(np.array([-1.0, 0.0]))[0]
 
     def test_stack_rows_match_one_level_fields(self, half_plane_points):
         levels = range(4, 14)
@@ -59,10 +59,10 @@ class TestCantorStress:
         assert stack.shape == (len(levels), len(half_plane_points), 2)
         assert stack[..., 0].strides[-1] == stack.itemsize  # contiguous components
         for row, level in zip(stack, levels):
-            assert np.array_equal(row, ce.cantor_stress_field(level)(half_plane_points))
+            assert np.array_equal(row, ce.cantor_stress_fields([level])(half_plane_points)[0])
 
     def test_tangential_structure(self, half_plane_points):
-        v = ce.cantor_stress_field(10)(half_plane_points)
+        v = ce.cantor_stress_fields([10])(half_plane_points)[0]
         radial_component = np.sum(v * half_plane_points, axis=1)
         assert np.max(np.abs(radial_component)) < 1e-12
 
@@ -117,10 +117,10 @@ class TestWeakDivergence:
     def test_stack_of_copies_gives_one_row_per_copy(self):
         # each row of the stack is summed on its own, so each row's residual
         # and bound, and the node count, are the one-field call's
-        field = ce.cantor_stress_field(9)
-        one = ce.weak_divergence_residuals(_one(field), n_bumps=4, seed=3)
+        field = ce.cantor_stress_fields([9])
+        one = ce.weak_divergence_residuals(field, n_bumps=4, seed=3)
         for k in (2, 3):
-            stack = ce.weak_divergence_residuals(lambda z: np.stack([field(z)] * k),
+            stack = ce.weak_divergence_residuals(lambda z: np.concatenate([field(z)] * k),
                                                  n_bumps=4, seed=3)
             assert stack.residuals == one.residuals * k
             assert stack.bounds == one.bounds * k
@@ -232,15 +232,15 @@ class TestBlowupDiagnostic:
         # n_grid = 384 keeps about 113k points in the ball: full grid chunks
         # and a partial last one, which the golden cantor row (one chunk)
         # cannot see; 4 workers and a short switch interval stress the
-        # chunk tasks' writes into the shared arrays
+        # chunk tasks' partials and the order they are added in
         monkeypatch.setenv("QUC_THREADS", threads)
-        sizes, one_level = set(), ce.cantor_stress_field
+        sizes, stacked = set(), ce.cantor_stress_fields
 
-        def recording(level):
-            field = one_level(level)
-            return lambda z: sizes.add(len(z)) or field(z)
+        def recording(levels):
+            fields = stacked(levels)
+            return lambda z: sizes.add(len(z)) or fields(z)
 
-        monkeypatch.setattr(ce, "cantor_stress_field", recording)
+        monkeypatch.setattr(ce, "cantor_stress_fields", recording)
         levels = [4, 8]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)

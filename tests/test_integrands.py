@@ -98,6 +98,11 @@ class TestGalleryConstruction:
             g = integrand_from_config(integrand_to_config(f))
             pts = np.random.default_rng(0).standard_normal((16, 2)) * 1.3
             assert np.allclose(f.value(pts), g.value(pts), rtol=1e-13)
+        # no descriptor names a tilt or a mollifier, so neither may be
+        # dropped on the way out
+        for f in (gallery("power", p=3).tilted(0.1), mollify(gallery("power", p=3), 0.05)):
+            with pytest.raises(InputError):
+                integrand_to_config(f)
 
     @pytest.mark.parametrize("case", list(JET_CASES))
     def test_gallery_consistency(self, case, rng):
