@@ -131,14 +131,17 @@ def apply_T(f: SpectralField, g: SpectralField) -> np.ndarray:
 
 
 def estimate_T_norm(m: float, trials: int, dim: int = 2, n: int = 64,
-                    kmax: int = 8, seed: int = 0, map=map) -> float:
+                    kmax: int = 8, seed: int | np.random.SeedSequence = 0,
+                    map=map) -> float:
     """Randomized lower bound for ||T||: max ratio over band-limited data.
 
     Zero inputs are skipped.  At m = 2 the operator is an isometry on
-    compatible data, so the estimate sits at 1 up to grid roundoff.  The
-    trials' noise is drawn in the calling thread in stream order, and each
-    trial is a task handed to ``map`` (utils.pool_map runs them in
-    parallel); the result does not depend on its schedule.
+    compatible data, so the estimate sits at 1 up to grid roundoff.
+    ``seed`` is an int or a SeedSequence (riesz-check passes its own stream
+    for the probe).  The trials' half boxes are drawn in the calling thread
+    in stream order, and each trial is a task handed to ``map``
+    (utils.pool_map runs them in parallel); the result does not depend on
+    its schedule.
     """
     if trials < 1:
         raise InputError("trials must be >= 1")
@@ -147,14 +150,14 @@ def estimate_T_norm(m: float, trials: int, dim: int = 2, n: int = 64,
     vol = grid.cell_volume
 
     def ratio(noise):
-        f = SpectralField.band_limited(grid, "scalar", kmax, noise[0])
-        g = SpectralField.band_limited(grid, "skew", kmax, noise[1])
+        f = SpectralField.band_limited(grid, "scalar", noise[0])
+        g = SpectralField.band_limited(grid, "skew", noise[1])
         gmag = np.sqrt(2.0 * np.sum(g.values * g.values, axis=0))
         denom_m = (np.sum(np.abs(f.values) ** m) + np.sum(gmag ** m)) * vol
         if denom_m <= 1e-280:
             return 0.0
         return lm_matrix_norm(apply_T(f, g), m, vol) / denom_m ** (1.0 / m)
 
-    draws = ((SpectralField.noise(grid, "scalar", rng),
-              SpectralField.noise(grid, "skew", rng)) for _ in range(trials))
+    draws = ((SpectralField.noise(grid, "scalar", kmax, rng),
+              SpectralField.noise(grid, "skew", kmax, rng)) for _ in range(trials))
     return float(max([0.0, *map(ratio, draws)]))

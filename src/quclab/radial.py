@@ -109,17 +109,20 @@ def solve_radial(prob: RadialProblem, num: int = 4097) -> RadialSolution:
                           v=v, flux_prime=flux_prime)
 
 
-def flux_identity_defect(sol: RadialSolution) -> float:
-    """max_r |r^(N-1) T(r) - int_0^r c s^(N-1+a) ds| (independent re-quadrature)."""
+def flux_identity_defect(sol: RadialSolution) -> tuple[float, float]:
+    """(max_r |r^(N-1) T(r) - int_0^r c s^(N-1+a) ds|, the largest |integral|
+    floored at 1) over 33 radii, by an independent re-quadrature; the
+    defect over that scale is the identity's relative error."""
     prob = sol.problem
     idx = np.linspace(0, len(sol.r) - 1, 33).astype(int)
     r_checked = sol.r[idx]
-    worst = 0.0
+    worst, scale = 0.0, 1.0
     integrand = lambda s: prob.c * s ** (prob.dim - 1 + prob.a)
     for r_i, t_i in zip(r_checked, sol.flux[idx]):
         ref, _ = integrate.quad(integrand, 0.0, r_i, epsabs=1e-13, epsrel=1e-12)
         worst = max(worst, abs(r_i ** (prob.dim - 1) * t_i - ref))
-    return worst
+        scale = max(scale, abs(ref))
+    return worst, scale
 
 
 # -- gridded stress field ----------------------------------------------------
@@ -218,10 +221,16 @@ def stress_wm_norm(sol: RadialSolution, m: float, r_lo: float, r_hi: float) -> d
         h = np.where(r > 0, t_flux / r, t_prime)
     dv_frob = np.sqrt((prob.dim - 1) * h * h + t_prime * t_prime)
     w = r ** (prob.dim - 1)
-    lm = (area * integrate.simpson(np.abs(t_flux) ** m * w, x=r)) ** (1.0 / m)
-    sem = (area * integrate.simpson(dv_frob ** m * w, x=r)) ** (1.0 / m)
+
+    # the largest value comes out before each m-th power, which would overflow
+    def norm(vals):
+        top = np.max(vals) or 1.0
+        return top * (area * integrate.simpson((vals / top) ** m * w, x=r)) ** (1.0 / m)
+
+    lm, sem = norm(np.abs(t_flux)), norm(dv_frob)
+    top = max(lm, sem) or 1.0
     return {"lm": float(lm), "seminorm": float(sem),
-            "w1m": float((lm ** m + sem ** m) ** (1.0 / m))}
+            "w1m": float(top * ((lm / top) ** m + (sem / top) ** m) ** (1.0 / m))}
 
 
 def source_lm_norm(prob: RadialProblem, m: float, r_lo: float, r_hi: float) -> float:

@@ -11,12 +11,13 @@ so curl V = DV - DV^t.  Matrix norms are Frobenius norms; skew fields store
 the N(N-1)/2 independent upper-triangle components.
 
 Band: a field may carry the largest max_j |xi_j| of its nonzero
-coefficients.  band_limited sets it to kmax, and scaled, divergence,
-curl and divcurl_reconstruct pass it on; fields built from coefficients or
-from grid values carry None, the whole spectrum.  With a band, spectral
-products are formed on the (2 band + 1)^(N-1) x (band + 1) box only, and
-the transforms skip only lines that hold nothing but zeros, so every array
-is bit-identical to the whole-spectrum path.
+coefficients.  band_limited sets it to kmax (its noise is drawn on the half
+box, never on the grid); scaled, divergence, curl and divcurl_reconstruct
+pass it on; fields built from coefficients or from grid values carry None,
+the whole spectrum.  With a band, spectral products are formed on the
+(2 band + 1)^(N-1) x (band + 1) box only, and the transforms skip only
+lines that hold nothing but zeros: every array is bit-identical to the
+whole-spectrum path.
 """
 
 from __future__ import annotations
@@ -224,34 +225,33 @@ class SpectralField:
                                     self.band)
 
     @staticmethod
-    def noise(grid: PeriodicGrid, kind: str, rng: np.random.Generator) -> np.ndarray:
-        """The white noise that band_limited filters: one draw from rng."""
-        return rng.standard_normal((_NCOMP[kind](grid.dim),) + grid.shape)
+    def noise(grid: PeriodicGrid, kind: str, kmax: int, rng: np.random.Generator) -> np.ndarray:
+        """box(kmax, half=True) of real white noise's DFT, up to n^(N/2): standard
+        complex normals from rng, c <- (c + conj c(-xi)) / sqrt 2 on the xi_last = 0
+        plane (exactly Hermitian, each mode's law kept) and the mean mode zero."""
+        if kmax < 1 or kmax > grid.n // 4:
+            raise InputError("kmax must lie in [1, n/4] to keep products alias-free")
+        shape = (_NCOMP[kind](grid.dim),) + (2 * kmax + 1,) * (grid.dim - 1) + (kmax + 1,)
+        c = rng.standard_normal(shape + (2,)).view(complex)[..., 0] * np.sqrt(0.5)
+        c[..., :1] = (c[..., :1] + np.conj(grid._at_minus_xi(c, slice(0, 1)))) * np.sqrt(0.5)
+        c[(slice(None),) + (0,) * grid.dim] = 0.0
+        return c
 
     @classmethod
     def random_band_limited(cls, grid: PeriodicGrid, kind: str, kmax: int,
                             rng: np.random.Generator) -> "SpectralField":
         """band_limited of one noise draw from rng."""
-        return cls.band_limited(grid, kind, kmax, cls.noise(grid, kind, rng))
+        return cls.band_limited(grid, kind, cls.noise(grid, kind, kmax, rng))
 
     @classmethod
-    def band_limited(cls, grid: PeriodicGrid, kind: str, kmax: int,
-                     noise: np.ndarray) -> "SpectralField":
-        """White noise filtered to max_j |xi_j| <= kmax (well below Nyquist),
-        with zero mean and max |values| = 1."""
-        if kmax < 1 or kmax > grid.n // 4:
-            raise InputError("kmax must lie in [1, n/4] to keep products alias-free")
-        # rfftn's passes, the leading-axis ffts on the kept columns only
-        lines = np.fft.rfft(noise, axis=-1)[..., :kmax + 1]
-        for axis in reversed(grid.fft_axes[:-1]):
-            lines = np.fft.fft(lines, axis=axis)
-        half = lines[grid.box(kmax, half=True)]
-        half[(slice(None),) + (0,) * grid.dim] = 0.0
-        # real noise has a Hermitian spectrum: the inverse real FFT is exact,
+    def band_limited(cls, grid: PeriodicGrid, kind: str, noise: np.ndarray) -> "SpectralField":
+        """A noise() draw as the mean-free field of band kmax with max |values| = 1."""
+        kmax = noise.shape[-1] - 1
+        # the xi_last = 0 plane is Hermitian: the inverse real FFT is exact,
         # and the xi_last < 0 coefficients are the conjugate mirror
-        values = grid.irfft_box(half, kmax)
+        values = grid.irfft_box(noise, kmax)
         factor = 1.0 / (np.max(np.abs(values)) or 1.0)
-        half *= factor
+        half = noise * factor
         values *= factor
         mirror = np.conj(grid._at_minus_xi(half, slice(kmax + 1, None)))
         field = cls.on_box(grid, kind, np.concatenate([half, mirror], axis=-1), kmax)

@@ -10,13 +10,14 @@ import tempfile
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 import scipy
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import quclab
-from quclab import cordes
+from quclab import cordes, spectral
 from quclab.cli import main
 from quclab.integrands import (
     bounded_power_profile,
@@ -334,6 +335,25 @@ class TestRieszCheck:
         assert len(lines) == 6
         validate(out / "summary.json", "riesz_summary")
 
+    def test_probe_draws_apart_from_the_fields(self, tmp_path, monkeypatch):
+        draws = []
+        noise = spectral.SpectralField.noise
+
+        def recorded(grid, kind, *args):
+            draws.append((kind, noise(grid, kind, *args)))
+            return draws[-1][1]
+
+        monkeypatch.setattr(spectral.SpectralField, "noise", staticmethod(recorded))
+        code, _ = run(tmp_path, "riesz-check", "--n", "32", "--fields", "2",
+                      "--kmax", "4", "--seed", "3")
+        assert code == 0
+        fields = [d for kind, d in draws if kind == "vector"]
+        probe = [d for kind, d in draws if kind == "scalar"]
+        assert len(fields) == 2 and len(probe) == 10
+        # trial 0's f and field 0's first component would be one draw
+        # if both came from one stream
+        assert not np.array_equal(probe[0][0], fields[0][0])
+
 
 class TestSolve:
     def test_solve_roundtrip(self, tmp_path):
@@ -411,7 +431,8 @@ class TestRadial:
 
     @pytest.mark.parametrize("argv", [["--N", "8"], ["--N", "50"],
                                       ["--r-max", "1e-13"], ["--r-max", "1e-100"],
-                                      ["--N", "100"]])
+                                      ["--N", "100"], ["--r-max", "1e5"],
+                                      ["--r-max", "10", "--m", "1000"]])
     def test_valid_extremes_exit_0(self, tmp_path, argv):
         code, out = run(tmp_path, "radial", "--p", "3", *argv)
         assert code == 0

@@ -43,7 +43,7 @@ class TestSolveRadial:
     def test_flux_identity_defect(self):
         for p in (1.2, 2.0, 3.0):
             sol = psolve(p)
-            assert radial.flux_identity_defect(sol) < 1e-10
+            assert radial.flux_identity_defect(sol)[0] < 1e-10
 
     @pytest.mark.parametrize("p", [3.0, 6.0])
     def test_origin_value_is_exact(self, p):
@@ -63,7 +63,7 @@ class TestSourceIntegral:
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_flux_identity_defect(self, dim, c, a):
         sol = psolve(2.0, dim=dim, c=c, a=a)
-        assert radial.flux_identity_defect(sol) < 1e-10
+        assert radial.flux_identity_defect(sol)[0] < 1e-10
 
     @pytest.mark.parametrize("a", [-3.0, -2.0])
     def test_non_integrable_source_raises(self, a):
