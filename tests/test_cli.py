@@ -1,5 +1,6 @@
 """CLI tests: exit codes, determinism, schema conformance of reports."""
 
+import copy
 import csv
 import dataclasses
 import json
@@ -17,7 +18,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import quclab
-from quclab import cordes, spectral
+from quclab import cordes, matrixcore, spectral
 from quclab.cli import main
 from quclab.integrands import (
     bounded_power_profile,
@@ -485,6 +486,38 @@ class TestAggregate:
         rep = json.loads((out / "report.json").read_text())
         assert rep["pass"] and all(rep["checks"].values())
         validate(out / "report.json", "aggregate_report")
+
+    def test_draws_from_independent_streams(self, tmp_path, monkeypatch):
+        # the first normals each consumer would draw: the matrix trial, the
+        # field and the T-norm probe
+        firsts = {}
+        trial = matrixcore.batch_skew_check
+        field = spectral.SpectralField.random_band_limited
+        probe = cordes.estimate_T_norm
+
+        def first(name, rng):
+            firsts[name] = copy.deepcopy(rng).standard_normal(8)
+
+        def recorded_trial(rng, *args):
+            first("trial", rng)
+            return trial(rng, *args)
+
+        def recorded_field(grid, kind, kmax, rng):
+            first("field", rng)
+            return field(grid, kind, kmax, rng)
+
+        def recorded_probe(*args, seed, **kwargs):
+            first("probe", np.random.default_rng(seed))
+            return probe(*args, seed=seed, **kwargs)
+
+        monkeypatch.setattr(matrixcore, "batch_skew_check", recorded_trial)
+        monkeypatch.setattr(spectral.SpectralField, "random_band_limited",
+                            staticmethod(recorded_field))
+        monkeypatch.setattr(cordes, "estimate_T_norm", recorded_probe)
+        code, _ = run(tmp_path, "report", "--seed", "0")
+        assert code == 0 and sorted(firsts) == ["field", "probe", "trial"]
+        for a, b in [("trial", "field"), ("trial", "probe"), ("field", "probe")]:
+            assert not np.array_equal(firsts[a], firsts[b]), (a, b)
 
 
 class TestUsage:

@@ -1,9 +1,12 @@
 """Tests for the curl-reabsorption matrix kernel."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import ortho_group
 
 from quclab import matrixcore as mc
 from quclab.errors import InputError, PreconditionError
@@ -27,7 +30,8 @@ class TestEigenSummary:
             assert (s.lambda_min, s.lambda_max, s.ratio) == (1.0, 4.0, 4.0)
 
     def test_random_spd_5x5(self, rng):
-        p = mc.random_spd_batch(rng, 1, 5)[0]
+        q = ortho_group.rvs(5, random_state=rng)
+        p = (q * np.exp(rng.uniform(-2.0, 2.0, 5))) @ q.T
         s = mc.eigen_summary(p)
         ref = np.linalg.eigvalsh(p)
         assert s.lambda_min == pytest.approx(ref[0], rel=1e-11)
@@ -111,21 +115,56 @@ class TestVerifySkewBound:
     def test_randomized_single_pairs(self, rng):
         for n in (2, 3, 5):
             for _ in range(150):
-                p = mc.random_spd_batch(rng, 1, n)[0]
-                s = mc.random_symmetric_batch(rng, 1, n)[0]
-                assert mc.verify_skew_bound(p, s).holds
+                q = ortho_group.rvs(n, random_state=rng)
+                p = (q * np.exp(rng.uniform(-2.0, 2.0, n))) @ q.T
+                g = rng.standard_normal((n, n))
+                assert mc.verify_skew_bound(p, g + g.T).holds
 
     def test_batch_driver(self, rng):
         rep = mc.batch_skew_check(rng, trials=5000, dim=4)
         assert rep.holds
         assert rep.worst_slack <= 1e-10
 
+    def test_batch_memory_is_bounded_by_chunk(self):
+        # 4000 trials at dim 64 in one chunk would hold about half a gigabyte
+        tracemalloc.start()
+        try:
+            mc.batch_skew_check(np.random.default_rng(0), trials=4000, dim=64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+
+
+class TestEigenbasisTerms:
+    @pytest.mark.parametrize("dim", range(2, 9))
+    def test_matches_dense_conjugated_pair(self, rng, dim):
+        # both sides are invariant under joint conjugation by a Haar Q
+        lam = np.exp(rng.uniform(-2.0, 2.0, (20, dim)))
+        g = rng.standard_normal((20, dim, dim))
+        s = 0.5 * (g + np.transpose(g, (0, 2, 1)))
+        lhs, rhs = mc.eigenbasis_terms(lam, s)
+        for b in range(20):
+            q = ortho_group.rvs(dim, random_state=rng)
+            rep = mc.verify_skew_bound((q * lam[b]) @ q.T, q @ s[b] @ q.T)
+            # the dense X - X^t cancels: its round-off scales with |X|^2, not lhs
+            x2 = np.sum((lam[b][:, None] * s[b]) ** 2)
+            assert rep.lhs == pytest.approx(lhs[b], rel=1e-12, abs=1e-12 * x2)
+            assert rep.rhs == pytest.approx(rhs[b], rel=1e-12)
+
+    @pytest.mark.parametrize("dim", range(2, 9))
+    def test_extremal_pair_has_zero_slack(self, dim):
+        p, s = mc.extremal_pair(dim)
+        lhs, rhs = mc.eigenbasis_terms(np.diag(p)[None], s[None])
+        assert lhs[0] / rhs[0] - 1.0 == pytest.approx(0.0, abs=1e-12)
+
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(2, 5), st.integers(0, 2**31 - 1))
 def test_property_skew_bound_random(dim, seed):
     rng = np.random.default_rng(seed)
-    p = mc.random_spd_batch(rng, 1, dim)[0]
-    s = mc.random_symmetric_batch(rng, 1, dim)[0]
-    rep = mc.verify_skew_bound(p, s)
+    q = ortho_group.rvs(dim, random_state=rng)
+    p = (q * np.exp(rng.uniform(-2.0, 2.0, dim))) @ q.T
+    g = rng.standard_normal((dim, dim))
+    rep = mc.verify_skew_bound(p, g + g.T)
     assert rep.holds
