@@ -27,7 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate, stats
+from scipy import integrate
+from scipy.special import gamma, stdtrit
 
 from .errors import InputError, PreconditionError
 from .matrixcore import radial_hessian
@@ -38,7 +39,6 @@ _SPHERE_AREA = {1: 2.0, 2: 2.0 * np.pi, 3: 4.0 * np.pi}
 
 def sphere_area(dim: int) -> float:
     if dim not in _SPHERE_AREA:
-        from scipy.special import gamma
         return float(2.0 * np.pi ** (dim / 2.0) / gamma(dim / 2.0))
     return _SPHERE_AREA[dim]
 
@@ -196,9 +196,14 @@ def holder_exponent(r: np.ndarray, values: np.ndarray) -> HolderFit:
     if np.max(moduli) <= 1e-300:
         return HolderFit(exponent=1.0, ci95=0.0, scales=scales, moduli=moduli,
                          degenerate=True)
-    res = stats.linregress(np.log(scales), np.log(np.maximum(moduli, 1e-300)))
-    tval = stats.t.ppf(0.975, HOLDER_SCALES - 2)
-    return HolderFit(exponent=float(res.slope), ci95=float(tval * res.stderr),
+    # the least-squares slope and its standard error, as scipy.stats.linregress
+    # forms them (r clipped to [-1, 1] against roundoff)
+    (sxx, sxy), (_, syy) = np.cov(np.log(scales), np.log(np.maximum(moduli, 1e-300)),
+                                  bias=1)
+    r = np.clip(sxy / np.sqrt(sxx * syy), -1.0, 1.0) if syy > 0.0 else 0.0
+    stderr = np.sqrt((1.0 - r**2) * syy / sxx / (HOLDER_SCALES - 2))
+    tval = stdtrit(HOLDER_SCALES - 2, 0.975)
+    return HolderFit(exponent=float(sxy / sxx), ci95=float(tval * stderr),
                      scales=scales, moduli=moduli)
 
 

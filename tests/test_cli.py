@@ -716,6 +716,16 @@ class TestUsage:
             jsonschema.validate(config, schema)
 
 
+def test_cli_import_leaves_scipy_stats_out():
+    # scipy.stats costs about half a second of import; no subcommand needs it
+    src = str(Path(quclab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", "import sys, quclab.cli; "
+                           "sys.exit('scipy.stats' in sys.modules)"], env=env, timeout=60)
+    assert proc.returncode == 0
+
+
 # fuzz: one option value of a small valid run, or one leaf of a small valid
 # solve config, replaced by a malformed token
 _FUZZ_ARGV = {

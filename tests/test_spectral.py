@@ -1,5 +1,7 @@
 """Tests for the periodic FFT engine: div-curl, identities, norms."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,12 +15,19 @@ def grid2(n=64):
     return sp.PeriodicGrid(dim=2, n=n)
 
 
-def field_from_callable(grid, fn, kind):
-    pts = np.stack(grid.mesh(), axis=-1)
-    vals = fn(pts)
-    if kind == "vector":
-        vals = np.moveaxis(vals, -1, 0)
-    return sp.SpectralField.from_physical(grid, vals, kind)
+def trig_field(grid, modes):
+    """Band-1 vector field whose component comp holds c e^{i xi x} for each
+    {(comp, position): c}, plus its conjugate where xi_2 > 0; positions index
+    the (3, 2) half box, where leading position 2 is xi_1 = -1."""
+    half = np.zeros((2, 3, 2), complex)
+    for index, c in modes.items():
+        half[index] = c * grid.n ** 2
+    return sp.SpectralField(grid, "vector", half, 1)
+
+
+def cos_x1(grid):
+    """V = (cos x1, 0): the modes xi = +-e1 of component 0, each 1/2."""
+    return trig_field(grid, {(0, 1, 0): 0.5, (0, 2, 0): 0.5})
 
 
 class TestGridAndFields:
@@ -28,18 +37,13 @@ class TestGridAndFields:
         with pytest.raises(InputError):
             sp.PeriodicGrid(dim=2, n=48)
 
-    def test_round_trip_real(self, rng):
-        grid = grid2(16)
-        vals = rng.standard_normal(grid.shape)
-        f = sp.SpectralField.from_physical(grid, vals, "scalar")
-        assert np.allclose(f.physical()[0], vals, atol=1e-12)
-        assert f.hermitian_error() < 1e-12
-
     def test_band_limited_mean_zero(self, rng):
         grid = grid2(32)
         f = sp.SpectralField.random_band_limited(grid, "vector", 4, rng)
-        assert np.max(np.abs(f.mean_values())) < 1e-13
-        assert f.hermitian_error() < 1e-10
+        assert np.all(f.half[:, 0, 0] == 0.0)
+        assert np.max(np.abs(np.mean(f.values, axis=grid.fft_axes))) < 1e-13
+        # the xi_2 = 0 line is Hermitian, so the field is real as drawn
+        assert np.array_equal(f.half[..., :1], np.conj(sp.plane_at_minus_xi(f.half)))
 
 
 class TestDivCurlReconstruct:
@@ -48,8 +52,8 @@ class TestDivCurlReconstruct:
         # and DV = diag(-sin x1, 0)
         grid = grid2(64)
         x = grid.mesh()
-        v = np.stack([np.cos(x[0]), np.zeros(grid.shape)])
-        vf = sp.SpectralField.from_physical(grid, v, "vector")
+        vf = cos_x1(grid)
+        assert np.allclose(vf.physical(), [np.cos(x[0]), np.zeros(grid.shape)], atol=1e-15)
         f = sp.divergence(vf)
         assert np.allclose(f.physical()[0], -np.sin(x[0]), atol=1e-12)
         g = sp.curl(vf)
@@ -61,8 +65,8 @@ class TestDivCurlReconstruct:
 
     def test_zero_data(self):
         grid = grid2(16)
-        f = sp.SpectralField(grid, "scalar", np.zeros((1,) + grid.shape, complex))
-        g = sp.SpectralField(grid, "skew", np.zeros((1,) + grid.shape, complex))
+        f = sp.SpectralField(grid, "scalar", np.zeros((1, 5, 3), complex), 2)
+        g = sp.SpectralField(grid, "skew", np.zeros((1, 5, 3), complex), 2)
         dv = sp.matrix_physical(sp.divcurl_reconstruct(f, g))
         assert np.max(np.abs(dv)) == 0.0
 
@@ -87,9 +91,7 @@ class TestEnergyIdentity:
     def test_hand_computed_field(self):
         # V = (cos x1, 0): int |DV|^2 = int sin^2 x1 = int (Div V)^2, curl = 0
         grid = grid2(64)
-        x = grid.mesh()
-        v = sp.SpectralField.from_physical(
-            grid, np.stack([np.cos(x[0]), np.zeros(grid.shape)]), "vector")
+        v = cos_x1(grid)
         assert sp.divcurl_identity_residual(v) < 1e-12
         dv = sp.matrix_physical(sp.gradient_tensor(v))
         lhs = np.sum(dv * dv) * grid.cell_volume
@@ -99,13 +101,15 @@ class TestEnergyIdentity:
         # V = (-sin x2, 0): curl carries half the energy
         grid = grid2(64)
         x = grid.mesh()
-        v = sp.SpectralField.from_physical(
-            grid, np.stack([-np.sin(x[1]), np.zeros(grid.shape)]), "vector")
+        # -sin x2 = (i/2) e^{i x2} + conj: the mode xi = e2 of component 0,
+        # whose mirror xi = -e2 lies outside the half box
+        v = trig_field(grid, {(0, 0, 1): 0.5j})
+        assert np.allclose(v.physical(), [-np.sin(x[1]), np.zeros(grid.shape)], atol=1e-15)
         assert sp.divcurl_identity_residual(v) < 1e-10
 
     def test_zero_field(self):
         grid = grid2(16)
-        v = sp.SpectralField(grid, "vector", np.zeros((2,) + grid.shape, complex))
+        v = sp.SpectralField(grid, "vector", np.zeros((2, 5, 3), complex), 2)
         assert sp.divcurl_identity_residual(v) == 0.0
 
     def test_random_fields(self, rng):
@@ -160,9 +164,9 @@ class TestLmBound:
         worst = 0.0
         for _ in range(20):
             u = sp.SpectralField.random_band_limited(grid, "scalar", 8, rng)
-            k = grid.wavenumbers()
-            vcoef = np.stack([1j * k[j] * u.coeffs[0] for j in range(2)])
-            v = sp.SpectralField(grid, "vector", vcoef)
+            k = grid.box_wavenumbers(u.band)
+            vcoef = np.stack([1j * k[j] * u.half[0] for j in range(2)])
+            v = sp.SpectralField(grid, "vector", vcoef, u.band)
             rep = sp.verify_lm_bound(v, m)
             assert rep.curl_norm < 1e-10 * max(rep.lhs, 1.0)
             worst = max(worst, rep.lhs / rep.div_norm)
@@ -170,8 +174,8 @@ class TestLmBound:
 
 
 class TestOnePassDerivatives:
-    """The half-spectrum paths against the full complex ones on white noise,
-    whose Nyquist planes carry data."""
+    """The half-box paths against the reference irfftn of the whole grid on
+    white noise at band n/2 - 1, which fills every non-Nyquist mode."""
 
     @staticmethod
     def assert_close(got, want):
@@ -181,10 +185,12 @@ class TestOnePassDerivatives:
     @pytest.mark.parametrize("dim,n", [(2, 16), (2, 32), (3, 8)])
     def test_white_noise_matches_full_complex_path(self, dim, n, rng):
         grid = sp.PeriodicGrid(dim=dim, n=n)
+        band = n // 2 - 1
 
         def noise(kind, ncomp):
-            values = rng.standard_normal((ncomp,) + grid.shape)
-            return sp.SpectralField.from_physical(grid, values, kind)
+            shape = (ncomp,) + (2 * band + 1,) * (dim - 1) + (band + 1,)
+            half = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            return sp.SpectralField(grid, kind, half, band)
 
         v = noise("vector", dim)
         dv, div, curl = v.derivatives
@@ -256,15 +262,10 @@ def test_riesz_check_fft_budget_per_field(tmp_path, monkeypatch):
 
 
 class TestBand:
-    """A banded field (random_band_limited's) works on the kmax box; the same
-    coefficients without a band take the whole spectrum.  Both must give the
-    same bits, since the box path skips only all-zero lines."""
+    """A field is its half box of band kmax: the box paths skip only the
+    all-zero lines of the reference irfftn, so both give the same bits."""
 
     CASES = [(2, 32, 1), (2, 32, 8), (3, 16, 1), (3, 16, 4)]
-
-    @staticmethod
-    def unbanded(field):
-        return sp.SpectralField(field.grid, field.kind, field.coeffs)
 
     @staticmethod
     def assert_same(a, b):
@@ -275,12 +276,12 @@ class TestBand:
         grid = sp.PeriodicGrid(dim=dim, n=n)
         c = sp.SpectralField.noise(grid, "vector", kmax, np.random.default_rng(5))
         assert c.shape == (dim,) + (2 * kmax + 1,) * (dim - 1) + (kmax + 1,)
-        self.assert_same(c[..., :1], np.conj(grid._at_minus_xi(c, slice(0, 1))))
+        self.assert_same(c[..., :1], np.conj(sp.plane_at_minus_xi(c)))
         assert np.all(c[(slice(None),) + (0,) * dim] == 0.0)
         v = sp.SpectralField.band_limited(grid, "vector", c)
         assert v.band == kmax
         assert np.max(np.abs(v.values - v.physical())) <= 1e-14
-        assert np.max(np.abs(v.mean_values())) <= 1e-15
+        assert np.all(v.half[(slice(None),) + (0,) * dim] == 0.0)
         assert np.max(np.abs(v.values)) == pytest.approx(1.0, abs=1e-15)
 
     @pytest.mark.parametrize("dim,n,kmax", [(2, 32, 4), (3, 16, 2)])
@@ -310,24 +311,17 @@ class TestBand:
         rng = np.random.default_rng(11)
         v, f, g = (sp.SpectralField.random_band_limited(grid, kind, kmax, rng)
                    for kind in ("vector", "scalar", "skew"))
-        half = v.coeffs[..., :n // 2 + 1]
-        want = np.fft.irfftn(half, s=grid.shape, axes=grid.fft_axes)
-        self.assert_same(grid.irfft_box(half[grid.box(kmax, half=True)], kmax), want)
-        self.assert_same(grid.irfft_box(half, None), want)
-        # a fresh banded field forms its values instead of reading the stored ones
-        banded = sp.SpectralField(grid, "vector", v.coeffs, kmax)
-        full = self.unbanded(v)
-        self.assert_same(banded.values, full.values)
-        for got, want in zip(banded.derivatives, full.derivatives):
-            self.assert_same(got, want)
+        self.assert_same(grid.irfft_box(v.half), v.physical())
+        # a fresh field forms its values instead of reading the stored ones
+        fresh = sp.SpectralField(grid, "vector", v.half, kmax)
+        self.assert_same(fresh.values, v.physical())
+        self.assert_same(fresh.derivatives[0], sp.matrix_physical(sp.gradient_tensor(v)))
         for op in (sp.divergence, sp.curl, lambda u: u.scaled(-1.7)):
-            self.assert_same(op(banded).coeffs, op(full).coeffs)
-            self.assert_same(op(banded).values, op(full).values)
-        rec = sp.divcurl_reconstruct(sp.divergence(banded), sp.curl(banded))
-        rec_full = sp.divcurl_reconstruct(sp.divergence(full), sp.curl(full))
-        self.assert_same(rec.coeffs, rec_full.coeffs)
-        self.assert_same(rec.values, rec_full.values)
-        self.assert_same(apply_T(f, g), apply_T(self.unbanded(f), self.unbanded(g)))
+            self.assert_same(op(fresh).values, op(v).physical())
+        rec = sp.divcurl_reconstruct(sp.divergence(v), sp.curl(v))
+        self.assert_same(rec.values, rec.physical())
+        self.assert_same(apply_T(f, g), sp.matrix_physical(
+            sp.divcurl_reconstruct(f, g.scaled(np.sqrt(2.0)))))
 
     def test_band_propagates(self, rng):
         v = sp.SpectralField.random_band_limited(grid2(32), "vector", 4, rng)
@@ -335,30 +329,40 @@ class TestBand:
         assert v.scaled(2.0).band == 4
         div, cg = sp.divergence(v), sp.curl(v)
         assert div.band == cg.band == 4
+        assert sp.gradient_tensor(v).band == 4
         assert sp.divcurl_reconstruct(div, cg).band == 4
-        # the larger band covers both fields
+        # the reconstruction takes one band
         f = sp.SpectralField.random_band_limited(grid2(32), "scalar", 2, rng)
-        assert sp.divcurl_reconstruct(f, cg).band == 4
+        with pytest.raises(InputError):
+            sp.divcurl_reconstruct(f, cg)
 
-    def test_fields_from_data_carry_no_band(self, rng):
-        grid = grid2(16)
-        u = sp.SpectralField.from_physical(grid, rng.standard_normal(grid.shape), "scalar")
-        assert u.band is None
-        assert sp.SpectralField(grid, "scalar", u.coeffs).band is None
-        assert u.scaled(2.0).band is None
-
-    def test_banded_with_unbanded_takes_whole_spectrum(self, rng):
-        grid = grid2(32)
-        f = sp.SpectralField.random_band_limited(grid, "scalar", 4, rng)
-        g = sp.SpectralField.random_band_limited(grid, "skew", 4, rng)
-        rec = sp.divcurl_reconstruct(f, self.unbanded(g))
-        assert rec.band is None
-        want = sp.divcurl_reconstruct(self.unbanded(f), self.unbanded(g))
-        self.assert_same(rec.coeffs, want.coeffs)
-        self.assert_same(rec.values, want.values)
-
-    @pytest.mark.parametrize("band", [-1, 8])
+    @pytest.mark.parametrize("band", [-1, 8, None])
     def test_band_out_of_range_rejected(self, band, rng):
         u = sp.SpectralField.random_band_limited(grid2(16), "scalar", 2, rng)
         with pytest.raises(InputError):
-            sp.SpectralField(u.grid, "scalar", u.coeffs, band)
+            sp.SpectralField(u.grid, "scalar", u.half, band)
+
+    def test_half_box_shape_checked(self, rng):
+        u = sp.SpectralField.random_band_limited(grid2(16), "scalar", 2, rng)
+        with pytest.raises(InputError):
+            sp.SpectralField(u.grid, "scalar", u.half, 3)
+        with pytest.raises(InputError):
+            sp.SpectralField(u.grid, "vector", u.half, 2)
+
+
+def test_field_check_memory_512():
+    # one 512^2 riesz-check field: the draw, DV, Div V and curl V, the Div and
+    # curl fields and the reconstruction's values.  The real grid arrays come
+    # to 24 MB; a full (ncomp, n, n) complex spectrum per field adds 32 MB.
+    grid = sp.PeriodicGrid(dim=2, n=512)
+    rng = np.random.default_rng(0)
+    tracemalloc.start()
+    try:
+        v = sp.SpectralField.random_band_limited(grid, "vector", 8, rng)
+        dv = v.derivatives[0]
+        rec = sp.divcurl_reconstruct(sp.divergence(v), sp.curl(v)).values
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rec.shape == (4,) + grid.shape and dv.shape == (2, 2) + grid.shape
+    assert peak < 28 * 2 ** 20
