@@ -239,7 +239,7 @@ def cmd_radial(args, out_dir: Path, manifest: Manifest):
     sol = radial.solve_radial(prob)
     defect, scale = radial.flux_identity_defect(sol)
     fit = radial.holder_exponent(sol.r, sol.v_prime)
-    norms = radial.stress_wm_norm(sol, args.m, 0.0, args.r_max / 2.0)
+    norms = radial.stress_wm_norm(prob, args.m, args.r_max / 2.0)
     stress_err = None
     if args.f_kind == "const" and args.f_value == 1.0:
         rng = np.random.default_rng(0)

@@ -17,14 +17,21 @@ The source needs N + a > 0 (f integrable against r^(N-1)) and p + a > 0
 (v bounded at the origin).  For f = 1, b = p' and u attains the exponent p'
 exactly; the solver serves as an oracle for the grid solvers.
 
-The stress field is V(x) = (T(|x|)/|x|) x with the analytic gradient
-DV = h I + r h' (x/r)(x/r)^t, h = T/r, which is symmetric: radial stress
-fields are curl-free.
+The stress field is V(x) = (T(|x|)/|x|) x = h x, h = c r^a/(N+a), with the
+analytic gradient DV = h I + r h' (x/r)(x/r)^t = T' P + h (I - P),
+T' = (1+a) h, which is symmetric: radial stress fields are curl-free.  So
+|V| = |h| r, |DV|_F = |h| sqrt(N-1+(1+a)^2) and |f| = (N+a) |h|, each of the
+form coef r^g, and every L^m norm on a ball B_rho is a single power:
+
+    (|S^(N-1)| int_0^rho r^(N-1) (coef r^g)^m dr)^(1/m)
+        = coef (|S^(N-1)| rho^e / e)^(1/m),      e = N + g m,
+
+finite iff e > 0; for |DV| and f that is N + a m > 0.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
@@ -76,10 +83,6 @@ class RadialProblem:
             raise InputError(f"the closed form would overflow: a magnitude of 10^{worst:.4g} "
                              f"exceeds the bound 1e300")
 
-    def source(self, r: np.ndarray) -> np.ndarray:
-        """f(r) = c r^a, with r clamped at 1e-12 so that f(0) is finite."""
-        return self.c * np.maximum(r, 1e-12) ** self.a
-
 
 @dataclass(frozen=True)
 class RadialSolution:
@@ -88,11 +91,10 @@ class RadialSolution:
     flux: np.ndarray        # T(r) = |v'|^(p-2) v'
     v_prime: np.ndarray
     v: np.ndarray
-    flux_prime: np.ndarray = field(repr=False, default=None)
 
 
 def solve_radial(prob: RadialProblem, num: int = 4097) -> RadialSolution:
-    """The closed form on num radii from 0 to R; T(0) = 0 and T'(0) = f(0)/N."""
+    """The closed form on num radii from 0 to R, with T(0) = 0."""
     r = np.linspace(0.0, prob.r_max, num)
     n_a, q = prob.dim + prob.a, 1.0 / (prob.p - 1.0)
     flux = np.zeros(num)
@@ -101,12 +103,7 @@ def solve_radial(prob: RadialProblem, num: int = 4097) -> RadialSolution:
     beta = (prob.p + prob.a) * q
     k = np.sign(prob.c) * (abs(prob.c) / n_a) ** q
     v = k * (r ** beta - prob.r_max ** beta) / beta
-    f_vals = prob.source(r)
-    flux_prime = np.empty(num)
-    flux_prime[0] = f_vals[0] / prob.dim
-    flux_prime[1:] = f_vals[1:] - (prob.dim - 1) * flux[1:] / r[1:]
-    return RadialSolution(problem=prob, r=r, flux=flux, v_prime=v_prime,
-                          v=v, flux_prime=flux_prime)
+    return RadialSolution(problem=prob, r=r, flux=flux, v_prime=v_prime, v=v)
 
 
 def flux_identity_defect(sol: RadialSolution) -> tuple[float, float]:
@@ -135,22 +132,18 @@ class StressGrid:
 
 
 def stress_of(sol: RadialSolution, points: np.ndarray) -> StressGrid:
-    """V = T(r) unit and its analytic gradient DV = T' P + (T/r)(I - P).
-
-    P = unit unit^t and T' = f - (N-1) T / r from the flux differential
-    identity; this equals h I + r h' P with h = T/r.
-    """
+    """V = h x and DV = T' P + h (I - P) in closed form at the points x:
+    h = c r^a/(N+a) and T' = (1+a) h at r = |x|, P = (x/r)(x/r)^t."""
     pts = np.asarray(points, dtype=float)
-    dim = sol.problem.dim
-    if pts.shape[-1] != dim:
+    prob = sol.problem
+    if pts.shape[-1] != prob.dim:
         raise InputError("points dimension mismatch")
     r = np.linalg.norm(pts, axis=-1)
-    if np.any(r < 1e-14 * sol.problem.r_max) or np.any(r > sol.problem.r_max + 1e-12):
+    if np.any(r < 1e-14 * prob.r_max) or np.any(r > prob.r_max + 1e-12):
         raise InputError("points outside the solved radial range")
-    t_prime = np.interp(r, sol.r, sol.flux_prime)
-    h = np.interp(r, sol.r, sol.flux) / r
+    h = prob.c * r ** prob.a / (prob.dim + prob.a)
     values = h[..., None] * pts
-    gradients = radial_hessian(pts / r[..., None], t_prime, h)
+    gradients = radial_hessian(pts / r[..., None], (1.0 + prob.a) * h, h)
     return StressGrid(points=pts, values=values, gradients=gradients)
 
 
@@ -209,42 +202,35 @@ def holder_exponent(r: np.ndarray, values: np.ndarray) -> HolderFit:
 
 # -- localized Sobolev norms of the radial stress ------------------------------
 
-def stress_wm_norm(sol: RadialSolution, m: float, r_lo: float, r_hi: float) -> dict:
-    """||V||_{W^{1,m}} on the annulus/ball {r_lo <= |x| <= r_hi} by radial
-    quadrature: |V| = |T| and |DV|_F^2 = (N-1) h^2 + (T')^2."""
-    if m <= 0.0:
+def _power_lm_norm(prob: RadialProblem, coef: float, g: float, m: float,
+                   radius: float) -> float:
+    """(|S^(N-1)| int_0^radius r^(N-1) (coef r^g)^m dr)^(1/m), coef >= 0, formed
+    in logs so that a large m does not overflow."""
+    if not m > 0.0:
         raise InputError("m must be > 0")
-    prob = sol.problem
-    area = sphere_area(prob.dim)
-    mask = (sol.r >= r_lo) & (sol.r <= r_hi)
-    r = sol.r[mask]
-    if len(r) < 8:
-        raise InputError("radial window too thin for quadrature")
-    t_flux = sol.flux[mask]
-    t_prime = sol.flux_prime[mask]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        h = np.where(r > 0, t_flux / r, t_prime)
-    dv_frob = np.sqrt((prob.dim - 1) * h * h + t_prime * t_prime)
-    w = r ** (prob.dim - 1)
+    e = prob.dim + g * m
+    if not e > 0.0:
+        raise InputError(f"the L^{m:g} norm diverges at the origin: need N + a m > 0, "
+                         f"got N + a m = {prob.dim + prob.a * m:g}")
+    log_integral = np.log(sphere_area(prob.dim) / e) + e * np.log(radius)
+    return float(coef * np.exp(log_integral / m))
 
-    # the largest value comes out before each m-th power, which would overflow
-    def norm(vals):
-        top = np.max(vals) or 1.0
-        return top * (area * integrate.simpson((vals / top) ** m * w, x=r)) ** (1.0 / m)
 
-    lm, sem = norm(np.abs(t_flux)), norm(dv_frob)
+def stress_wm_norm(prob: RadialProblem, m: float, radius: float) -> dict:
+    """||V||_{W^{1,m}(B_radius)} in closed form: |V| = |h| r and
+    |DV|_F = |h| sqrt(N-1+(1+a)^2), |h| = |c| r^a/(N+a)."""
+    k = abs(prob.c) / (prob.dim + prob.a)
+    lm = _power_lm_norm(prob, k, 1.0 + prob.a, m, radius)
+    sem = _power_lm_norm(prob, k * np.sqrt(prob.dim - 1.0 + (1.0 + prob.a) ** 2),
+                         prob.a, m, radius)
     top = max(lm, sem) or 1.0
-    return {"lm": float(lm), "seminorm": float(sem),
+    return {"lm": lm, "seminorm": sem,
             "w1m": float(top * ((lm / top) ** m + (sem / top) ** m) ** (1.0 / m))}
 
 
-def source_lm_norm(prob: RadialProblem, m: float, r_lo: float, r_hi: float) -> float:
-    """||f||_{L^m} on {r_lo <= |x| <= r_hi} by Simpson's rule on 2049 radii."""
-    r = np.linspace(max(r_lo, 0.0), min(r_hi, prob.r_max), 2049)
-    f_vals = prob.source(r)
-    area = sphere_area(prob.dim)
-    return float((area * integrate.simpson(np.abs(f_vals) ** m * r ** (prob.dim - 1), x=r))
-                 ** (1.0 / m))
+def source_lm_norm(prob: RadialProblem, m: float, radius: float) -> float:
+    """||f||_{L^m(B_radius)} in closed form, |f| = |c| r^a."""
+    return _power_lm_norm(prob, abs(prob.c), prob.a, m, radius)
 
 
 @dataclass(frozen=True)
@@ -266,17 +252,17 @@ def cp_prime_verify(p: float, m: float, dim: int = 2, a: float = 0.0,
     """Solve the radial p-Poisson problem with source f = r^a on the unit
     ball B_R, R = 1, and measure the C^{p'} diagnostics.
 
-    Computes ||V||_{W^{1,m}(B_{R/2})} from the analytic DV formula, the
-    right-hand-side norms ||f||_{L^m(B_R)} + ||V||_{L^1(B_R)}, and the fitted
-    Holder exponent of v'; asserts 1 + exponent(Du) >= min{p', 2} - 0.1 for
-    bounded sources.
+    Computes ||V||_{W^{1,m}(B_{R/2})} and the right-hand-side norms
+    ||f||_{L^m(B_R)} + ||V||_{L^1(B_R)} in closed form, and the fitted Holder
+    exponent of v'; asserts 1 + exponent(Du) >= min{p', 2} - 0.1 for bounded
+    sources.  num sets only the sampled profile v' and so the Holder fit.
     """
     prob = RadialProblem(dim=dim, p=p, r_max=1.0, c=1.0, a=a)
-    sol = solve_radial(prob, num=num)
-    norms = stress_wm_norm(sol, m, 0.0, 0.5)
-    f_norm = source_lm_norm(prob, m, 0.0, 1.0)
-    v_l1 = stress_wm_norm(sol, 1.0, 0.0, 1.0)["lm"]
+    norms = stress_wm_norm(prob, m, 0.5)
+    f_norm = source_lm_norm(prob, m, 1.0)
+    v_l1 = stress_wm_norm(prob, 1.0, 1.0)["lm"]
     ratio = norms["w1m"] / max(f_norm + v_l1, 1e-300)
+    sol = solve_radial(prob, num=num)
     fit = holder_exponent(sol.r, sol.v_prime)
     p_prime = p / (p - 1.0)
     grad_expo = min(fit.exponent, 1.0)

@@ -664,6 +664,10 @@ class TestUsage:
         ({}, None, ["radial", "--p", "1.01", "--r-max", "1e5"], "exceeds the bound 1e300"),
         ({}, None, ["radial", "--p", "3", "--r-max", "1e200", "--f-kind", "power",
                     "--f-value", "2"], "exceeds the bound 1e300"),
+        ({}, None, ["radial", "--p", "3", "--f-kind", "power", "--f-value", "-1.5",
+                    "--m", "4"], "need N + a m > 0"),
+        ({}, None, ["radial", "--p", "3", "--f-kind", "power", "--f-value", "-1",
+                    "--m", "2"], "need N + a m > 0"),
     ], ids=["quc-threads", "levels", "missing-config", "config-cells",
             "config-stage", "config-list", "config-boundary", "config-tol",
             "p-grid-empty", "p-grid-token", "dims-token", "dims-zero", "dims-one",
@@ -688,7 +692,8 @@ class TestUsage:
             "config-source-exponent", "radial-source-not-integrable",
             "radial-source-unbounded-v", "cantor-level-above-cap",
             "integrand-cantor-level-above-cap", "radial-p-near-one-overflow",
-            "radial-large-r-max-overflow"])
+            "radial-large-r-max-overflow", "radial-norm-divergent",
+            "radial-norm-log-divergent"])
     def test_malformed_input_exit_2(self, tmp_path, monkeypatch, capsys, env, config,
                                     argv, message):
         for key, value in env.items():

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from quclab.errors import InputError, PreconditionError
 from quclab import radial
@@ -114,6 +115,44 @@ class TestStress:
         sol = psolve(3.0, c=0.0)
         pts = rng.uniform(0.1, 0.5, size=(20, 2))
         assert np.max(np.abs(radial.stress_of(sol, pts).values)) == 0.0
+
+    @pytest.mark.parametrize("dim, a", [(2, 0.5), (2, -0.5), (3, 2.0)])
+    def test_closed_form_values_and_radial_gradient(self, dim, a, rng):
+        # V = h x with h = c r^a/(N+a), and DV x/r = T' x/r with T' = (1+a) h
+        sol = psolve(3.0, dim=dim, a=a)
+        pts = rng.uniform(-0.55, 0.55, size=(300, dim))
+        r = np.linalg.norm(pts, axis=1)
+        pts, r = pts[(r > 0.05) & (r <= 1.0)], r[(r > 0.05) & (r <= 1.0)]
+        grid = radial.stress_of(sol, pts)
+        h = r ** a / (dim + a)
+        np.testing.assert_allclose(grid.values, h[:, None] * pts, rtol=1e-13, atol=0.0)
+        radial_part = np.einsum("mij,mj->mi", grid.gradients, pts / r[:, None])
+        np.testing.assert_allclose(radial_part, ((1.0 + a) * h / r)[:, None] * pts,
+                                   rtol=1e-13, atol=1e-13 * np.max(np.abs(h)))
+
+
+class TestStressNorms:
+    # the closed-form norms against scipy's quad of r^(N-1) (coef r^g)^m
+    @staticmethod
+    def quad_norm(dim, coef, g, m, radius):
+        val, _ = integrate.quad(lambda r: r ** (dim - 1) * (coef * r ** g) ** m, 0.0,
+                                radius, epsabs=0.0, epsrel=1e-13, limit=200)
+        return (radial.sphere_area(dim) * val) ** (1.0 / m)
+
+    @pytest.mark.parametrize("p, m, a, dim", [(3.0, 2.0, 0.0, 2), (3.0, 4.0, 0.0, 2),
+                                              (3.0, 1.5, 0.5, 3), (3.0, 2.0, -0.225, 2),
+                                              (3.0, 3.9, -0.5, 2)])
+    def test_matches_quad(self, p, m, a, dim):
+        prob = radial.RadialProblem(dim=dim, p=p, r_max=1.0, c=1.0, a=a)
+        k = 1.0 / (dim + a)
+        norms = radial.stress_wm_norm(prob, m, 0.5)
+        assert norms["lm"] == pytest.approx(self.quad_norm(dim, k, 1.0 + a, m, 0.5),
+                                            rel=1e-12)
+        frob = k * np.sqrt(dim - 1.0 + (1.0 + a) ** 2)
+        assert norms["seminorm"] == pytest.approx(self.quad_norm(dim, frob, a, m, 0.5),
+                                                  rel=1e-12)
+        assert radial.source_lm_norm(prob, m, 1.0) == pytest.approx(
+            self.quad_norm(dim, 1.0, a, m, 1.0), rel=1e-12)
 
 
 class TestHolderExponent:
