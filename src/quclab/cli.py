@@ -196,10 +196,7 @@ def cmd_solve(args, out_dir: Path, manifest: Manifest):
     el_res = euler_lagrange_residual(sol)
     regularity = None
     if sol.mesh.dim == 2:
-        center = report_opts.get("ball_center", [0.0, 0.0])
-        rad = report_opts.get("ball_radius", spec.half_width / 5.0)
-        rep = sobolev_report(sol, center, rad, m=report_opts.get("m", 2.0),
-                             theta=report_opts.get("theta"))
+        rep = sobolev_report(sol, **report_opts)
         regularity = {
             "m": rep.m, "theta": rep.theta, "ball_center": list(rep.ball_center),
             "ball_radius": rep.ball_radius, "v_ltheta_2b": rep.v_ltheta_2b,

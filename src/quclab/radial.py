@@ -213,6 +213,10 @@ def _power_lm_norm(prob: RadialProblem, coef: float, g: float, m: float,
         raise InputError(f"the L^{m:g} norm diverges at the origin: need N + a m > 0, "
                          f"got N + a m = {prob.dim + prob.a * m:g}")
     log_integral = np.log(sphere_area(prob.dim) / e) + e * np.log(radius)
+    worst = (log_integral / m + np.log(coef or 1.0)) / np.log(10.0)  # c = 0 counts as 1
+    if worst > 300.0:
+        raise InputError(f"the L^{m:g} norm would overflow: a magnitude of 10^{worst:.4g} "
+                         f"exceeds the bound 1e300")
     return float(coef * np.exp(log_integral / m))
 
 

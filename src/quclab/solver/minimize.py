@@ -274,7 +274,7 @@ def minimize(spec: ProblemSpec, schedule: RegularizationSchedule | None = None,
     to converge.
     """
     schedule = schedule or RegularizationSchedule()
-    mesh = BoxMesh(dim=spec.dim, cells=spec.cells, half_width=spec.half_width)
+    mesh = spec.mesh
     coords = mesh.node_coords()
     f_nodes_raw = np.asarray(spec.source(coords), float)
     if f_nodes_raw.shape != (mesh.n_nodes,):

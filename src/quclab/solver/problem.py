@@ -1,17 +1,18 @@
-"""Problem descriptions, schedules, and the JSON configuration schema."""
+"""Problem descriptions, schedules, and the JSON solve config with its rules."""
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from ..errors import InputError
+from ..errors import InputError, PreconditionError
 from ..integrands import Integrand, integrand_from_config
 from ..utils import check_p, strict_float, strict_int
+from .mesh import BoxMesh
 
 CONFIG_VERSION = 1
 
@@ -83,7 +84,7 @@ class ProblemSpec:
 
     The minimizer solves Div(DF(Du)) = f weakly (the discrete first-order
     condition is sum_s vol (DF(Du), Dphi_i) + sum w f phi_i = 0 per interior
-    hat function).
+    hat function).  The spec builds its mesh, which checks cells and half_width.
     """
 
     integrand: Integrand
@@ -91,6 +92,10 @@ class ProblemSpec:
     source: Callable[[np.ndarray], np.ndarray]
     cells: int = 64
     half_width: float = 1.0
+    mesh: BoxMesh = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "mesh", BoxMesh(self.dim, self.cells, self.half_width))
 
     @property
     def dim(self) -> int:
@@ -120,6 +125,29 @@ class RegularizationSchedule:
         if any(a < b for a, b in zip(eps, eps[1:])) or any(a < b for a, b in zip(mus, mus[1:])):
             raise InputError("eps and mu must be nonincreasing along the schedule")
         object.__setattr__(self, "stages", stages)
+
+
+def check_report_ball(spec: ProblemSpec, ball_center, ball_radius: float, m: float,
+                      theta: float | None = None):
+    """The rules of a localized report on the problem's domain: a 2-D problem,
+    a 2-entry center, a positive radius, 4B inside the domain and
+    0 < theta <= m, theta defaulting to min{p/(q-1), 1} from the declared
+    growth exponents, else 1.  Returns (center array, theta)."""
+    if spec.dim != 2:
+        raise InputError(f"report: the regularity report is 2-D only, not {spec.dim}-D")
+    c = np.asarray(ball_center, float)
+    if c.shape != (2,):
+        raise InputError(f"ball_center must have 2 entries, got {c.tolist()}")
+    if not ball_radius > 0.0:
+        raise InputError(f"ball_radius must be > 0, got {ball_radius}")
+    if np.any(np.abs(c) + 4.0 * ball_radius > spec.half_width + 1e-12):
+        raise PreconditionError("4B must be contained in the domain")
+    if theta is None:
+        p, q = spec.integrand.growth_p, spec.integrand.growth_q
+        theta = 1.0 if p is None or q is None or q <= 1.0 else min(p / (q - 1.0), 1.0)
+    if not 0.0 < theta <= m:
+        raise InputError("need 0 < theta <= m")
+    return c, float(theta)
 
 
 # -- JSON config ----------------------------------------------------------------
@@ -165,10 +193,12 @@ def _parse(what: str, fn, *args, **kwargs):
 def load_problem_config(cfg: dict | str | Path):
     """Parse and validate a solver config; unknown keys are rejected.
 
-    Every malformed value raises :class:`InputError`.  Returns
-    (ProblemSpec, RegularizationSchedule, solver_options, report_options).
+    Every malformed value raises :class:`InputError`, so a returned config
+    runs.  Returns (ProblemSpec, RegularizationSchedule, solver_options,
+    report_options); a 2-D problem's report options are sobolev_report's
+    keywords, defaulting to ball (0, 0), radius half_width / 5 and m = 2.
     """
-    if not isinstance(cfg, dict):
+    if isinstance(cfg, (str, Path)):
         try:
             cfg = json.loads(Path(cfg).read_text())
         except (OSError, ValueError) as exc:
@@ -207,8 +237,13 @@ def load_problem_config(cfg: dict | str | Path):
         schedule = RegularizationSchedule()
     solver_opts = {key: _parse(key, _SOLVER_TYPES[key], value, key)
                    for key, value in _section(cfg, "solver", set(_SOLVER_TYPES)).items()}
-    if "report" in cfg and spec.dim != 2:
-        raise InputError(f"report: the regularity report is 2-D only, not {spec.dim}-D")
+    for key, value in solver_opts.items():
+        if not value > 0:
+            raise InputError(f"{key} must be > 0, got {value}")
     report_opts = {key: _parse(key, _REPORT_TYPES[key], value, key)
                    for key, value in _section(cfg, "report", set(_REPORT_TYPES)).items()}
+    if spec.dim == 2 or "report" in cfg:
+        report_opts = {"ball_center": [0.0, 0.0], "ball_radius": spec.half_width / 5.0,
+                       "m": 2.0, **report_opts}
+        check_report_ball(spec, **report_opts)
     return spec, schedule, solver_opts, report_opts

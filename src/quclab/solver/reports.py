@@ -13,9 +13,9 @@ from math import factorial
 
 import numpy as np
 
-from ..errors import InputError, PreconditionError
 from .mesh import BoxMesh
 from .minimize import DiscreteSolution
+from .problem import check_report_ball
 
 
 def disk_cell_weights(centers: np.ndarray, h: float, ball_center, radius: float) -> np.ndarray:
@@ -39,14 +39,7 @@ def disk_cell_weights(centers: np.ndarray, h: float, ball_center, radius: float)
 
 def _weighted_lm(values_mag: np.ndarray, weights: np.ndarray, cell_area: float,
                  m: float) -> float:
-    if m <= 0.0:
-        raise InputError("m must be > 0")
     return float((np.sum(weights * values_mag ** m) * cell_area) ** (1.0 / m))
-
-
-def _require_2d(mesh: BoxMesh):
-    if mesh.dim != 2:
-        raise InputError("localized reports are implemented for 2-D meshes")
 
 
 def _stress_and_gradient_lattices(sol: DiscreteSolution):
@@ -79,34 +72,15 @@ class RegularityReport:
     c_meas: float
 
 
-def default_theta(sol: DiscreteSolution, m: float) -> float:
-    """theta = min{p/(q-1), 1} from the declared growth exponents, else 1."""
-    p, q = sol.spec.integrand.growth_p, sol.spec.integrand.growth_q
-    if p is None or q is None or q <= 1.0:
-        return 1.0
-    return float(min(p / (q - 1.0), 1.0))
-
-
 def sobolev_report(sol: DiscreteSolution, ball_center, ball_radius: float,
                    m: float, theta: float | None = None) -> RegularityReport:
     """Localized norms behind the W^{1,m} stress estimate.
 
     c_meas = ||V||_{W^{1,m}(B)} / (||f||_{L^m(2B)} + ||V||_{L^theta(2B)});
-    requires a 2-entry center, a positive radius and 4B inside the domain.
+    the ball and theta follow :func:`check_report_ball`.
     """
-    _require_2d(sol.mesh)
     mesh = sol.mesh
-    c = np.asarray(ball_center, float)
-    if c.shape != (2,):
-        raise InputError(f"ball_center must have 2 entries, got {c.tolist()}")
-    if not ball_radius > 0.0:
-        raise InputError(f"ball_radius must be > 0, got {ball_radius}")
-    if np.any(np.abs(c) + 4.0 * ball_radius > mesh.half_width + 1e-12):
-        raise PreconditionError("4B must be contained in the domain")
-    if theta is None:
-        theta = default_theta(sol, m)
-    if not 0.0 < theta <= m:
-        raise InputError("need 0 < theta <= m")
+    c, theta = check_report_ball(sol.spec, ball_center, ball_radius, m, theta)
 
     v, centers, dv, dv_points = _stress_and_gradient_lattices(sol)
     h = mesh.h

@@ -371,8 +371,6 @@ class TestSolve:
         }
         cfg_path = tmp_path / "prob.json"
         cfg_path.write_text(json.dumps(cfg))
-        schema = json.loads((SCHEMA_DIR / "solve_config.schema.json").read_text())
-        jsonschema.validate(cfg, schema)
         code, out = run(tmp_path, "solve", "--config", str(cfg_path))
         assert code == 0
         validate(out / "report.json", "solve_report")
@@ -668,6 +666,16 @@ class TestUsage:
                     "--m", "4"], "need N + a m > 0"),
         ({}, None, ["radial", "--p", "3", "--f-kind", "power", "--f-value", "-1",
                     "--m", "2"], "need N + a m > 0"),
+        ({}, {**_CONFIG, "solver": {"tol": 0.0}},
+         ["solve", "--config", "{tmp}/config.json"], "tol must be > 0"),
+        ({}, {**_CONFIG, "solver": {"max_iter": 0}},
+         ["solve", "--config", "{tmp}/config.json"], "max_iter must be > 0"),
+        ({}, {**_CONFIG, "report": {"ball_center": [0.5, 0.5], "ball_radius": 0.3}},
+         ["solve", "--config", "{tmp}/config.json"], "4B must be contained"),
+        ({}, {**_CONFIG, "problem": {**_CONFIG["problem"], "cells": 2}},
+         ["solve", "--config", "{tmp}/config.json"], "at least 4 cells"),
+        ({}, None, ["radial", "--p", "3", "--m", "0.01", "--r-max", "1e5"],
+         "exceeds the bound 1e300"),
     ], ids=["quc-threads", "levels", "missing-config", "config-cells",
             "config-stage", "config-list", "config-boundary", "config-tol",
             "p-grid-empty", "p-grid-token", "dims-token", "dims-zero", "dims-one",
@@ -693,7 +701,8 @@ class TestUsage:
             "radial-source-unbounded-v", "cantor-level-above-cap",
             "integrand-cantor-level-above-cap", "radial-p-near-one-overflow",
             "radial-large-r-max-overflow", "radial-norm-divergent",
-            "radial-norm-log-divergent"])
+            "radial-norm-log-divergent", "config-tol-zero", "config-max-iter-zero",
+            "config-ball-outside", "config-cells-two", "radial-norm-overflow"])
     def test_malformed_input_exit_2(self, tmp_path, monkeypatch, capsys, env, config,
                                     argv, message):
         for key, value in env.items():
@@ -705,20 +714,18 @@ class TestUsage:
         err = capsys.readouterr().err
         assert "input error:" in err and message in err
 
-    @pytest.mark.parametrize("row", ["config-ball-center-one", "config-ball-center-three",
-                                     "config-ball-center-empty", "config-ball-radius-zero",
-                                     "config-ball-radius-negative"])
-    def test_rejected_report_ball_fails_schema(self, row):
-        # the configs of test_malformed_input_exit_2's report-ball rows, which
-        # the parser rejects, fail the schema too; a two-entry ball passes it
-        [mark] = [m for m in TestUsage.test_malformed_input_exit_2.pytestmark
-                  if m.name == "parametrize"]
-        _, config, _, _ = dict(zip(mark.kwargs["ids"], mark.args[1]))[row]
-        schema = json.loads((SCHEMA_DIR / "solve_config.schema.json").read_text())
-        jsonschema.validate({**_CONFIG, "report": {"ball_center": [0.1, 0.1],
-                                                   "ball_radius": 0.1}}, schema)
-        with pytest.raises(jsonschema.ValidationError, match="ball_"):
-            jsonschema.validate(config, schema)
+    @pytest.mark.parametrize("env, config, argv, message", [
+        pytest.param(*row, id=name) for name, row in zip(
+            test_malformed_input_exit_2.pytestmark[0].kwargs["ids"],
+            test_malformed_input_exit_2.pytestmark[0].args[1]) if row[1] is not None])
+    def test_config_rows_exit_2_before_the_solve(self, tmp_path, monkeypatch, capsys, env,
+                                                  config, argv, message):
+        # the config rows of test_malformed_input_exit_2: the parser rejects
+        # each one, so the cascade never starts
+        monkeypatch.setattr(quclab.cli, "minimize",
+                            lambda *a, **k: pytest.fail("minimize ran on a malformed config"))
+        self.test_malformed_input_exit_2(tmp_path, monkeypatch, capsys, env, config, argv,
+                                         message)
 
 
 def test_cli_import_leaves_scipy_stats_out():

@@ -703,3 +703,9 @@ class TestConfig:
         trace = load_problem_config(cfg)[0].boundary(x)
         assert np.array_equal(trace, radial_power_solution(3.0, dim=3)(x))
         assert not np.allclose(trace, radial_power_solution(3.0)(x))
+
+    @pytest.mark.parametrize("cfg", [[1, 2], 3.5, None])
+    def test_config_of_the_wrong_type_is_an_input_error(self, cfg):
+        # only a str or Path names a file; any other non-dict is malformed
+        with pytest.raises(InputError, match="config must be a JSON object"):
+            load_problem_config(cfg)
