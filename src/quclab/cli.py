@@ -168,7 +168,9 @@ def cmd_riesz_check(args, out_dir: Path, manifest: Manifest):
              for _ in range(args.fields))
     with ThreadPoolExecutor(max_workers=worker_count()) as pool:
         rows = [[i] + row for i, row in enumerate(pool_map(pool, check, draws))]
-        t2 = cordes.estimate_T_norm(2.0, trials=max(10, args.fields), n=args.n,
+        # the m = 2 probe's sums are exact for any n > 2 kmax, not only on --n
+        t2 = cordes.estimate_T_norm(2.0, trials=max(10, args.fields),
+                                    n=spectral.SpectralField.alias_free_n(args.kmax),
                                     kmax=args.kmax, seed=probe_seed,
                                     map=partial(pool_map, pool))
     worst_ident, worst_round = max(r[1] for r in rows), max(r[2] for r in rows)
@@ -331,7 +333,8 @@ def cmd_report(args, out_dir: Path, manifest: Manifest):
                                                    np.random.default_rng(field_seed))
     checks["energy_identity"] = spectral.divcurl_identity_residual(v) <= 1e-10
     checks["lm_bound"] = spectral.verify_lm_bound(v, 3.0).holds
-    t2 = cordes.estimate_T_norm(2.0, trials=20, seed=probe_seed)
+    t2 = cordes.estimate_T_norm(2.0, trials=20, n=spectral.SpectralField.alias_free_n(8),
+                                kmax=8, seed=probe_seed)
     checks["t_norm_isometry"] = 0.9 <= t2 <= 1.0 + 1e-9
     checks["cordes_positive"] = cordes.cordes_delta0(1.5, 2) > 0.0
     est = estimate_K(gallery("power", p=3),

@@ -136,7 +136,9 @@ def estimate_T_norm(m: float, trials: int, dim: int = 2, n: int = 64,
     """Randomized lower bound for ||T||: max ratio over band-limited data.
 
     Zero inputs are skipped.  At m = 2 the operator is an isometry on
-    compatible data, so the estimate sits at 1 up to grid roundoff.
+    compatible data, and every integral is quadratic in band-kmax fields, so
+    the grid sums are exact for n > 2 kmax: the estimate is 1 to roundoff on
+    any such grid (at other m it depends on n).
     ``seed`` is an int or a SeedSequence (riesz-check passes its own stream
     for the probe).  The trials' half boxes are drawn in the calling thread
     in stream order, and each trial is a task handed to ``map``

@@ -183,11 +183,16 @@ class SpectralField:
         return SpectralField(self.grid, self.kind, factor * self.half, self.band)
 
     @staticmethod
+    def alias_free_n(kmax: int) -> int:
+        """The smallest n that noise() accepts for kmax: a power of two >= max(8, 4 kmax)."""
+        return max(8, 1 << (4 * kmax - 1).bit_length())
+
+    @staticmethod
     def noise(grid: PeriodicGrid, kind: str, kmax: int, rng: np.random.Generator) -> np.ndarray:
         """box(kmax) of real white noise's DFT, up to n^(N/2): standard complex
         normals from rng, c <- (c + conj c(-xi)) / sqrt 2 on the xi_N = 0 plane
         (exactly Hermitian, each mode's law kept) and the mean mode zero."""
-        if kmax < 1 or kmax > grid.n // 4:
+        if kmax < 1 or grid.n < SpectralField.alias_free_n(kmax):
             raise InputError("kmax must lie in [1, n/4] to keep products alias-free")
         shape = (_NCOMP[kind](grid.dim),) + (2 * kmax + 1,) * (grid.dim - 1) + (kmax + 1,)
         c = rng.standard_normal(shape + (2,)).view(complex)[..., 0] * np.sqrt(0.5)

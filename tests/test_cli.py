@@ -3,6 +3,7 @@
 import copy
 import csv
 import dataclasses
+import inspect
 import json
 import os
 import subprocess
@@ -354,6 +355,27 @@ class TestRieszCheck:
         # trial 0's f and field 0's first component would be one draw
         # if both came from one stream
         assert not np.array_equal(probe[0][0], fields[0][0])
+
+    @pytest.mark.parametrize("argv, probe_n", [
+        (["riesz-check", "--n", "64", "--fields", "1", "--kmax", "8"], 32),
+        # 4 kmax = 12 rounds up to the next power of two
+        (["riesz-check", "--n", "64", "--fields", "1", "--kmax", "3"], 16),
+        (["report"], 32),
+    ], ids=["riesz-check-kmax8", "riesz-check-kmax3", "report"])
+    def test_m2_probe_runs_on_the_smallest_alias_free_grid(self, tmp_path, monkeypatch,
+                                                           argv, probe_n):
+        grids = []
+        probe = cordes.estimate_T_norm
+
+        def recorded(*args, **kwargs):
+            bound = inspect.signature(probe).bind(*args, **kwargs)
+            bound.apply_defaults()
+            grids.append(bound.arguments["n"])
+            return probe(*args, **kwargs)
+
+        monkeypatch.setattr(cordes, "estimate_T_norm", recorded)
+        code, _ = run(tmp_path, *argv)
+        assert code == 0 and grids == [probe_n]
 
 
 class TestSolve:

@@ -91,6 +91,15 @@ class TestTNormProbe:
         bound = 2.0 ** 2 * (cordes.mhat(4.0) - 1.0) * (1.0 + np.sqrt(2.0))
         assert 0.0 < est <= bound
 
+    def test_only_the_m2_probe_is_grid_independent(self):
+        # at m = 2 the probe's integrals are quadratic in band-kmax fields, so
+        # every grid with n > 2 kmax sums them exactly; at m = 3 they are not
+        ulp = np.spacing(1.0)
+        m2 = [cordes.estimate_T_norm(2.0, trials=4, n=n, kmax=8, seed=0) for n in (32, 256)]
+        m3 = [cordes.estimate_T_norm(3.0, trials=4, n=n, kmax=8, seed=0) for n in (32, 256)]
+        assert all(abs(t - 1.0) <= 4 * ulp for t in m2), m2
+        assert abs(m3[0] - m3[1]) > 1e-4, m3
+
     def test_trials_validated(self):
         with pytest.raises(InputError):
             cordes.estimate_T_norm(2.0, trials=0)
