@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +30,7 @@ from .solver import (
     minimize,
     sobolev_report,
 )
-from .utils import Manifest, pool_map, worker_count, write_csv, write_grid_txt, write_json
+from .utils import Manifest, pool_map, write_csv, write_grid_txt, write_json
 
 
 def _parse_list(text: str, convert, flag: str) -> list:
@@ -86,6 +84,18 @@ def _write_report(path: Path, payload: dict, passed) -> tuple[dict, bool]:
     return payload, payload["pass"]
 
 
+def _extremal_check():
+    """(report, |lhs - rhs| / rhs, the gate gap < 1e-12) of the 2-D extremal pair."""
+    ext = matrixcore.verify_skew_bound(*matrixcore.extremal_pair(2, 1.0, 4.0))
+    rel_gap = abs(ext.lhs - ext.rhs) / ext.rhs
+    return ext, rel_gap, rel_gap < 1e-12
+
+
+def _within_declared_K(f, est: float) -> bool:
+    """The ratio-bound gate: the sampled K is within f's declared K (1e-6 relative)."""
+    return est <= f.declared_K * (1.0 + 1e-6)
+
+
 # -- subcommand handlers (each returns the report payload and a pass flag) ------
 
 def cmd_matrix_check(args, out_dir: Path, manifest: Manifest):
@@ -94,10 +104,8 @@ def cmd_matrix_check(args, out_dir: Path, manifest: Manifest):
     columns = ["dim", "worst_slack", "violations", "holds"]
     reports = [matrixcore.batch_skew_check(rng, args.trials, dim) for dim in dims]
     rows = [{key: getattr(r, key) for key in columns} for r in reports]
-    p_ext, s_ext = matrixcore.extremal_pair(2, 1.0, 4.0)
-    ext = matrixcore.verify_skew_bound(p_ext, s_ext)
-    rel_gap = abs(ext.lhs - ext.rhs) / ext.rhs
-    passed = all(r["holds"] for r in rows) and rel_gap < 1e-12
+    ext, rel_gap, equality = _extremal_check()
+    passed = all(r["holds"] for r in rows) and equality
     payload = {
         "subcommand": "matrix-check", "seed": args.seed,
         "trials_per_dim": args.trials, "rel_slack": matrixcore.SKEW_RTOL,
@@ -113,14 +121,12 @@ def cmd_integrand(args, out_dir: Path, manifest: Manifest):
                              shells=max(40, args.samples // 25),
                              directions=25, seed=args.seed)
     est = estimate_K(f, sampler)
-    growth = None
+    growth, passed = None, True
     if f.declared_K is not None:
         rep = verify_growth(f, f.declared_K)
         growth = {"p": rep.p, "q": rep.q, "C_lower": rep.C_lower,
                   "C_upper": rep.C_upper, "holds": rep.holds}
-    passed = True
-    if f.declared_K is not None:
-        passed = est <= f.declared_K * (1.0 + 1e-6) and (growth is None or growth["holds"])
+        passed = _within_declared_K(f, est) and rep.holds
     payload = {
         "subcommand": "integrand", "integrand": integrand_to_config(f),
         "declared_K": f.declared_K, "estimated_K": est,
@@ -156,27 +162,26 @@ def cmd_riesz_check(args, out_dir: Path, manifest: Manifest):
         ident = spectral.divcurl_identity_residual(v)
         dv = v.derivatives[0]
         # an independent spectral path: Riesz reconstruction from Div V, curl V
-        rec = spectral.divcurl_reconstruct(
-            spectral.divergence(v), spectral.curl(v)).values.reshape(dv.shape)
+        rec = spectral.divcurl_reconstruct(spectral.divergence(v), spectral.curl(v)).values
         scale = np.sqrt(np.sum(dv * dv)) or 1.0
         roundtrip = float(np.sqrt(np.sum((rec - dv) ** 2)) / scale)
         reps = [spectral.verify_lm_bound(v, m) for m in (1.5, 2.0, 3.0, 6.0)]
-        return [ident, roundtrip] + [rep.lhs / rep.rhs for rep in reps]
+        return [ident, roundtrip] + [rep.lhs / rep.rhs for rep in reps], \
+            all(rep.holds for rep in reps)
 
     # the noise is drawn here, in stream order: no report byte depends on the pool
     draws = (spectral.SpectralField.noise(grid, "vector", args.kmax, rng)
              for _ in range(args.fields))
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        rows = [[i] + row for i, row in enumerate(pool_map(pool, check, draws))]
-        # the m = 2 probe's sums are exact for any n > 2 kmax, not only on --n
-        t2 = cordes.estimate_T_norm(2.0, trials=max(10, args.fields),
-                                    n=spectral.SpectralField.alias_free_n(args.kmax),
-                                    kmax=args.kmax, seed=probe_seed,
-                                    map=partial(pool_map, pool))
+    results = list(pool_map(check, draws))
+    rows = [[i] + row for i, (row, _) in enumerate(results)]
+    # the m = 2 probe's sums are exact for any n > 2 kmax, not only on --n
+    t2 = cordes.estimate_T_norm(2.0, trials=max(10, args.fields),
+                                n=spectral.SpectralField.alias_free_n(args.kmax),
+                                kmax=args.kmax, seed=probe_seed, map=pool_map)
     worst_ident, worst_round = max(r[1] for r in rows), max(r[2] for r in rows)
     worst_ratio = max(max(r[3:]) for r in rows)
     passed = worst_ident <= 1e-10 and worst_round <= 1e-10 \
-        and worst_ratio <= 1.0 + 1e-12 and 0.9 <= t2 <= 1.0 + 1e-9
+        and all(holds for _, holds in results) and 0.9 <= t2 <= 1.0 + 1e-9
     write_csv(manifest.add(out_dir / "residuals.csv"),
               ["field", "identity_residual", "roundtrip_error",
                "lm_ratio_m1.5", "lm_ratio_m2", "lm_ratio_m3", "lm_ratio_m6"],
@@ -250,7 +255,7 @@ def cmd_radial(args, out_dir: Path, manifest: Manifest):
         if not len(pts):
             raise InputError(f"no stress sample point in 0.05 r_max < |x| <= r_max "
                              f"for r_max = {args.r_max:g}")
-        grid = radial.stress_of(sol, pts)
+        grid = radial.stress_of(prob, pts)
         stress_err = float(np.max(np.abs(grid.values - pts / args.N)))
     write_csv(manifest.add(out_dir / "profile.csv"),
               ["r", "flux", "v_prime", "v"],
@@ -272,8 +277,7 @@ def cmd_cpprime_sweep(args, out_dir: Path, manifest: Manifest):
     def one(p):
         return radial.cp_prime_verify(p, m=args.m, dim=args.N)
 
-    with ThreadPoolExecutor(max_workers=worker_count(len(ps))) as pool:
-        reports = list(pool.map(one, ps))
+    reports = list(pool_map(one, ps))
     columns = ["p", "p_prime", "gradient_exponent", "solution_exponent",
                "stress_w1m", "ratio", "meets_target"]
     rows = [{key: getattr(r, key) for key in columns} for r in reports]
@@ -292,12 +296,11 @@ def cmd_cantor(args, out_dir: Path, manifest: Manifest):
     counterexamples.check_n_grid(args.n_grid)
     fields = counterexamples.cantor_stress_fields(levels)
     # the per-bump polar rules, then the blow-up table's grid chunks, are
-    # the pool's tasks; the table waits in this thread, never in a worker
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        weak = counterexamples.weak_divergence_residuals(
-            fields, n_bumps=args.bumps, seed=args.seed, map=pool.map)
-        table = counterexamples.sobolev_blowup_diagnostic(
-            levels, n_grid=args.n_grid, map=partial(pool_map, pool))
+    # pool tasks; the table waits in this thread, never in a worker
+    weak = counterexamples.weak_divergence_residuals(
+        fields, n_bumps=args.bumps, seed=args.seed, map=pool_map)
+    table = counterexamples.sobolev_blowup_diagnostic(
+        levels, n_grid=args.n_grid, map=pool_map)
     write_csv(manifest.add(out_dir / "blowup.csv"),
               ["level", "w11_quotient", "sup_quotient", "l15_quotient",
                "control_w11"],
@@ -326,8 +329,7 @@ def cmd_report(args, out_dir: Path, manifest: Manifest):
     checks = {}
     checks["matrix_bound"] = matrixcore.batch_skew_check(
         np.random.default_rng(matrix_seed), 2000, 4).holds
-    ext = matrixcore.verify_skew_bound(*matrixcore.extremal_pair())
-    checks["matrix_extremal_equality"] = abs(ext.lhs - ext.rhs) <= 1e-12 * ext.rhs
+    checks["matrix_extremal_equality"] = _extremal_check()[2]
     grid = spectral.PeriodicGrid(dim=2, n=64)
     v = spectral.SpectralField.random_band_limited(grid, "vector", 8,
                                                    np.random.default_rng(field_seed))
@@ -337,9 +339,9 @@ def cmd_report(args, out_dir: Path, manifest: Manifest):
                                 kmax=8, seed=probe_seed)
     checks["t_norm_isometry"] = 0.9 <= t2 <= 1.0 + 1e-9
     checks["cordes_positive"] = cordes.cordes_delta0(1.5, 2) > 0.0
-    est = estimate_K(gallery("power", p=3),
-                     AnnulusSampler(0.3, 3.0, shells=40, directions=25, seed=args.seed))
-    checks["gallery_ratio_bound"] = est <= 2.0 * (1.0 + 1e-6)
+    f = gallery("power", p=3)
+    est = estimate_K(f, AnnulusSampler(0.3, 3.0, shells=40, directions=25, seed=args.seed))
+    checks["gallery_ratio_bound"] = _within_declared_K(f, est)
     sol = radial.solve_radial(radial.RadialProblem(dim=2, p=3.0, r_max=1.0, c=1.0, a=0.0))
     defect, scale = radial.flux_identity_defect(sol)
     checks["radial_flux_identity"] = defect < 1e-10 * scale

@@ -125,9 +125,7 @@ def cordes_report(dim: int, m: float, K: float | None = None,
 
 def apply_T(f: SpectralField, g: SpectralField) -> np.ndarray:
     """T(f, G) = DV for Div V = f, curl V = sqrt(2) G; physical matrix field."""
-    dv = spectral.divcurl_reconstruct(f, g.scaled(np.sqrt(2.0)))
-    d = f.grid.dim
-    return dv.values.reshape((d, d) + f.grid.shape)
+    return spectral.divcurl_reconstruct(f, g.scaled(np.sqrt(2.0))).values
 
 
 def estimate_T_norm(m: float, trials: int, dim: int = 2, n: int = 64,

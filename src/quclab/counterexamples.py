@@ -231,7 +231,7 @@ def weak_divergence_residuals(fields, n_bumps: int = 50, seed: int = 0,
     origin (``_weak_pairings``), and its bound is the distance from a
     coarser rule's.  phi is radial and decreasing, so ||Dphi||_1 = 2 pi
     int_0^rho phi = 320 pi rho / 231.  The bumps are independent tasks
-    handed to ``map`` (an executor's ``map`` runs them in parallel); the
+    handed to ``map`` (utils.pool_map runs them in parallel); the
     result does not depend on its schedule.
     """
     def per_bump(bump):

@@ -126,16 +126,14 @@ def flux_identity_defect(sol: RadialSolution) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class StressGrid:
-    points: np.ndarray      # (M, dim)
     values: np.ndarray      # (M, dim), V(x) = h(|x|) x
     gradients: np.ndarray   # (M, dim, dim), analytic DV
 
 
-def stress_of(sol: RadialSolution, points: np.ndarray) -> StressGrid:
+def stress_of(prob: RadialProblem, points: np.ndarray) -> StressGrid:
     """V = h x and DV = T' P + h (I - P) in closed form at the points x:
     h = c r^a/(N+a) and T' = (1+a) h at r = |x|, P = (x/r)(x/r)^t."""
     pts = np.asarray(points, dtype=float)
-    prob = sol.problem
     if pts.shape[-1] != prob.dim:
         raise InputError("points dimension mismatch")
     r = np.linalg.norm(pts, axis=-1)
@@ -144,7 +142,7 @@ def stress_of(sol: RadialSolution, points: np.ndarray) -> StressGrid:
     h = prob.c * r ** prob.a / (prob.dim + prob.a)
     values = h[..., None] * pts
     gradients = radial_hessian(pts / r[..., None], (1.0 + prob.a) * h, h)
-    return StressGrid(points=pts, values=values, gradients=gradients)
+    return StressGrid(values=values, gradients=gradients)
 
 
 # -- Holder exponent fits ------------------------------------------------------

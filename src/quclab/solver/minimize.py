@@ -34,7 +34,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from ..errors import InputError, NumericError
+from ..errors import NumericError
 from ..integrands import Integrand, mollify
 from .mesh import BoxMesh
 from .problem import ProblemSpec, RegularizationSchedule
@@ -254,10 +254,6 @@ class DiscreteSolution:
     history: tuple
     warm_start: str             # "ok", or why the harmonic start failed
 
-    @property
-    def f_nodes(self) -> np.ndarray:
-        return np.asarray(self.spec.source(self.mesh.node_coords()), float)
-
 
 def _harmonic_warm_start(mesh: BoxMesh, u0: np.ndarray, f_nodes: np.ndarray) -> np.ndarray:
     """One linear solve of the quadratic-energy problem as initialization."""
@@ -274,22 +270,12 @@ def minimize(spec: ProblemSpec, schedule: RegularizationSchedule | None = None,
     to converge.
     """
     schedule = schedule or RegularizationSchedule()
-    mesh = spec.mesh
-    coords = mesh.node_coords()
-    f_nodes_raw = np.asarray(spec.source(coords), float)
-    if f_nodes_raw.shape != (mesh.n_nodes,):
-        raise InputError("source must evaluate to one value per node")
-    if not np.all(np.isfinite(f_nodes_raw)):
-        raise InputError("source has non-finite nodal values")
-
+    mesh, f_nodes = spec.mesh, spec.f_nodes
     u = np.zeros(mesh.n_nodes)
-    bmask = mesh.boundary_mask
-    u[bmask] = np.asarray(spec.boundary(coords[bmask]), float)
-    if not np.all(np.isfinite(u[bmask])):
-        raise InputError("boundary data has non-finite values")
+    u[mesh.boundary_mask] = spec.boundary_values
 
     try:
-        u = _harmonic_warm_start(mesh, u, f_nodes_raw)
+        u = _harmonic_warm_start(mesh, u, f_nodes)
         start = "ok"
     except NumericError as exc:  # the flat extension stays, and is reported
         start = str(exc)
@@ -307,7 +293,7 @@ def minimize(spec: ProblemSpec, schedule: RegularizationSchedule | None = None,
         try:
             # the quadratic tilt already sits inside the stage Hessian; a
             # Levenberg bump covers the rare singular factorization at mu = 0
-            stage = _stage_newton(mesh, f_stage, f_nodes_raw, u, tol=tol,
+            stage = _stage_newton(mesh, f_stage, f_nodes, u, tol=tol,
                                   max_iter=max_iter)
         except NumericError as exc:
             raise NumericError(f"stage {idx} (eps={eps:g}, mu={mu:g}): {exc}") from exc
@@ -324,7 +310,7 @@ def minimize(spec: ProblemSpec, schedule: RegularizationSchedule | None = None,
 
     du_cells = mesh.cell_mean_gradients(u)
     stress = np.asarray(spec.integrand.gradient(du_cells), float)
-    final_energy = assemble_energy(mesh, spec.integrand, u, f_nodes_raw)
+    final_energy = assemble_energy(mesh, spec.integrand, u, f_nodes)
     return DiscreteSolution(spec=spec, schedule=schedule, mesh=mesh, u=u,
                             stress_cells=stress,
                             energy=final_energy, history=tuple(history),

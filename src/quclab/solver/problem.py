@@ -84,7 +84,8 @@ class ProblemSpec:
 
     The minimizer solves Div(DF(Du)) = f weakly (the discrete first-order
     condition is sum_s vol (DF(Du), Dphi_i) + sum w f phi_i = 0 per interior
-    hat function).  The spec builds its mesh, which checks cells and half_width.
+    hat function).  The spec builds its mesh, which checks cells and half_width,
+    and checks its finite nodal data there: ``f_nodes`` and ``boundary_values``.
     """
 
     integrand: Integrand
@@ -93,9 +94,24 @@ class ProblemSpec:
     cells: int = 64
     half_width: float = 1.0
     mesh: BoxMesh = field(init=False, repr=False, compare=False)
+    f_nodes: np.ndarray = field(init=False, repr=False, compare=False)
+    boundary_values: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "mesh", BoxMesh(self.dim, self.cells, self.half_width))
+        mesh = BoxMesh(self.dim, self.cells, self.half_width)
+        coords = mesh.node_coords()
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow is checked below
+            f_nodes = np.asarray(self.source(coords), float)
+            trace = np.asarray(self.boundary(coords[mesh.boundary_mask]), float)
+        if f_nodes.shape != (mesh.n_nodes,):
+            raise InputError("source must evaluate to one value per node")
+        if not np.all(np.isfinite(f_nodes)):
+            raise InputError("source has non-finite nodal values")
+        if not np.all(np.isfinite(trace)):
+            raise InputError("boundary data has non-finite values")
+        object.__setattr__(self, "mesh", mesh)
+        object.__setattr__(self, "f_nodes", f_nodes)
+        object.__setattr__(self, "boundary_values", trace)
 
     @property
     def dim(self) -> int:

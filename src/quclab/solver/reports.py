@@ -136,7 +136,7 @@ def euler_lagrange_residual(sol: DiscreteSolution) -> float:
     p = sol.spec.integrand.growth_p or 2.0
     g = mesh.simplex_gradients(sol.u)
     df = np.asarray(sol.spec.integrand.gradient(g), float)
-    grad_full = mesh.scatter_gradient(df) + mesh.node_weights * sol.f_nodes
+    grad_full = mesh.scatter_gradient(df) + mesh.node_weights * sol.spec.f_nodes
     res = np.abs(grad_full[mesh.interior_mask])
     return float(res.max() / hat_norm_w1p(mesh, p))
 

@@ -13,7 +13,9 @@ the N(N-1)/2 independent upper-triangle components.
 Band: every field is real and band-limited, and is stored as its half box,
 the coefficients with max_j |xi_j| <= band and xi_N >= 0, a
 (2 band + 1)^(N-1) x (band + 1) block per component; the xi_N < 0 half is
-the conjugate mirror, and no coefficient outside the box is nonzero.
+the conjugate mirror, and no coefficient outside the box is nonzero.  The
+components keep their shape, (1,), (N,), (N(N-1)/2,) or (N, N), before the
+box or grid axes, which every transform indexes from the end.
 band_limited sets the band to kmax (its noise is drawn on the half box,
 never on the grid); scaled, divergence, curl, gradient_tensor and
 divcurl_reconstruct act on the block and keep the band.  The inverse FFTs
@@ -67,16 +69,16 @@ class PeriodicGrid:
 
     @property
     def fft_axes(self) -> tuple[int, ...]:
-        """Grid axes of a (ncomp, n, ..., n) component stack."""
-        return tuple(range(1, self.dim + 1))
+        """Grid axes of a (components..., n, ..., n) stack: the last dim."""
+        return tuple(range(-self.dim, 0))
 
     def box(self, band: int) -> tuple:
         """Index of the half box max_j |xi_j| <= band, xi_N >= 0, in a
-        (ncomp, n, ..., n, m) half spectrum (m > band).  Along a leading box
+        (..., n, ..., n, m) half spectrum (m > band).  Along a leading box
         axis of 2 band + 1 positions, position p holds xi = p mod (2 band + 1)
         in the symmetric range; along the last, position p holds xi = p."""
         lines = np.r_[0:band + 1, self.n - band:self.n]
-        return (slice(None),) + np.ix_(*[lines] * (self.dim - 1), lines[:band + 1])
+        return (Ellipsis,) + np.ix_(*[lines] * (self.dim - 1), lines[:band + 1])
 
     def box_wavenumbers(self, band: int) -> np.ndarray:
         """Integer frequencies on the half box, shape (dim, 2 band + 1, ..., band + 1)."""
@@ -85,40 +87,40 @@ class PeriodicGrid:
                                     indexing="ij"))
 
     def irfft_box(self, half: np.ndarray) -> np.ndarray:
-        """Real grid values of a (ncomp, box...) half box of band
+        """Real grid values of a (..., box...) half box of band
         half.shape[-1] - 1: irfftn of the zero-padded spectrum, whose ifft
         along each leading axis, in irfftn's order, runs only on the band + 1
         last-axis columns; irfft pads those columns with zeros."""
-        lines = np.zeros(half.shape[:1] + self.shape[:-1] + half.shape[-1:], complex)
+        lines = np.zeros(half.shape[:-self.dim] + self.shape[:-1] + half.shape[-1:], complex)
         lines[self.box(half.shape[-1] - 1)] = half
         for axis in self.fft_axes[:-1]:
             lines = np.fft.ifft(lines, axis=axis)
         return np.fft.irfft(lines, n=self.n, axis=-1)
 
 
-def plane_at_minus_xi(c: np.ndarray) -> np.ndarray:
-    """c(-xi) on the xi_N = 0 plane of a (ncomp, box...) half box, where -xi
-    sits at -p mod (2 band + 1) along each leading axis; shape (ncomp, ..., 1)."""
-    m = c.shape[1]
+def plane_at_minus_xi(c: np.ndarray, dim: int) -> np.ndarray:
+    """c(-xi) on the xi_N = 0 plane of a (..., box...) half box in dimension
+    dim, where -xi sits at -p mod (2 band + 1) along each leading axis."""
+    m = c.shape[-dim]
     neg = -np.arange(m) % m
-    return c[(slice(None),) + np.ix_(*[neg] * (c.ndim - 2), [0])]
+    return c[(Ellipsis,) + np.ix_(*[neg] * (dim - 1), [0])]
 
 
-_NCOMP = {"scalar": lambda d: 1, "vector": lambda d: d,
-          "skew": lambda d: d * (d - 1) // 2, "matrix": lambda d: d * d}
+_NCOMP = {"scalar": lambda d: (1,), "vector": lambda d: (d,),
+          "skew": lambda d: (d * (d - 1) // 2,), "matrix": lambda d: (d, d)}
 
 
 @dataclass(frozen=True)
 class SpectralField:
     """Real field of band ``band`` stored as its half box.
 
-    ``half`` has shape (ncomp, 2 band + 1, ..., 2 band + 1, band + 1), even
-    for scalars (ncomp = 1): the coefficients on grid.box(band).  The
-    xi_N < 0 coefficients are the conjugate mirror and those outside the box
-    are zero; the inverse real FFT reads only the Hermitian part of the
-    xi_N = 0 plane.  ``band`` is an int in [0, n/2), so the box holds no
-    Nyquist line.  Fields are immutable: ``values``, ``derivatives`` and
-    ``magnitudes`` are formed once.
+    ``half`` has shape _NCOMP[kind](d) + (2 band + 1, ..., band + 1), (1,)
+    for scalars and (d, d) for matrix fields: the coefficients on
+    grid.box(band).  The xi_N < 0 coefficients are the conjugate mirror and
+    those outside the box are zero; the inverse real FFT reads only the
+    Hermitian part of the xi_N = 0 plane.  ``band`` is an int in [0, n/2), so
+    the box holds no Nyquist line.  Fields are immutable: ``values``,
+    ``derivatives`` and ``magnitudes`` are formed once.
     """
 
     grid: PeriodicGrid
@@ -132,7 +134,7 @@ class SpectralField:
         if not (isinstance(self.band, int) and 0 <= self.band < self.grid.n // 2):
             raise InputError(f"band must be an int in [0, n/2), got {self.band!r}")
         b, d = self.band, self.grid.dim
-        want = (_NCOMP[self.kind](d),) + (2 * b + 1,) * (d - 1) + (b + 1,)
+        want = _NCOMP[self.kind](d) + (2 * b + 1,) * (d - 1) + (b + 1,)
         if self.half.shape != want:
             raise InputError(
                 f"half box for {self.kind} of band {b} must have shape {want}, "
@@ -141,8 +143,8 @@ class SpectralField:
     def physical(self) -> np.ndarray:
         """irfftn of the half spectrum zero-padded to the whole grid (the reference path)."""
         grid = self.grid
-        spectrum = np.zeros(self.half.shape[:1] + grid.shape[:-1] + (grid.n // 2 + 1,),
-                            complex)
+        spectrum = np.zeros(self.half.shape[:-grid.dim] + grid.shape[:-1]
+                            + (grid.n // 2 + 1,), complex)
         spectrum[grid.box(self.band)] = self.half
         return np.fft.irfftn(spectrum, s=grid.shape, axes=grid.fft_axes)
 
@@ -156,19 +158,11 @@ class SpectralField:
     def derivatives(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(DV, Div V, curl V) of a vector field on the grid, formed once.
 
-        DV (d, d, *shape) is one irfft_box of the d^2 half-box blocks
-        i xi_h V^_k; Div V = trace DV and curl V = DV - DV^t (skew storage)
-        are physical products.
+        DV (d, d, *shape) is gradient_tensor's values, one irfft_box; Div V =
+        trace DV and curl V = DV - DV^t (skew storage) are physical products.
         """
-        if self.kind != "vector":
-            raise InputError("derivatives are formed for vector fields")
-        grid = self.grid
-        d = grid.dim
-        k = grid.box_wavenumbers(self.band)
-        blocks = 1j * k[None] * self.half[:, None]
-        dv = grid.irfft_box(blocks.reshape((d * d,) + blocks.shape[2:])) \
-            .reshape((d, d) + grid.shape)
-        curl_v = np.stack([dv[a, b] - dv[b, a] for a, b in skew_pairs(d)])
+        dv = gradient_tensor(self).values
+        curl_v = np.stack([dv[a, b] - dv[b, a] for a, b in skew_pairs(self.grid.dim)])
         return dv, np.trace(dv), curl_v
 
     @cached_property
@@ -194,10 +188,10 @@ class SpectralField:
         (exactly Hermitian, each mode's law kept) and the mean mode zero."""
         if kmax < 1 or grid.n < SpectralField.alias_free_n(kmax):
             raise InputError("kmax must lie in [1, n/4] to keep products alias-free")
-        shape = (_NCOMP[kind](grid.dim),) + (2 * kmax + 1,) * (grid.dim - 1) + (kmax + 1,)
+        shape = _NCOMP[kind](grid.dim) + (2 * kmax + 1,) * (grid.dim - 1) + (kmax + 1,)
         c = rng.standard_normal(shape + (2,)).view(complex)[..., 0] * np.sqrt(0.5)
-        c[..., :1] = (c[..., :1] + np.conj(plane_at_minus_xi(c))) * np.sqrt(0.5)
-        c[(slice(None),) + (0,) * grid.dim] = 0.0
+        c[..., :1] = (c[..., :1] + np.conj(plane_at_minus_xi(c, grid.dim))) * np.sqrt(0.5)
+        c[(Ellipsis,) + (0,) * grid.dim] = 0.0
         return c
 
     @classmethod
@@ -218,12 +212,11 @@ class SpectralField:
 
 
 def gradient_tensor(v: SpectralField) -> SpectralField:
-    """(DV)_{k h} = d_h V_k as a matrix field."""
+    """(DV)_{k h} = d_h V_k as a matrix field: the blocks i xi_h V^_k."""
     if v.kind != "vector":
         raise InputError("gradient_tensor acts on vector fields")
     k = v.grid.box_wavenumbers(v.band)
-    blocks = 1j * k[None] * v.half[:, None]
-    return SpectralField(v.grid, "matrix", blocks.reshape((-1,) + k.shape[1:]), v.band)
+    return SpectralField(v.grid, "matrix", 1j * k[None] * v.half[:, None], v.band)
 
 
 def divergence(v: SpectralField) -> SpectralField:
@@ -241,14 +234,6 @@ def curl(v: SpectralField) -> SpectralField:
     k, c = v.grid.box_wavenumbers(v.band), v.half
     comps = [1j * (k[b] * c[a] - k[a] * c[b]) for a, b in skew_pairs(v.grid.dim)]
     return SpectralField(v.grid, "skew", np.stack(comps), v.band)
-
-
-def matrix_physical(m: SpectralField) -> np.ndarray:
-    """Physical (d, d, *shape) array of a matrix field."""
-    if m.kind != "matrix":
-        raise InputError("expected a matrix field")
-    d = m.grid.dim
-    return m.physical().reshape((d, d) + m.grid.shape)
 
 
 def divcurl_reconstruct(f: SpectralField, g: SpectralField) -> SpectralField:
@@ -275,8 +260,7 @@ def divcurl_reconstruct(f: SpectralField, g: SpectralField) -> SpectralField:
         q[a] += k[b] * g.half[idx]
         q[b] -= k[a] * g.half[idx]
     q /= mag2
-    blocks = k[None] * q[:, None]
-    return SpectralField(f.grid, "matrix", blocks.reshape((d * d,) + k.shape[1:]), f.band)
+    return SpectralField(f.grid, "matrix", k[None] * q[:, None], f.band)
 
 
 # -- integral norms on the grid (midpoint rule; spectrally accurate) ----------

@@ -10,6 +10,7 @@ import os
 import sys
 import time
 from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -18,31 +19,30 @@ from . import __version__
 from .errors import InputError
 
 
-def worker_count(tasks: int | None = None) -> int:
+def worker_count() -> int:
     """Worker cap from QUC_THREADS (default: cpu count), floored at 1."""
     env = os.environ.get("QUC_THREADS", "").strip()
     try:
         cap = int(env) if env else (os.cpu_count() or 1)
     except ValueError:
         raise InputError(f"QUC_THREADS must be an integer, got {env!r}") from None
-    cap = max(1, cap)
-    if tasks is not None:
-        cap = min(cap, max(1, tasks))
-    return cap
+    return max(1, cap)
 
 
-def pool_map(pool, fn, items):
-    """pool.map in input order that draws items lazily, in the caller's
-    thread, and keeps at most worker_count() tasks in flight, so a
-    generator of large items holds at most that many of them."""
+def pool_map(fn, items):
+    """map in input order on its own pool of worker_count() threads, which
+    starts a thread only for a task no idle thread takes.  Items are drawn
+    lazily, in the caller's thread, and at most worker_count() tasks are in
+    flight, so a generator of large items holds at most that many of them."""
     depth = worker_count()
-    pending = deque()
-    for item in items:
-        pending.append(pool.submit(fn, item))
-        if len(pending) >= depth:
+    with ThreadPoolExecutor(depth) as pool:
+        pending = deque()
+        for item in items:
+            pending.append(pool.submit(fn, item))
+            if len(pending) >= depth:
+                yield pending.popleft().result()
+        while pending:
             yield pending.popleft().result()
-    while pending:
-        yield pending.popleft().result()
 
 
 def strict_int(value, what: str) -> int:

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import jsonschema
@@ -469,6 +470,15 @@ class TestCpPrimeSweep:
         rows = (out / "sweep.csv").read_text().strip().splitlines()
         assert len(rows) == 3
 
+    def test_at_most_one_worker_per_p_value(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("QUC_THREADS", "8")
+        started, start = [], threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda thread: started.append(thread) or start(thread))
+        code, _ = run(tmp_path, "cpprime-sweep", "--p-grid", "2,3", "--m", "4")
+        assert code == 0
+        assert 1 <= len(started) <= 2
+
 
 class TestCantor:
     def test_small_run(self, tmp_path):
@@ -698,6 +708,9 @@ class TestUsage:
          ["solve", "--config", "{tmp}/config.json"], "at least 4 cells"),
         ({}, None, ["radial", "--p", "3", "--m", "0.01", "--r-max", "1e5"],
          "exceeds the bound 1e300"),
+        ({}, {**_CONFIG, "problem": {**_CONFIG["problem"], "boundary": {
+            "kind": "affine", "params": {"slope": [1e308, 1e308]}}}},
+         ["solve", "--config", "{tmp}/config.json"], "boundary data has non-finite values"),
     ], ids=["quc-threads", "levels", "missing-config", "config-cells",
             "config-stage", "config-list", "config-boundary", "config-tol",
             "p-grid-empty", "p-grid-token", "dims-token", "dims-zero", "dims-one",
@@ -724,7 +737,8 @@ class TestUsage:
             "integrand-cantor-level-above-cap", "radial-p-near-one-overflow",
             "radial-large-r-max-overflow", "radial-norm-divergent",
             "radial-norm-log-divergent", "config-tol-zero", "config-max-iter-zero",
-            "config-ball-outside", "config-cells-two", "radial-norm-overflow"])
+            "config-ball-outside", "config-cells-two", "radial-norm-overflow",
+            "config-affine-overflow"])
     def test_malformed_input_exit_2(self, tmp_path, monkeypatch, capsys, env, config,
                                     argv, message):
         for key, value in env.items():

@@ -1,8 +1,5 @@
 """Tests for the Cordes thresholds and the div-curl operator norm probe."""
 
-from concurrent.futures import ThreadPoolExecutor
-from functools import partial
-
 import numpy as np
 import pytest
 
@@ -104,11 +101,10 @@ class TestTNormProbe:
         with pytest.raises(InputError):
             cordes.estimate_T_norm(2.0, trials=0)
 
-    def test_pooled_trials_match_serial_bit_for_bit(self):
+    def test_pooled_trials_match_serial_bit_for_bit(self, monkeypatch):
+        monkeypatch.setenv("QUC_THREADS", "3")
         serial = cordes.estimate_T_norm(3.0, trials=7, n=32, kmax=4, seed=5)
-        with ThreadPoolExecutor(max_workers=3) as pool:
-            pooled = cordes.estimate_T_norm(3.0, trials=7, n=32, kmax=4, seed=5,
-                                            map=partial(pool_map, pool))
+        pooled = cordes.estimate_T_norm(3.0, trials=7, n=32, kmax=4, seed=5, map=pool_map)
         assert pooled == serial
 
     def test_empirical_mode_runs(self):

@@ -1,15 +1,13 @@
 """Tests for the arctan solution and the Cantor stress diagnostics."""
 
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from functools import partial
 
 import numpy as np
 import pytest
 
 from quclab import counterexamples as ce
 from quclab.errors import InputError, NumericError
-from quclab.utils import pool_map, worker_count
+from quclab.utils import pool_map
 
 
 @pytest.fixture
@@ -105,12 +103,11 @@ class TestWeakDivergence:
         [res] = _residuals(ce.cantor_stress_fields([12]), n_bumps=8, seed=3)
         assert res <= 1e-3
 
-    def test_pooled_run_matches_serial_run_bit_for_bit(self):
+    def test_pooled_run_matches_serial_run_bit_for_bit(self, monkeypatch):
+        monkeypatch.setenv("QUC_THREADS", "2")
         fields = ce.cantor_stress_fields([8, 12])
         serial = ce.weak_divergence_residuals(fields, n_bumps=4, seed=3)
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            pooled = ce.weak_divergence_residuals(fields, n_bumps=4, seed=3,
-                                                  map=pool.map)
+        pooled = ce.weak_divergence_residuals(fields, n_bumps=4, seed=3, map=pool_map)
         assert pooled == serial
         assert serial.nodes == 4 * (64 * 32 + 48 * 24)
 
@@ -245,9 +242,7 @@ class TestBlowupDiagnostic:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-                pooled = ce.sobolev_blowup_diagnostic(levels, n_grid=384,
-                                                      map=partial(pool_map, pool))
+            pooled = ce.sobolev_blowup_diagnostic(levels, n_grid=384, map=pool_map)
         finally:
             sys.setswitchinterval(interval)
         assert len(sizes) == 2 and ce._GRID_CHUNK in sizes

@@ -8,9 +8,12 @@ from quclab.errors import InputError, PreconditionError
 from quclab import radial
 
 
+def problem(p, dim=2, c=1.0, a=0.0, r_max=1.0):
+    return radial.RadialProblem(dim=dim, p=p, r_max=r_max, c=c, a=a)
+
+
 def psolve(p, dim=2, num=4097, c=1.0, a=0.0, r_max=1.0):
-    prob = radial.RadialProblem(dim=dim, p=p, r_max=r_max, c=c, a=a)
-    return radial.solve_radial(prob, num=num)
+    return radial.solve_radial(problem(p, dim, c, a, r_max), num=num)
 
 
 class TestSolveRadial:
@@ -84,46 +87,55 @@ class TestStress:
     @pytest.mark.parametrize("p", [1.2, 2.0, 3.0, 6.0])
     def test_stress_is_x_over_n(self, p, rng):
         # Delta_p u = 1 gives V = x / N for every p
-        sol = psolve(p)
+        prob = problem(p)
         pts = rng.uniform(-0.5, 0.5, size=(200, 2))
         pts = pts[np.linalg.norm(pts, axis=1) > 0.05]
-        grid = radial.stress_of(sol, pts)
+        grid = radial.stress_of(prob, pts)
         assert np.max(np.abs(grid.values - pts / 2.0)) < 1e-10
 
     def test_gradient_symmetric(self, rng):
-        sol = psolve(3.0, a=0.5)
+        prob = problem(3.0, a=0.5)
         pts = rng.uniform(-0.6, 0.6, size=(100, 2))
         pts = pts[np.linalg.norm(pts, axis=1) > 0.1]
-        grid = radial.stress_of(sol, pts)
+        grid = radial.stress_of(prob, pts)
         skew = grid.gradients - np.swapaxes(grid.gradients, -1, -2)
         assert np.max(np.abs(skew)) < 1e-10
 
     def test_gradient_matches_finite_differences(self):
-        sol = psolve(3.0, num=8193)
+        prob = problem(3.0)
         pts = np.array([[0.3, 0.1], [0.2, -0.4], [0.5, 0.5]])
-        grid = radial.stress_of(sol, pts)
+        grid = radial.stress_of(prob, pts)
         h = 1e-6
         for j in range(2):
             e = np.zeros(2)
             e[j] = 1.0
-            vp = radial.stress_of(sol, pts + h * e).values
-            vm = radial.stress_of(sol, pts - h * e).values
+            vp = radial.stress_of(prob, pts + h * e).values
+            vm = radial.stress_of(prob, pts - h * e).values
             fd = (vp - vm) / (2.0 * h)
             assert np.allclose(fd, grid.gradients[:, :, j], atol=1e-5)
 
+    def test_takes_the_problem_and_solves_nothing(self, monkeypatch, rng):
+        # the closed form reads only the problem: no sampled profile is built
+        monkeypatch.setattr(radial, "solve_radial",
+                            lambda *a, **k: pytest.fail("stress_of solved the profile"))
+        pts = rng.uniform(0.1, 0.5, size=(20, 3))
+        grid = radial.stress_of(radial.RadialProblem(dim=3, p=3.0, r_max=1.0, c=1.0, a=0.0),
+                                pts)
+        assert np.max(np.abs(grid.values - pts / 3.0)) < 1e-15
+
     def test_zero_source_zero_stress(self, rng):
-        sol = psolve(3.0, c=0.0)
+        prob = problem(3.0, c=0.0)
         pts = rng.uniform(0.1, 0.5, size=(20, 2))
-        assert np.max(np.abs(radial.stress_of(sol, pts).values)) == 0.0
+        assert np.max(np.abs(radial.stress_of(prob, pts).values)) == 0.0
 
     @pytest.mark.parametrize("dim, a", [(2, 0.5), (2, -0.5), (3, 2.0)])
     def test_closed_form_values_and_radial_gradient(self, dim, a, rng):
         # V = h x with h = c r^a/(N+a), and DV x/r = T' x/r with T' = (1+a) h
-        sol = psolve(3.0, dim=dim, a=a)
+        prob = problem(3.0, dim=dim, a=a)
         pts = rng.uniform(-0.55, 0.55, size=(300, dim))
         r = np.linalg.norm(pts, axis=1)
         pts, r = pts[(r > 0.05) & (r <= 1.0)], r[(r > 0.05) & (r <= 1.0)]
-        grid = radial.stress_of(sol, pts)
+        grid = radial.stress_of(prob, pts)
         h = r ** a / (dim + a)
         np.testing.assert_allclose(grid.values, h[:, None] * pts, rtol=1e-13, atol=0.0)
         radial_part = np.einsum("mij,mj->mi", grid.gradients, pts / r[:, None])

@@ -43,7 +43,7 @@ class TestGridAndFields:
         assert np.all(f.half[:, 0, 0] == 0.0)
         assert np.max(np.abs(np.mean(f.values, axis=grid.fft_axes))) < 1e-13
         # the xi_2 = 0 line is Hermitian, so the field is real as drawn
-        assert np.array_equal(f.half[..., :1], np.conj(sp.plane_at_minus_xi(f.half)))
+        assert np.array_equal(f.half[..., :1], np.conj(sp.plane_at_minus_xi(f.half, 2)))
 
 
 class TestDivCurlReconstruct:
@@ -58,7 +58,7 @@ class TestDivCurlReconstruct:
         assert np.allclose(f.physical()[0], -np.sin(x[0]), atol=1e-12)
         g = sp.curl(vf)
         assert np.max(np.abs(g.physical())) < 1e-12
-        dv = sp.matrix_physical(sp.divcurl_reconstruct(f, g))
+        dv = sp.divcurl_reconstruct(f, g).physical()
         assert np.allclose(dv[0, 0], -np.sin(x[0]), atol=1e-11)
         assert np.max(np.abs(dv[0, 1])) < 1e-11
         assert np.max(np.abs(dv[1, 1])) < 1e-11
@@ -67,7 +67,7 @@ class TestDivCurlReconstruct:
         grid = grid2(16)
         f = sp.SpectralField(grid, "scalar", np.zeros((1, 5, 3), complex), 2)
         g = sp.SpectralField(grid, "skew", np.zeros((1, 5, 3), complex), 2)
-        dv = sp.matrix_physical(sp.divcurl_reconstruct(f, g))
+        dv = sp.divcurl_reconstruct(f, g).physical()
         assert np.max(np.abs(dv)) == 0.0
 
     @pytest.mark.parametrize("dim,n", [(2, 64), (3, 16)])
@@ -75,10 +75,18 @@ class TestDivCurlReconstruct:
         grid = sp.PeriodicGrid(dim=dim, n=n)
         for _ in range(5):
             v = sp.SpectralField.random_band_limited(grid, "vector", n // 8, rng)
-            dv_direct = sp.matrix_physical(sp.gradient_tensor(v))
-            rec = sp.matrix_physical(sp.divcurl_reconstruct(sp.divergence(v), sp.curl(v)))
+            dv_direct = sp.gradient_tensor(v).physical()
+            rec = sp.divcurl_reconstruct(sp.divergence(v), sp.curl(v)).physical()
             scale = np.sqrt(np.sum(dv_direct ** 2)) or 1.0
             assert np.sqrt(np.sum((rec - dv_direct) ** 2)) / scale < 1e-10
+
+    @pytest.mark.parametrize("dim,n", [(2, 32), (3, 16)])
+    def test_matrix_fields_are_d_by_d(self, dim, n, rng):
+        grid = sp.PeriodicGrid(dim=dim, n=n)
+        v = sp.SpectralField.random_band_limited(grid, "vector", 2, rng)
+        want = (dim, dim) + grid.shape
+        assert sp.gradient_tensor(v).values.shape == want
+        assert sp.divcurl_reconstruct(sp.divergence(v), sp.curl(v)).values.shape == want
 
     def test_incompatible_grids_rejected(self, rng):
         f = sp.SpectralField.random_band_limited(grid2(16), "scalar", 2, rng)
@@ -93,7 +101,7 @@ class TestEnergyIdentity:
         grid = grid2(64)
         v = cos_x1(grid)
         assert sp.divcurl_identity_residual(v) < 1e-12
-        dv = sp.matrix_physical(sp.gradient_tensor(v))
+        dv = sp.gradient_tensor(v).physical()
         lhs = np.sum(dv * dv) * grid.cell_volume
         assert lhs == pytest.approx(0.5 * (2 * np.pi) ** 2, rel=1e-12)
 
@@ -194,18 +202,18 @@ class TestOnePassDerivatives:
 
         v = noise("vector", dim)
         dv, div, curl = v.derivatives
-        self.assert_close(dv, sp.matrix_physical(sp.gradient_tensor(v)))
+        self.assert_close(dv, sp.gradient_tensor(v).physical())
         self.assert_close(div, sp.divergence(v).physical()[0])
         self.assert_close(curl, sp.curl(v).physical())
         self.assert_close(v.values, v.physical())
 
         rec = sp.divcurl_reconstruct(sp.divergence(v), sp.curl(v))
-        self.assert_close(rec.values.reshape(dv.shape), sp.matrix_physical(rec))
+        self.assert_close(rec.values, rec.physical())
         f, g = noise("scalar", 1), noise("skew", dim * (dim - 1) // 2)
         rec = sp.divcurl_reconstruct(f, g)
-        self.assert_close(rec.values.reshape(dv.shape), sp.matrix_physical(rec))
-        self.assert_close(apply_T(f, g), sp.matrix_physical(
-            sp.divcurl_reconstruct(f, g.scaled(np.sqrt(2.0)))))
+        self.assert_close(rec.values, rec.physical())
+        self.assert_close(apply_T(f, g),
+                          sp.divcurl_reconstruct(f, g.scaled(np.sqrt(2.0))).physical())
 
     def test_band_limited_values_match_physical(self, rng):
         grid = sp.PeriodicGrid(dim=3, n=16)
@@ -274,15 +282,16 @@ class TestBand:
     @pytest.mark.parametrize("dim,n,kmax", CASES)
     def test_draw_is_a_hermitian_half_box(self, dim, n, kmax):
         grid = sp.PeriodicGrid(dim=dim, n=n)
-        c = sp.SpectralField.noise(grid, "vector", kmax, np.random.default_rng(5))
-        assert c.shape == (dim,) + (2 * kmax + 1,) * (dim - 1) + (kmax + 1,)
-        self.assert_same(c[..., :1], np.conj(sp.plane_at_minus_xi(c)))
-        assert np.all(c[(slice(None),) + (0,) * dim] == 0.0)
-        v = sp.SpectralField.band_limited(grid, "vector", c)
-        assert v.band == kmax
-        assert np.max(np.abs(v.values - v.physical())) <= 1e-14
-        assert np.all(v.half[(slice(None),) + (0,) * dim] == 0.0)
-        assert np.max(np.abs(v.values)) == pytest.approx(1.0, abs=1e-15)
+        for kind, components in (("vector", (dim,)), ("matrix", (dim, dim))):
+            c = sp.SpectralField.noise(grid, kind, kmax, np.random.default_rng(5))
+            assert c.shape == components + (2 * kmax + 1,) * (dim - 1) + (kmax + 1,)
+            self.assert_same(c[..., :1], np.conj(sp.plane_at_minus_xi(c, dim)))
+            assert np.all(c[(Ellipsis,) + (0,) * dim] == 0.0)
+            v = sp.SpectralField.band_limited(grid, kind, c)
+            assert v.band == kmax
+            assert np.max(np.abs(v.values - v.physical())) <= 1e-14
+            assert np.all(v.half[(Ellipsis,) + (0,) * dim] == 0.0)
+            assert np.max(np.abs(v.values)) == pytest.approx(1.0, abs=1e-15)
 
     @pytest.mark.parametrize("dim,n,kmax", [(2, 32, 4), (3, 16, 2)])
     def test_plane_and_off_plane_modes_share_their_law(self, dim, n, kmax):
@@ -315,13 +324,13 @@ class TestBand:
         # a fresh field forms its values instead of reading the stored ones
         fresh = sp.SpectralField(grid, "vector", v.half, kmax)
         self.assert_same(fresh.values, v.physical())
-        self.assert_same(fresh.derivatives[0], sp.matrix_physical(sp.gradient_tensor(v)))
+        self.assert_same(fresh.derivatives[0], sp.gradient_tensor(v).physical())
         for op in (sp.divergence, sp.curl, lambda u: u.scaled(-1.7)):
             self.assert_same(op(fresh).values, op(v).physical())
         rec = sp.divcurl_reconstruct(sp.divergence(v), sp.curl(v))
         self.assert_same(rec.values, rec.physical())
-        self.assert_same(apply_T(f, g), sp.matrix_physical(
-            sp.divcurl_reconstruct(f, g.scaled(np.sqrt(2.0)))))
+        self.assert_same(apply_T(f, g),
+                         sp.divcurl_reconstruct(f, g.scaled(np.sqrt(2.0))).physical())
 
     def test_band_propagates(self, rng):
         v = sp.SpectralField.random_band_limited(grid2(32), "vector", 4, rng)
@@ -364,5 +373,5 @@ def test_field_check_memory_512():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert rec.shape == (4,) + grid.shape and dv.shape == (2, 2) + grid.shape
+    assert rec.shape == dv.shape == (2, 2) + grid.shape
     assert peak < 28 * 2 ** 20

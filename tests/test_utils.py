@@ -1,15 +1,17 @@
 """Tests for worker caps, the pool map, number inputs, package exports and
 deterministic report writing."""
 
+import ast
 import importlib
 import json
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import quclab
 from quclab.errors import InputError
 from quclab.integrands.profiles import bounded_power_profile, power_profile
 from quclab.solver import radial_power_solution
@@ -22,8 +24,6 @@ class TestWorkerCount:
     def test_env_cap_respected(self, monkeypatch):
         monkeypatch.setenv("QUC_THREADS", "2")
         assert worker_count() == 2
-        assert worker_count(tasks=1) == 1
-        assert worker_count(tasks=10) == 2
 
     def test_floor_at_one(self, monkeypatch):
         monkeypatch.setenv("QUC_THREADS", "0")
@@ -35,8 +35,8 @@ class TestWorkerCount:
 
 
 class TestPoolMap:
-    """pool_map keeps at most worker_count() tasks in flight; the tests set
-    that cap through QUC_THREADS."""
+    """pool_map opens its own pool and keeps at most worker_count() tasks in
+    flight; the tests set that cap through QUC_THREADS."""
 
     def test_results_in_input_order(self, monkeypatch):
         monkeypatch.setenv("QUC_THREADS", "4")
@@ -46,8 +46,7 @@ class TestPoolMap:
             time.sleep(0.002 * (8 - x))
             return x * x
 
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            assert list(pool_map(pool, task, range(8))) == [x * x for x in range(8)]
+        assert list(pool_map(task, range(8))) == [x * x for x in range(8)]
 
     @pytest.mark.parametrize("depth", [1, 2, 3])
     def test_draws_lazily(self, monkeypatch, depth):
@@ -59,11 +58,10 @@ class TestPoolMap:
                 drawn.append(i)
                 yield i
 
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            results = pool_map(pool, abs, items())
-            assert next(results) == 0
-            assert len(drawn) <= depth + 1
-            assert list(results) == list(range(1, 10))
+        results = pool_map(abs, items())
+        assert next(results) == 0
+        assert len(drawn) <= depth + 1
+        assert list(results) == list(range(1, 10))
 
     def test_at_most_depth_tasks_running(self, monkeypatch):
         monkeypatch.setenv("QUC_THREADS", "2")
@@ -80,9 +78,7 @@ class TestPoolMap:
                 running -= 1
             return x
 
-        # the pool has eight workers; pool.map would run eight tasks at once
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            assert list(pool_map(pool, task, range(20))) == list(range(20))
+        assert list(pool_map(task, range(20))) == list(range(20))
         assert 1 <= peak <= 2
 
     def test_task_exception_reaches_caller(self, monkeypatch):
@@ -93,9 +89,24 @@ class TestPoolMap:
                 raise ValueError(f"task {x} failed")
             return x
 
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            with pytest.raises(ValueError, match="task 3 failed"):
-                list(pool_map(pool, task, range(6)))
+        with pytest.raises(ValueError, match="task 3 failed"):
+            list(pool_map(task, range(6)))
+
+    def test_pool_has_one_home(self):
+        # no module but utils opens a thread pool; callers pass pool_map
+        src = Path(quclab.__file__).parent
+        importers = set()
+        for path in src.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module]
+                else:
+                    continue
+                if any(name.split(".")[0] == "concurrent" for name in names):
+                    importers.add(path.relative_to(src).as_posix())
+        assert importers == {"utils.py"}
 
 
 class TestNumberInputs:
